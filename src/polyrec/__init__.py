@@ -10,8 +10,9 @@ set's density, and why.
 from .config import (Constants, ExperimentConfig, Tolerances, ConfigError,
                      DEFAULT_CONSTANTS, DEFAULT_TOLERANCES, load_config)
 from .intset import IntegerSet, generate_set
-from .zn_fourier import (Spectrum, ZnFunction, balanced_function, correlation,
-                         dft, ellp_norm, indicator, inverse_dft, lp_norm)
+from .zn_fourier import (ExactnessError, Spectrum, ZnFunction, balanced_function,
+                         correlation, dft, ellp_norm, exact_correlation,
+                         indicator, inverse_dft, lp_norm)
 from .polyfam import (CoefficientMatrix, IntPolynomial, LiftResult,
                       PolynomialFamily, ShiftRange, check_difference_identity,
                       check_lift_implication, coefficient_analysis,
@@ -40,8 +41,9 @@ __all__ = [
     "Constants", "ExperimentConfig", "Tolerances", "ConfigError",
     "DEFAULT_CONSTANTS", "DEFAULT_TOLERANCES", "load_config",
     "IntegerSet", "generate_set",
-    "Spectrum", "ZnFunction", "balanced_function", "correlation", "dft",
-    "ellp_norm", "indicator", "inverse_dft", "lp_norm",
+    "ExactnessError", "Spectrum", "ZnFunction", "balanced_function",
+    "correlation", "dft", "ellp_norm", "exact_correlation", "indicator",
+    "inverse_dft", "lp_norm",
     "CoefficientMatrix", "IntPolynomial", "LiftResult", "PolynomialFamily",
     "ShiftRange", "check_difference_identity", "check_lift_implication",
     "coefficient_analysis", "lift_construction", "shift_range",

@@ -2,14 +2,17 @@
 
 Reports are deterministic given the same config and arguments: payloads
 are emitted with sorted keys and no timestamps unless --timing is passed.
-Exit code 0 means every hard check in the run passed, 1 means a check or
-internal assertion failed, 2 means the invocation or config was invalid.
+Exit code 0 means every hard check in the run passed, 1 means a check,
+an internal assertion or an exactness guard failed, 2 means the invocation
+or config was invalid.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
+import heapq
 import json
 import math
 import random
@@ -22,8 +25,8 @@ import numpy as np
 
 from .config import (ConfigError, ExperimentConfig, load_config)
 from .intset import IntegerSet, generate_set
-from .zn_fourier import (ZnFunction, balanced_function, dft, ellp_norm,
-                         indicator, inverse_dft, lp_norm)
+from .zn_fourier import (ExactnessError, ZnFunction, balanced_function, dft,
+                         ellp_norm, inverse_dft, lp_norm)
 from .polyfam import (IntPolynomial, PolynomialFamily, check_difference_identity,
                       check_lift_implication, coefficient_analysis,
                       lift_construction, shift_range)
@@ -135,7 +138,10 @@ def _parse_number(text: str):
     """'p/q' stays an exact Fraction; anything else becomes a float."""
     text = text.strip()
     if "/" in text:
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
     return float(text)
 
 
@@ -180,6 +186,13 @@ def _emit(report: dict, path: Optional[str]) -> None:
         print(text)
 
 
+def _require(args, context: str, *names: str) -> None:
+    """Refuse with one line naming every missing option."""
+    missing = [f"--{n.replace('_', '-')}" for n in names if getattr(args, n) is None]
+    if missing:
+        raise ValueError(f"{context} needs {' and '.join(missing)}")
+
+
 def _truncate(seq, cap: int = 200) -> list:
     seq = list(seq)
     return seq if len(seq) <= cap else seq[:cap]
@@ -216,26 +229,28 @@ def _cmd_decompose(args, config: ExperimentConfig):
         vals = rng.standard_normal(args.N) + 1j * rng.standard_normal(args.N)
         f = ZnFunction(args.N, vals / max(lp_norm(ZnFunction(args.N, vals), 2), 1e-30))
     out = decompose(f, args.eps, tol=config.tolerances)
-    total = ZnFunction(f.modulus, out.f1.values + out.f2.values + out.f3.values)
-    recon = float(np.max(np.abs(f.values - total.values)))
+    total = out.f1.values + out.f2.values + out.f3.values
+    recon = float(np.max(np.abs(f.values - total)))
+    l2_f2 = lp_norm(out.f2, 2)
+    linf_f3_hat = ellp_norm(dft(out.f3), math.inf)
     results = {
         "N": args.N,
         "eps": args.eps,
         "m": out.m,
         "rounds": out.rounds,
         "support_size": len(out.support),
-        "support": _truncate(sorted(out.support)),
+        "support": heapq.nsmallest(200, out.support),
         "eta_of_m": out.eta_of_m,
         "l1_f1_hat": ellp_norm(dft(out.f1), 1),
-        "l2_f2": lp_norm(out.f2, 2),
-        "linf_f3_hat": ellp_norm(dft(out.f3), math.inf),
+        "l2_f2": l2_f2,
+        "linf_f3_hat": linf_f3_hat,
         "reconstruction_error": recon,
     }
     checks = {
         "parts_sum_to_f": recon < config.tolerances.decomposition_sum,
         "round_bound": out.rounds <= math.ceil(args.eps ** -2),
-        "f2_small": lp_norm(out.f2, 2) <= args.eps + 1e-12,
-        "f3_uniform": ellp_norm(dft(out.f3), math.inf) <= out.eta_of_m + 1e-12,
+        "f2_small": l2_f2 <= args.eps + 1e-12,
+        "f3_uniform": linf_f3_hat <= out.eta_of_m + 1e-12,
     }
     return results, checks
 
@@ -289,6 +304,7 @@ def _cmd_tarry(args, config: ExperimentConfig):
                 fh.write("\n".join(probe.csv_lines()) + "\n")
             results["csv_path"] = args.csv
     else:
+        _require(args, "tarry without --growth", "M")
         out = tarry_count(args.K, args.k, args.M, method=args.method)
         results.update({"M": args.M, "count": out.count, "method": out.method})
         checks["diagonal_lower_bound"] = out.count >= args.M ** args.K
@@ -298,6 +314,11 @@ def _cmd_tarry(args, config: ExperimentConfig):
 def _cmd_dioph(args, config: ExperimentConfig):
     tol = config.tolerances
     checks: dict = {}
+    needs = {"mass": ("lattice",), "average": ("lattice", "alpha"),
+             "bounds": ("lattice", "alpha"), "schmidt": ("lattice", "alpha"),
+             "goodset": ("theta",) if args.poly else ("alpha",),
+             "denominator": ("theta",)}
+    _require(args, f"dioph --action {args.action}", *needs[args.action])
     if args.action == "mass":
         lattice = _parse_lattice(args.lattice)
         value = gaussian_mass(lattice, tol)  # two-sided agreement asserted
@@ -477,6 +498,7 @@ def _cmd_selftest(args, config: ExperimentConfig):
 
 # ----------------------------------------------------------------- driver
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polyrec",
@@ -591,7 +613,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
+    except (AssertionError, ExactnessError) as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 1
 

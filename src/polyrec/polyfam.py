@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .intset import IntegerSet
+from .zn_fourier import ExactnessError, exact_correlation
 
 __all__ = [
     "IntPolynomial",
@@ -269,7 +270,8 @@ def coefficient_analysis(family: PolynomialFamily) -> CoefficientMatrix:
     for drow, coeffs in zip(dependent, dependency):
         for col in range(k):
             acc = sum(c * rows[kept[i]][col] for i, c in enumerate(coeffs))
-            assert acc == rows[drow][col], "dependency certificate failed"
+            if acc != rows[drow][col]:
+                raise ExactnessError("dependency certificate failed")
     return CoefficientMatrix(
         rows=rows,
         rank=len(kept),
@@ -299,27 +301,6 @@ class LiftResult:
 _STAGE_CORRELATION_BUDGET = 30_000_000
 
 
-def _exact_count_correlation(dist: np.ndarray, ind: np.ndarray) -> np.ndarray:
-    """All window counts C[s] = sum_y dist[y] * ind[y + s], exactly.
-
-    The output has shape dist.shape + ind.shape - 1; along each axis the
-    offset s runs from -(dist extent - 1) through ind extent - 1.  Uses an
-    FFT product and rounds; counts here sit far below the 2^53 scale where
-    rounding could slip, and a residual check guards that.
-    """
-    out_shape = tuple(d + i - 1 for d, i in zip(dist.shape, ind.shape))
-    if math.prod(out_shape) > _STAGE_CORRELATION_BUDGET:
-        raise ValueError("stage correlation budget exceeded; shrink half_width")
-    axes = tuple(range(dist.ndim))
-    fd = np.fft.fftn(dist[tuple(slice(None, None, -1) for _ in dist.shape)],
-                     out_shape, axes=axes)
-    fi = np.fft.fftn(ind, out_shape, axes=axes)
-    raw = np.fft.ifftn(fd * fi, axes=axes).real
-    counts = np.rint(raw)
-    assert float(np.max(np.abs(raw - counts))) < 1e-3, "count correlation lost exactness"
-    return counts.astype(np.int64)
-
-
 def _argmax_offset(dist_vals: np.ndarray, dist_origin: np.ndarray,
                    a: IntegerSet) -> tuple[tuple[int, ...], int]:
     """Best shift s maximizing #{y : y + s in A^r}, given the y-distribution.
@@ -332,7 +313,11 @@ def _argmax_offset(dist_vals: np.ndarray, dist_origin: np.ndarray,
     idx = np.array(a.elements) - 1
     mesh = np.meshgrid(*([idx] * r), indexing="ij")
     ind[tuple(mesh)] = 1
-    counts = _exact_count_correlation(dist_vals, ind)
+    out_shape = tuple(d + i - 1 for d, i in zip(dist_vals.shape, ind.shape))
+    if math.prod(out_shape) > _STAGE_CORRELATION_BUDGET:
+        raise ValueError("stage correlation budget exceeded; shrink half_width")
+    # counts[p] = #{y : y + s in A^r} for the offset s that p encodes
+    counts = exact_correlation(dist_vals, ind)
     flat = int(np.argmax(counts))
     pos = np.unravel_index(flat, counts.shape)
     # axis offset p corresponds to s = (1 - (origin + extent - 1)) + p
@@ -412,7 +397,8 @@ def lift_construction(a: IntegerSet, family: PolynomialFamily,
         return mask
 
     stage1 = member_mask(r_vals, s)
-    assert int(stage1.sum()) == first_count, "stage-one count mismatch"
+    if int(stage1.sum()) != first_count:
+        raise ExactnessError("stage-one count mismatch")
 
     if dep_idx:
         d_vals = values[:, dep_idx][stage1]
@@ -435,7 +421,8 @@ def lift_construction(a: IntegerSet, family: PolynomialFamily,
 
     pts = frozenset(map(tuple, coords[final_mask].tolist()))
     # Exactness checkpoint: every surviving b satisfies the box condition.
-    assert int(final_mask.sum()) == len(pts)
+    if int(final_mask.sum()) != len(pts):
+        raise ExactnessError("lifted points are not distinct")
     return LiftResult(
         half_width=half_width,
         ambient=a.n,

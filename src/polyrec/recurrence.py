@@ -22,7 +22,8 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .intset import IntegerSet
 from .polyfam import PolynomialFamily, ShiftRange, shift_range
 from .zn_fourier import (Spectrum, ZnFunction, balanced_function, correlation,
-                         dft, ellp_norm, inverse_dft, lp_norm)
+                         dft, ellp_norm, exact_correlation, inverse_dft,
+                         lp_norm)
 
 __all__ = [
     "INTEGER",
@@ -45,26 +46,25 @@ CYCLIC = "cyclic"
 
 
 def _intersection_counts(a: IntegerSet, shifts: Sequence[int], mode: str) -> list[int]:
-    """|A ∩ (A + s)| for each shift, exactly (integer or cyclic convention)."""
+    """|A ∩ (A + s)| for each shift, exactly (integer or cyclic convention).
+
+    Every count is read off one exact autocorrelation of the indicator.
+    In integer mode the count depends on |s| only and vanishes once
+    |s| >= N; shifts are reduced as Python integers, so any size is safe.
+    """
     n = a.n
-    elems = np.array(a.elements, dtype=np.int64)
-    counts = []
+    ind = np.zeros(n, dtype=bool)
     if mode == INTEGER:
-        in_a = np.zeros(n + 2, dtype=bool)
-        in_a[elems] = True
-        for s in shifts:
-            moved = elems - int(s)
-            ok = (moved >= 1) & (moved <= n)
-            counts.append(int(np.count_nonzero(in_a[moved[ok]])))
-    elif mode == CYCLIC:
-        res = elems % n
-        in_res = np.zeros(n, dtype=bool)
-        in_res[res] = True
-        for s in shifts:
-            counts.append(int(np.count_nonzero(in_res[(res - int(s)) % n])))
-    else:
-        raise ValueError(f"unknown mode {mode!r} (want {INTEGER!r} or {CYCLIC!r})")
-    return counts
+        lags = [abs(int(s)) for s in shifts]
+        top = min(max(lags, default=0), n - 1)
+        ind[np.array(a.elements, dtype=np.int64) - 1] = True
+        corr = exact_correlation(ind, ind, max_lag=top).tolist()
+        return [corr[s] if s < n else 0 for s in lags]
+    if mode == CYCLIC:
+        ind[np.array(a.elements, dtype=np.int64) % n] = True
+        corr = exact_correlation(ind, ind, cyclic=True)
+        return [int(corr[int(s) % n]) for s in shifts]
+    raise ValueError(f"unknown mode {mode!r} (want {INTEGER!r} or {CYCLIC!r})")
 
 
 def _require_validated_range(a: IntegerSet, family: PolynomialFamily, m: int,
@@ -94,12 +94,10 @@ def intersection_profile(a: IntegerSet, family: PolynomialFamily, m: int,
         raise ValueError("need M >= 1")
     if mode == CYCLIC:
         _require_validated_range(a, family, m, validated)
-    rows = []
-    for poly in family:
-        shifts = [poly.evaluate(n) for n in range(1, m + 1)]
-        counts = _intersection_counts(a, shifts, mode)
-        rows.append(tuple(Fraction(cnt, a.n) for cnt in counts))
-    return tuple(rows)
+    shifts = [poly.evaluate(n) for poly in family for n in range(1, m + 1)]
+    counts = _intersection_counts(a, shifts, mode)
+    return tuple(tuple(Fraction(cnt, a.n) for cnt in counts[i * m:(i + 1) * m])
+                 for i in range(family.size))
 
 
 @dataclass(frozen=True)
@@ -258,7 +256,7 @@ def decompose(f: ZnFunction, eps: float,
             return DecompositionResult(
                 m=m_mark,
                 rounds=round_no,
-                support=tuple(int(x) for x in sel1),
+                support=tuple(sel1.tolist()),
                 f1=out[0],
                 f2=out[1],
                 f3=out[2],

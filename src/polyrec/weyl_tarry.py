@@ -5,14 +5,16 @@ weights w(n) = +-1.  Its 2K-th moment over the dual group ties, exactly,
 to the number of 2K-tuples solving sum P(n_j) = sum P(m_j) mod N, which
 in turn (once N dwarfs the value spread) equals the integer-side count.
 The classical diagonal count J(K, k, M) of tuples matching all power sums
-n^i, i <= k, is computed exactly with arbitrary-precision accumulators.
+n^i, i <= k, is counted exactly too.  Every count here is a sum of squared
+K-fold sum multiplicities, built by one shift-and-add kernel on a dense
+array (cyclic, a line, or a box of power-sum signatures), or by grouping
+the M^K signature sums when the box would be too large.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,7 +36,7 @@ __all__ = [
     "wrap_free",
 ]
 
-#: Dense signature-space estimate above which the layered convolution
+#: Dense signature-space estimate above which the shift-and-add convolution
 #: falls back to meet-in-the-middle enumeration.
 SIGNATURE_BUDGET = 5_000_000
 #: Enumeration cap for the meet-in-the-middle fallback (M^K tuples).
@@ -107,33 +109,84 @@ def wrap_free(poly: IntPolynomial, m: int, n_modulus: int, k_order: int) -> bool
     return k_order * (hi - lo) < n_modulus
 
 
-def _fold_mod(full: np.ndarray, n_modulus: int) -> np.ndarray:
-    out = np.zeros(n_modulus, dtype=full.dtype)
-    for start in range(0, full.size, n_modulus):
-        out[: min(n_modulus, full.size - start)] += full[start:start + n_modulus]
-    return out
+def _shift_add_square_sum(points: np.ndarray, mult: np.ndarray, k_order: int,
+                          modulus: Optional[int] = None) -> int:
+    """sum_c r(c)^2, where r(c) counts K-tuples of points summing to c.
+
+    points holds D distinct nonnegative offset vectors (shape D x dims)
+    carrying multiplicities mult.  The K-fold sum distribution r is built
+    layer by layer on a dense array by exact shift-and-add: each layer
+    adds one shifted copy of the previous layer per distinct point, so a
+    layer costs O(D * size).  With a modulus the array is cyclic of that
+    length (one dimension); otherwise it is a line or box that grows to
+    the K-fold sum range and no further.  int64 is exact while
+    M^(2K) <= 2^62 (M the total multiplicity); past that the array holds
+    Python integers.
+    """
+    total = int(mult.sum())
+    dtype = object if total ** (2 * k_order) > 2 ** 62 else np.int64
+    mult = mult.astype(dtype)
+    extent = points.max(axis=0) + 1
+    layer = np.zeros((modulus,) if modulus else tuple(extent), dtype=dtype)
+    layer[tuple(points.T)] = mult
+    for fold in range(2, k_order + 1):
+        shape = (modulus,) if modulus else tuple(fold * (extent - 1) + 1)
+        nxt = np.zeros(shape, dtype=dtype)
+        for point, count in zip(points, mult):
+            copy = layer if count == 1 else layer * count
+            if modulus:
+                r = int(point[0])
+                nxt[r:] += copy[:modulus - r]
+                nxt[:r] += copy[modulus - r:]
+            else:
+                nxt[tuple(slice(o, o + e) for o, e in zip(point, layer.shape))] += copy
+        layer = nxt
+    flat = layer.ravel()
+    return int(np.dot(flat, flat))
+
+
+def _grouped_square_sum(columns: Sequence[Sequence[int]], k_order: int) -> int:
+    """sum over classes of K-tuples with equal signature sums of class size^2.
+
+    columns[i][n] is coordinate i of the signature of the n-th point; all
+    M^K tuples are enumerated and grouped by one lexicographic sort of
+    their summed signatures.  A coordinate whose K-fold sums could pass
+    int64 is summed in Python integers and replaced by its rank.
+    """
+    m = len(columns[0])
+    if m ** k_order > MITM_BUDGET:
+        raise ValueError("budget exceeded with no fallback possible")
+    keys = []
+    for col in columns:
+        fits = k_order * max(abs(v) for v in col) < 2 ** 63
+        base = np.array(col, dtype=np.int64 if fits else object)
+        sums = base
+        for _ in range(k_order - 1):
+            sums = (sums[:, None] + base[None, :]).ravel()
+        keys.append(sums if fits else np.unique(sums, return_inverse=True)[1])
+    order = np.lexsort(keys)
+    starts = np.zeros(order.size, dtype=bool)
+    starts[0] = True
+    for key in keys:
+        ranked = key[order]
+        starts[1:] |= ranked[1:] != ranked[:-1]
+    sizes = np.diff(np.append(np.flatnonzero(starts), order.size))
+    return int(np.dot(sizes, sizes))
 
 
 def count_solutions_mod(poly: IntPolynomial, m: int, n_modulus: int,
                         k_order: int) -> int:
     """Exact number of 2K-tuples with sum_j P(n_j) = sum_j P(m_j) mod N.
 
-    Layered cyclic convolution of the residue distribution; accumulators
-    go through Python integers whenever int64 could overflow.
+    Shift-and-add of the residue distribution on a cyclic array of
+    length N, one layer per summand.
     """
     if m < 1 or n_modulus < 1 or k_order < 1:
         raise ValueError("need M >= 1, N >= 1, K >= 1")
-    dist = np.zeros(n_modulus, dtype=np.int64)
-    for n in range(1, m + 1):
-        dist[poly.evaluate(n) % n_modulus] += 1
-    # The final count is at most M^(2K); go through Python integers when
-    # that nears the int64 ceiling.
-    if m ** (2 * k_order) > 2 ** 62:
-        dist = dist.astype(object)
-    layer = dist.copy()
-    for _ in range(k_order - 1):
-        layer = _fold_mod(np.convolve(layer, dist), n_modulus)
-    return int(np.sum(layer * layer))
+    residues, mult = np.unique(
+        np.array([poly.evaluate(n) % n_modulus for n in range(1, m + 1)], dtype=np.int64),
+        return_counts=True)
+    return _shift_add_square_sum(residues[:, None], mult, k_order, modulus=n_modulus)
 
 
 @dataclass(frozen=True)
@@ -154,39 +207,26 @@ class TarryCount:
         return 2 * self.k_order - self.degree * (self.degree + 1) / 2
 
 
-def _signature(n: int, degree: int) -> tuple[int, ...]:
-    return tuple(n ** i for i in range(1, degree + 1))
-
-
 def _tarry_convolution(k_order: int, degree: int, m: int) -> int:
-    layer: dict[tuple[int, ...], int] = {_signature(n, degree): 1 for n in range(1, m + 1)}
-    for _ in range(k_order - 1):
-        nxt: dict[tuple[int, ...], int] = {}
-        for sig, cnt in layer.items():
-            for n in range(1, m + 1):
-                key = tuple(a + b for a, b in zip(sig, _signature(n, degree)))
-                nxt[key] = nxt.get(key, 0) + cnt
-        layer = nxt
-    return sum(c * c for c in layer.values())
+    # signature (n, n^2, ..., n^k) shifted so that n = 1 sits at the origin
+    ns = np.arange(1, m + 1, dtype=np.int64)
+    points = np.stack([ns ** i - 1 for i in range(1, degree + 1)], axis=1)
+    return _shift_add_square_sum(points, np.ones(m, dtype=np.int64), k_order)
 
 
 def _tarry_mitm(k_order: int, degree: int, m: int) -> int:
-    if m ** k_order > MITM_BUDGET:
-        raise ValueError("budget exceeded with no fallback possible")
-    buckets: dict[tuple[int, ...], int] = {}
-    for tup in product(range(1, m + 1), repeat=k_order):
-        sig = tuple(sum(n ** i for n in tup) for i in range(1, degree + 1))
-        buckets[sig] = buckets.get(sig, 0) + 1
-    return sum(c * c for c in buckets.values())
+    columns = [[n ** i for n in range(1, m + 1)] for i in range(1, degree + 1)]
+    return _grouped_square_sum(columns, k_order)
 
 
 def tarry_count(k_order: int, degree: int, m: int, method: str = "auto") -> TarryCount:
     """J(K, k, M): 2K-tuples over [1, M] with equal power sums up to degree k.
 
     Always at least M^K (diagonal tuples); exact over the integers.  The
-    layered signature convolution is primary; when the dense signature-box
-    estimate prod_i (K M^i + 1) exceeds the budget, falls back to
-    meet-in-the-middle hashing of K-tuple signatures.
+    shift-and-add convolution over the box of K-fold signature sums is
+    primary; when the dense signature-box estimate prod_i (K M^i + 1)
+    exceeds the budget, falls back to meet-in-the-middle grouping of the
+    M^K K-tuple signatures.
     """
     if k_order < 1 or degree < 1 or m < 1:
         raise ValueError("need K >= 1, k >= 1, M >= 1")
@@ -205,27 +245,29 @@ def tarry_count(k_order: int, degree: int, m: int, method: str = "auto") -> Tarr
 
 
 def tarry_count_poly(poly: IntPolynomial, k_order: int, m: int) -> TarryCount:
-    """Exact 2K-tuple count for the single equation sum P(n_j) = sum P(m_j) over Z."""
+    """Exact 2K-tuple count for the single equation sum P(n_j) = sum P(m_j) over Z.
+
+    Shift-and-add on a line spanning the K-fold value range; when that
+    line would pass the signature budget, meet-in-the-middle grouping of
+    the M^K value sums instead.
+    """
     if k_order < 1 or m < 1:
         raise ValueError("need K >= 1 and M >= 1")
-    lo, hi = value_range(poly, m)
+    values = [poly.evaluate(n) for n in range(1, m + 1)]
+    lo, hi = min(values), max(values)
     spread = hi - lo + 1
     work = sum(min(m ** j, k_order * spread) * m for j in range(1, k_order))
     if work > MITM_BUDGET:
         raise ValueError("budget exceeded with no fallback possible")
-    layer: dict[int, int] = {}
-    for n in range(1, m + 1):
-        v = poly.evaluate(n)
-        layer[v] = layer.get(v, 0) + 1
-    base = dict(layer)
-    for _ in range(k_order - 1):
-        nxt: dict[int, int] = {}
-        for s, cnt in layer.items():
-            for v, c in base.items():
-                nxt[s + v] = nxt.get(s + v, 0) + cnt * c
-        layer = nxt
-    count = sum(c * c for c in layer.values())
-    return TarryCount(k_order=k_order, m=m, count=count, method="convolution", poly=poly)
+    if k_order * (spread - 1) + 1 <= SIGNATURE_BUDGET:
+        offsets, mult = np.unique(np.array([v - lo for v in values], dtype=np.int64),
+                                  return_counts=True)
+        count = _shift_add_square_sum(offsets[:, None], mult, k_order)
+        method = "convolution"
+    else:
+        count = _grouped_square_sum([values], k_order)
+        method = "mitm"
+    return TarryCount(k_order=k_order, m=m, count=count, method=method, poly=poly)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -30,7 +31,20 @@ __all__ = [
     "indicator",
     "balanced_function",
     "correlation",
+    "ExactnessError",
+    "exact_correlation",
 ]
+
+#: Constant c in the a-priori rounding bound c * u * log2(L) * |a|_2 |b|_2
+#: of an FFT correlation of length L (u is the float64 unit roundoff).
+_FFT_ERROR_CONSTANT = 16.0
+#: Both the a-priori bound and the observed rounding residual must stay
+#: below this, far from the 1/2 at which rounding could pick a wrong integer.
+_EXACT_MARGIN = 0.125
+
+
+class ExactnessError(ArithmeticError):
+    """A computation that must be exact could not be shown to be exact."""
 
 
 def _frozen_complex(values) -> np.ndarray:
@@ -130,3 +144,102 @@ def correlation(h: ZnFunction, g: ZnFunction) -> np.ndarray:
     g_rev = np.roll(g.values[::-1], 1)
     out = np.fft.ifft(np.fft.fft(h.values) * np.fft.fft(g_rev)) / n
     return out
+
+
+def _fast_length(n: int) -> int:
+    """Smallest 5-smooth integer >= n: transform lengths the FFT does fastest."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _integer_array(x) -> np.ndarray:
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "biu":
+        raise ValueError(f"exact correlation needs integer arrays, got {arr.dtype}")
+    if arr.ndim < 1 or arr.size < 1:
+        raise ValueError("exact correlation needs nonempty arrays")
+    return arr
+
+
+def exact_correlation(a, b, *, cyclic: bool = False,
+                      max_lag: Optional[int] = None) -> np.ndarray:
+    """Integer cross-correlation out[s] = sum_y a[y] * b[y + s], exactly.
+
+    a and b are integer (or boolean) arrays of one dimension count; the
+    lag s is a vector with one entry per axis.  Three layouts:
+
+    - cyclic: a and b share one shape, indices wrap around it, and out
+      has that shape with lag s at out[s];
+    - linear (the default): every lag, s running from -(a extent - 1)
+      through b extent - 1 along each axis, stored at s + a extent - 1,
+      so out has shape a.shape + b.shape - 1;
+    - linear with max_lag=L: only the lags 0 <= s <= L along each axis,
+      stored at out[s]; the transform is padded just far enough for them.
+
+    The product is formed with real FFTs and rounded to int64.  Exactness
+    is checked twice and an ExactnessError raised if either check fails:
+    the a-priori rounding bound c * u * log2(L) * |a|_2 * |b|_2 must stay
+    far below 1/2, and so must the largest observed residual
+    |raw - rint(raw)|.
+    """
+    a = _integer_array(a)
+    b = _integer_array(b)
+    if a.ndim != b.ndim:
+        raise ValueError("a and b need the same number of dimensions")
+    if cyclic:
+        if a.shape != b.shape:
+            raise ValueError("cyclic correlation needs a and b of one shape")
+        if max_lag is not None:
+            raise ValueError("max_lag applies to linear correlation only")
+        # padded to a fast length >= 2N, then folded back to length N
+        size = tuple(_fast_length(2 * n) for n in a.shape)
+    elif max_lag is None:
+        size = tuple(_fast_length(na + nb - 1) for na, nb in zip(a.shape, b.shape))
+    else:
+        if max_lag < 0:
+            raise ValueError("max_lag must be nonnegative")
+        size = tuple(_fast_length(max(na + max_lag, nb))
+                     for na, nb in zip(a.shape, b.shape))
+
+    af = a.astype(np.float64)
+    bf = af if b is a else b.astype(np.float64)
+    bound = (_FFT_ERROR_CONSTANT * np.finfo(np.float64).eps / 2
+             * max(math.log2(math.prod(size)), 1.0)
+             * math.sqrt(float(np.vdot(af, af)) * float(np.vdot(bf, bf))))
+    if bound >= _EXACT_MARGIN:
+        raise ExactnessError(
+            f"FFT correlation of length {math.prod(size)} cannot be exact: "
+            f"rounding bound {bound:.3g} is not below {_EXACT_MARGIN}")
+    axes = tuple(range(a.ndim))
+    fa = np.fft.rfftn(af, size, axes)
+    prod = np.conj(fa)
+    prod *= fa if b is a else np.fft.rfftn(bf, size, axes)
+    del af, bf, fa
+    raw = np.fft.irfftn(prod, size, axes)
+    del prod
+    if cyclic:
+        for ax, (n, p) in enumerate(zip(a.shape, size)):
+            lead = (slice(None),) * ax
+            raw = raw[lead + (slice(0, n),)] + raw[lead + (slice(p - n, p),)]
+    elif max_lag is None:
+        shift = tuple(na - 1 for na in a.shape)
+        raw = np.roll(raw, shift, axis=axes)
+        raw = raw[tuple(slice(0, na + nb - 1) for na, nb in zip(a.shape, b.shape))]
+    else:
+        raw = raw[tuple(slice(0, max_lag + 1) for _ in size)]
+    counts = np.rint(raw)
+    residual = float(np.max(np.abs(raw - counts)))
+    if residual >= _EXACT_MARGIN:
+        raise ExactnessError(
+            f"FFT correlation lost exactness: rounding residual {residual:.3g}")
+    return counts.astype(np.int64)

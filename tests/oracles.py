@@ -155,3 +155,33 @@ def naive_recurrence_measure(mapping, subset, shift):
             return x
     hits = sum(1 for x in pts if step(x) in pts)
     return Fraction(hits, m)
+
+
+def naive_cross_correlation(a, b, lag, cyclic=False):
+    """sum_y a[y] * b[y + lag] over every index tuple y of a, by direct loop.
+
+    a and b are nested lists or arrays of equal dimension; lag is a tuple.
+    Cyclic reads b's indices modulo its shape; otherwise out-of-range
+    indices contribute nothing.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    total = 0
+    for y in product(*(range(n) for n in a.shape)):
+        z = tuple(yi + li for yi, li in zip(y, lag))
+        if cyclic:
+            z = tuple(zi % n for zi, n in zip(z, b.shape))
+        elif any(zi < 0 or zi >= n for zi, n in zip(z, b.shape)):
+            continue
+        total += int(a[y]) * int(b[z])
+    return total
+
+
+def naive_count_solutions(poly, m, k_order):
+    """Tuples (x, y) in [1,m]^K x [1,m]^K with equal P-sums over the integers."""
+    count = 0
+    for xs in product(range(1, m + 1), repeat=k_order):
+        sx = sum(poly.evaluate(x) for x in xs)
+        for ys in product(range(1, m + 1), repeat=k_order):
+            if sx == sum(poly.evaluate(y) for y in ys):
+                count += 1
+    return count
