@@ -9,7 +9,7 @@ set's density, and why.
 
 from .config import (Constants, ExperimentConfig, Tolerances, ConfigError,
                      DEFAULT_CONSTANTS, DEFAULT_TOLERANCES, load_config)
-from .intset import IntegerSet, generate_set
+from .intset import IntegerSet, bernoulli_mask, generate_set
 from .zn_fourier import (ExactnessError, Spectrum, ZnFunction, balanced_function,
                          correlation, dft, ellp_norm, exact_correlation,
                          indicator, inverse_dft, lp_norm)
@@ -40,7 +40,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Constants", "ExperimentConfig", "Tolerances", "ConfigError",
     "DEFAULT_CONSTANTS", "DEFAULT_TOLERANCES", "load_config",
-    "IntegerSet", "generate_set",
+    "IntegerSet", "bernoulli_mask", "generate_set",
     "ExactnessError", "Spectrum", "ZnFunction", "balanced_function",
     "correlation", "dft", "ellp_norm", "exact_correlation", "indicator",
     "inverse_dft", "lp_norm",

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .config import (ConfigError, ExperimentConfig, load_config)
-from .intset import IntegerSet, generate_set
+from .intset import IntegerSet, bernoulli_mask, generate_set
 from .zn_fourier import (ExactnessError, ZnFunction, balanced_function, dft,
                          ellp_norm, inverse_dft, lp_norm)
 from .polyfam import (IntPolynomial, PolynomialFamily, check_difference_identity,
@@ -66,25 +66,27 @@ def _parse_set(spec: str, n: int, default_seed: int) -> IntegerSet:
     raise ValueError(f"unknown set literal {spec!r}")
 
 
-def _parse_subset(spec: str, m: int, default_seed: int) -> frozenset:
-    """0-based subsets: all | range:a:b | list:i,j,... | random:density[:seed]."""
+def _parse_subset(spec: str, m: int, default_seed: int):
+    """0-based subsets: all | range:a:b | list:i,j,... | random:density[:seed].
+
+    all and random give a boolean mask over the m points, range and list
+    the points themselves (FiniteMPSystem.validate_subset checks them).
+    """
     parts = spec.split(":")
     kind = parts[0].lower()
     if kind == "all":
-        return frozenset(range(m))
+        return np.ones(m, dtype=bool)
     if kind == "range":
         if len(parts) != 3:
             raise ValueError("range literal is range:a:b (inclusive)")
-        return frozenset(range(int(parts[1]), int(parts[2]) + 1))
+        return range(int(parts[1]), int(parts[2]) + 1)
     if kind == "list":
-        return frozenset(int(x) for x in parts[1].split(","))
+        return [int(x) for x in parts[1].split(",")]
     if kind == "random":
         if len(parts) not in (2, 3):
             raise ValueError("random literal is random:density[:seed]")
         seed = int(parts[2]) if len(parts) == 3 else default_seed
-        rng = random.Random(seed)
-        density = float(parts[1])
-        return frozenset(x for x in range(m) if rng.random() < density)
+        return bernoulli_mask(m, float(parts[1]), seed)
     raise ValueError(f"unknown subset literal {spec!r}")
 
 
@@ -229,8 +231,11 @@ def _cmd_decompose(args, config: ExperimentConfig):
         vals = rng.standard_normal(args.N) + 1j * rng.standard_normal(args.N)
         f = ZnFunction(args.N, vals / max(lp_norm(ZnFunction(args.N, vals), 2), 1e-30))
     out = decompose(f, args.eps, tol=config.tolerances)
-    total = out.f1.values + out.f2.values + out.f3.values
-    recon = float(np.max(np.abs(f.values - total)))
+    # f - (f1 + f2 + f3) in one scratch array, in the order of the plain sum
+    resid = out.f1.values + out.f2.values
+    resid += out.f3.values
+    np.subtract(f.values, resid, out=resid)
+    recon = float(np.max(np.abs(resid)))
     l2_f2 = lp_norm(out.f2, 2)
     linf_f3_hat = ellp_norm(dft(out.f3), math.inf)
     results = {
@@ -373,8 +378,9 @@ def _cmd_dioph(args, config: ExperimentConfig):
 
 def _cmd_ergodic(args, config: ExperimentConfig):
     system = _parse_system(args.system)
-    subset = _parse_subset(args.subset, system.size, config.seed)
-    mu = Fraction(len(subset), system.size)
+    subset = system.validate_subset(_parse_subset(args.subset, system.size,
+                                                  config.seed))
+    mu = Fraction(int(np.count_nonzero(subset)), system.size)
     results: dict = {"system_size": system.size, "mu_A": mu}
     checks: dict = {}
     if args.action == "measure":

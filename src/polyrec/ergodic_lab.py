@@ -14,7 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import NamedTuple, Optional, Sequence
+
+import numpy as np
+
+from .intset import _int64_array
+from .zn_fourier import ExactnessError
 
 __all__ = [
     "FiniteMPSystem",
@@ -27,104 +33,203 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FiniteMPSystem:
-    """A bijection of {0, ..., m-1} with uniform measure."""
+class _CycleIndex(NamedTuple):
+    """The cycle decomposition of a permutation, as arrays.
 
-    mapping: tuple[int, ...]
+    Cycles are numbered by their smallest point; `order` lists every
+    point cycle by cycle, each cycle from its smallest point onwards, so
+    point x sits at order[start[cycle[x]] + pos[x]].
+    """
+
+    order: np.ndarray        # every point, cycle by cycle
+    cycle: np.ndarray        # per point: the number of its cycle
+    pos: np.ndarray          # per point: steps from its cycle's smallest point
+    start: np.ndarray        # per cycle: where it begins in `order`
+    length: np.ndarray       # per cycle: its length
+    lengths: tuple[int, ...]  # the distinct cycle lengths, ascending
+    length_rank: np.ndarray  # per cycle: the index of its length in `lengths`
+
+
+def _smallest_points(perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For every point x: the smallest point of its cycle, and the number
+    of steps from x forward to it.  Pointer jumping: O(n log L) array
+    steps for cycles of length at most L."""
+    n = perm.size
+    # After k rounds, low[x] is the smallest of x, T x, ..., T^(2^k - 1) x
+    # and dist[x] the number of steps from x to its first occurrence.  A
+    # round that lowers no entry leaves low[x] == low[T^(2^k) x] for every
+    # x, so low is constant along each cycle: its smallest point.
+    low, dist = np.arange(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    jump, span = perm, 1
+    while True:
+        ahead = low[jump]
+        better = ahead < low
+        if not better.any():
+            return low, dist
+        np.copyto(low, ahead, where=better)
+        ahead = dist[jump]
+        ahead += span
+        np.copyto(dist, ahead, where=better)
+        jump, span = jump[jump], 2 * span
+
+
+def _cycle_index(perm: np.ndarray) -> _CycleIndex:
+    """The cycle index of a permutation (see _CycleIndex)."""
+    low, dist = _smallest_points(perm)
+    is_low = dist == 0
+    length = dist[perm[is_low]] + 1
+    cycle = np.cumsum(is_low)[low]
+    cycle -= 1
+    pos = length[cycle]
+    pos -= dist
+    pos[is_low] = 0
+    del low, dist  # scratch, freed before the scatter below
+    start = np.zeros(length.size, dtype=np.int64)
+    np.cumsum(length[:-1], out=start[1:])
+    at = start[cycle]
+    at += pos
+    order = np.empty(perm.size, dtype=np.int64)
+    order[at] = np.arange(perm.size, dtype=np.int64)
+    lengths, length_rank = np.unique(length, return_inverse=True)
+    return _CycleIndex(order, cycle, pos, start, length, tuple(lengths.tolist()),
+                       length_rank)
+
+
+@dataclass(frozen=True, eq=False)
+class FiniteMPSystem:
+    """A bijection of {0, ..., m-1} with uniform measure, held as a
+    read-only int64 array.
+
+    `mapping` is the same permutation as a tuple of Python ints, built on
+    first read.  The cycle decomposition is computed once, on first use,
+    and serves every power of T.
+    """
+
+    permutation: np.ndarray
 
     def __post_init__(self):
-        mapping = tuple(int(x) for x in self.mapping)
-        if not mapping:
+        message = "mapping is not a permutation"
+        perm = _int64_array(self.permutation, message)
+        n = perm.size
+        if not n:
             raise ValueError("system must be nonempty")
-        if sorted(mapping) != list(range(len(mapping))):
-            raise ValueError("mapping is not a permutation")
-        object.__setattr__(self, "mapping", mapping)
+        if perm.min() < 0 or perm.max() >= n:
+            raise ValueError(message)
+        seen = np.zeros(n, dtype=bool)
+        seen[perm] = True
+        if not seen.all():
+            raise ValueError(message)
+        perm.setflags(write=False)
+        object.__setattr__(self, "permutation", perm)
 
     @classmethod
     def rotation(cls, m: int, a: int = 1) -> "FiniteMPSystem":
         """x -> x + a on Z_m."""
         if m < 1:
             raise ValueError("need m >= 1")
-        return cls(tuple((x + a) % m for x in range(m)))
+        return cls((np.arange(m, dtype=np.int64) + a % m) % m)
 
     @classmethod
     def skew_product(cls, m: int, a: int = 1) -> "FiniteMPSystem":
         """(x, y) -> (x + a, y + x) on Z_m x Z_m, flattened as x*m + y."""
         if m < 1:
             raise ValueError("need m >= 1")
-        out = []
-        for x in range(m):
-            for y in range(m):
-                out.append(((x + a) % m) * m + (y + x) % m)
-        return cls(tuple(out))
+        xs = np.arange(m, dtype=np.int64)
+        image = ((xs + a % m) % m * m)[:, None] + (xs[:, None] + xs) % m
+        return cls(image.ravel())
 
     @classmethod
     def from_permutation(cls, perm: Sequence[int]) -> "FiniteMPSystem":
-        return cls(tuple(perm))
+        return cls(perm)
 
     @property
     def size(self) -> int:
-        return len(self.mapping)
+        return int(self.permutation.size)
+
+    @cached_property
+    def mapping(self) -> tuple[int, ...]:
+        return tuple(self.permutation.tolist())
+
+    @cached_property
+    def _index(self) -> _CycleIndex:
+        return _cycle_index(self.permutation)
 
     def cycles(self) -> list[list[int]]:
-        seen = [False] * self.size
-        out = []
-        for start in range(self.size):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            x = self.mapping[start]
-            while x != start:
-                cyc.append(x)
-                seen[x] = True
-                x = self.mapping[x]
-            out.append(cyc)
-        return out
+        """The cycles, ordered by their smallest point, each starting there."""
+        index = self._index
+        flat = index.order.tolist()
+        bounds = index.start.tolist() + [self.size]
+        return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     def order(self) -> int:
         """Least t >= 1 with T^t = identity (lcm of cycle lengths)."""
-        out = 1
-        for cyc in self.cycles():
-            out = math.lcm(out, len(cyc))
-        return out
+        return math.lcm(*self._index.lengths)
+
+    def _power(self, shift: int) -> np.ndarray:
+        """T^shift as an int64 array (see power_map)."""
+        index = self._index
+        # shift mod L in Python ints, once per distinct cycle length L
+        turn = np.array([shift % size for size in index.lengths], dtype=np.int64)
+        turn = turn[index.length_rank][index.cycle]
+        length = index.length[index.cycle]
+        pos = index.pos + turn
+        np.subtract(pos, length, out=pos, where=pos >= length)
+        return index.order[index.start[index.cycle] + pos]
 
     def power_map(self, shift: int) -> tuple[int, ...]:
         """T^shift as a permutation tuple; shift may be negative or huge.
 
-        Each cycle is rotated by shift mod its length, so the cost does
-        not depend on the magnitude of the shift.
+        Every point moves shift mod L places along its cycle of length L,
+        read off the cached cycle decomposition with one gather, so the
+        cost does not depend on the magnitude of the shift.
         """
-        out = [0] * self.size
-        for cyc in self.cycles():
-            r = shift % len(cyc)
-            for i, x in enumerate(cyc):
-                out[x] = cyc[(i + r) % len(cyc)]
-        return tuple(out)
+        return tuple(self._power(shift).tolist())
 
     def power_system(self, c: int) -> "FiniteMPSystem":
         """The system with map T^c on the same space."""
-        return FiniteMPSystem(self.power_map(c))
+        return FiniteMPSystem(self._power(c))
 
-    def validate_subset(self, subset) -> frozenset:
-        pts = frozenset(int(x) for x in subset)
-        if any(x < 0 or x >= self.size for x in pts):
-            raise ValueError("subset contains points outside the space")
-        return pts
+    def validate_subset(self, subset) -> np.ndarray:
+        """The subset as a boolean mask over the points.
+
+        subset is either such a mask (a boolean array with one entry per
+        point, returned as it is) or an iterable of points; a point
+        outside [0, size) or a mask of another length is a ValueError.
+        """
+        if isinstance(subset, np.ndarray) and subset.dtype == bool:
+            if subset.shape != (self.size,):
+                raise ValueError(f"subset mask needs {self.size} entries, "
+                                 f"got shape {subset.shape}")
+            return subset
+        message = "subset contains points outside the space"
+        pts = _int64_array(subset, message)
+        if pts.size and (pts.min() < 0 or pts.max() >= self.size):
+            raise ValueError(message)
+        mask = np.zeros(self.size, dtype=bool)
+        mask[pts] = True
+        return mask
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return np.array_equal(self.permutation, other.permutation)
+
+    def __hash__(self):
+        return hash(self.permutation.tobytes())
 
 
 def recurrence_measure(system: FiniteMPSystem, subset, shift: int) -> Fraction:
     """mu(A intersect T^-shift A), exactly.
 
-    A point x lies in the intersection iff x and T^shift(x) both lie in
-    A; the measure is symmetric under shift -> -shift and periodic with
-    period order(T).
+    subset is a point mask or an iterable of points (see
+    FiniteMPSystem.validate_subset).  A point x lies in the intersection
+    iff x and T^shift(x) both lie in A, so the count is one gather of the
+    mask through T^shift; the measure is symmetric under shift -> -shift
+    and periodic with period order(T).
     """
-    pts = system.validate_subset(subset)
-    fwd = system.power_map(shift)
-    hits = sum(1 for x in pts if fwd[x] in pts)
-    return Fraction(hits, system.size)
+    mask = system.validate_subset(subset)
+    hits = np.count_nonzero(mask & mask[system._power(shift)])
+    return Fraction(int(hits), system.size)
 
 
 @dataclass(frozen=True)
@@ -165,8 +270,8 @@ def khintchine_search(system: FiniteMPSystem, subset, eps: float,
             f"need at least {needed} times for the guarantee "
             f"(got {len(times)}); pass permissive=True to search anyway"
         )
-    pts = system.validate_subset(subset)
-    mu_a = Fraction(len(pts), system.size)
+    mask = system.validate_subset(subset)
+    mu_a = Fraction(int(np.count_nonzero(mask)), system.size)
     threshold = mu_a * mu_a - Fraction(eps)
     scanned = 0
     cache: dict[int, Fraction] = {}
@@ -175,7 +280,7 @@ def khintchine_search(system: FiniteMPSystem, subset, eps: float,
             scanned += 1
             d = times[k] - times[j]
             if d not in cache:
-                cache[d] = recurrence_measure(system, pts, d)
+                cache[d] = recurrence_measure(system, mask, d)
             if cache[d] >= threshold:
                 return KhintchineResult(
                     found=True, pair=(j + 1, k + 1), n=d,
@@ -255,10 +360,10 @@ def griesmer_search(system: FiniteMPSystem, subset, eps: float,
     off a red clique greedily, and recurses on the clique with the
     remaining constants; the base case is khintchine_search on T^c.
     Any returned n is re-verified against all original constants from
-    scratch, and a verification failure is a hard error.  At desk scale
-    the time list can be too short for the tower-size hypothesis the
-    guarantee needs, so running out of vertices is a reported failure,
-    not an error.
+    scratch, and a verification failure raises ExactnessError.  At desk
+    scale the time list can be too short for the tower-size hypothesis
+    the guarantee needs, so running out of vertices is a reported
+    failure, not an error.
     """
     if eps <= 0:
         raise ValueError("need eps > 0")
@@ -268,8 +373,8 @@ def griesmer_search(system: FiniteMPSystem, subset, eps: float,
     times = [int(v) for v in times]
     if len(set(times)) != len(times):
         raise ValueError("times must be distinct")
-    pts = system.validate_subset(subset)
-    mu_a = Fraction(len(pts), system.size)
+    mask = system.validate_subset(subset)
+    mu_a = Fraction(int(np.count_nonzero(mask)), system.size)
     threshold = mu_a * mu_a - Fraction(eps)
     padded = _pad_to_power_of_two(constants)
     levels: list[LevelInfo] = []
@@ -277,7 +382,7 @@ def griesmer_search(system: FiniteMPSystem, subset, eps: float,
 
     def shifted_measure(shift: int) -> Fraction:
         if shift not in cache:
-            cache[shift] = recurrence_measure(system, pts, shift)
+            cache[shift] = recurrence_measure(system, mask, shift)
         return cache[shift]
 
     def recurse(active: tuple[int, ...], verts: list[int]) -> Optional[int]:
@@ -285,7 +390,7 @@ def griesmer_search(system: FiniteMPSystem, subset, eps: float,
             return None
         if len(active) == 1:
             c = active[0]
-            result = khintchine_search(system.power_system(c), pts, eps,
+            result = khintchine_search(system.power_system(c), mask, eps,
                                        verts, permissive=True)
             return result.n if result.found else None
         half = active[:len(active) // 2]
@@ -312,9 +417,9 @@ def griesmer_search(system: FiniteMPSystem, subset, eps: float,
             levels=tuple(levels),
             failure_reason="clique exhausted; time list too short",
         )
-    measures = tuple(recurrence_measure(system, pts, c * n) for c in constants)
+    measures = tuple(recurrence_measure(system, mask, c * n) for c in constants)
     if any(mu < threshold for mu in measures):
-        raise RuntimeError(
+        raise ExactnessError(
             f"re-verification failed for n={n}: search returned a bad shift"
         )
     return GriesmerResult(

@@ -5,32 +5,72 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from functools import cached_property
+
+import numpy as np
+
+__all__ = ["IntegerSet", "generate_set", "bernoulli_mask"]
+
+#: Draws per block in bernoulli_mask (64 KiB of float64 scratch).
+_DRAW_BLOCK = 8192
 
 
-@dataclass(frozen=True)
+def _int64_array(values, message: str) -> np.ndarray:
+    """A new 1-D int64 array of `values`: an integer array converted as a
+    whole, any other iterable entry by entry through int().  An entry that
+    does not fit int64 is a ValueError with `message`."""
+    if (isinstance(values, np.ndarray) and values.ndim == 1
+            and np.can_cast(values.dtype, np.int64)):
+        return values.astype(np.int64)
+    try:
+        return np.array([int(v) for v in values], dtype=np.int64)
+    except OverflowError:
+        raise ValueError(message) from None
+
+
+def _sorted_distinct(arr: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a 1-D array: the array itself when it is
+    strictly increasing, else a sort and a neighbour compare (np.unique
+    hashes and is slower on large integer arrays)."""
+    if np.all(arr[1:] > arr[:-1]):
+        return arr
+    arr = np.sort(arr)
+    keep = np.empty(arr.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(arr[1:], arr[:-1], out=keep[1:])
+    return arr[keep]
+
+
+@dataclass(frozen=True, eq=False)
 class IntegerSet:
-    """A subset of [1, n], stored sorted.  Element n plays the role of 0
-    when the set is read modulo n."""
+    """A subset of [1, n], held as a sorted, read-only int64 array.
+    Element n plays the role of 0 when the set is read modulo n.
+
+    The constructor takes any iterable of integers (each passed through
+    int(), duplicates dropped) or an integer array.  `elements` is the
+    same set as a tuple of Python ints, built on first read.
+    """
 
     n: int
-    elements: tuple[int, ...]
+    array: np.ndarray
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("ambient bound must be a positive integer")
-        elems = tuple(sorted(set(int(e) for e in self.elements)))
-        if elems and (elems[0] < 1 or elems[-1] > self.n):
-            raise ValueError(f"elements must lie in [1, {self.n}]")
-        object.__setattr__(self, "elements", elems)
+        message = f"elements must lie in [1, {self.n}]"
+        arr = _sorted_distinct(_int64_array(self.array, message))
+        if arr.size and (arr[0] < 1 or arr[-1] > self.n):
+            raise ValueError(message)
+        arr.setflags(write=False)
+        object.__setattr__(self, "array", arr)
 
-    @classmethod
-    def from_iterable(cls, n: int, items: Iterable[int]) -> "IntegerSet":
-        return cls(n, tuple(items))
+    @cached_property
+    def elements(self) -> tuple[int, ...]:
+        return tuple(self.array.tolist())
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return int(self.array.size)
 
     @property
     def density(self) -> Fraction:
@@ -38,16 +78,51 @@ class IntegerSet:
 
     def residues(self) -> tuple[int, ...]:
         """Images modulo n (so the element n becomes 0)."""
-        return tuple(e % self.n for e in self.elements)
+        return tuple((self.array % self.n).tolist())
 
     def __contains__(self, x) -> bool:
-        return x in set(self.elements)
+        if not 1 <= x <= self.n:
+            return False
+        i = int(np.searchsorted(self.array, x))
+        return i < self.array.size and bool(self.array[i] == x)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.size
 
     def __iter__(self):
         return iter(self.elements)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.array, other.array)
+
+    def __hash__(self):
+        return hash((self.n, self.array.tobytes()))
+
+
+def bernoulli_mask(n: int, density: float, seed: int) -> np.ndarray:
+    """Boolean array whose entry i is the i-th draw random() < density of
+    random.Random(seed).
+
+    The stdlib generator's Mersenne Twister state is copied into numpy's
+    MT19937; both turn two 32-bit words into one 53-bit float the same
+    way, so the array reproduces the stdlib draws exactly, on every
+    platform.
+    """
+    state = random.Random(seed).getstate()[1]
+    bits = np.random.MT19937()
+    bits.state = {"bit_generator": "MT19937",
+                  "state": {"key": np.array(state[:-1], dtype=np.uint32),
+                            "pos": state[-1]}}
+    draws = np.random.Generator(bits)
+    mask = np.empty(n, dtype=bool)
+    # One n-element float scratch, once freed, leaves later arrays on the
+    # heap and raises the peak memory of the process; blocks avoid that.
+    for lo in range(0, n, _DRAW_BLOCK):
+        block = mask[lo:lo + _DRAW_BLOCK]
+        np.less(draws.random(block.size), density, out=block)
+    return mask
 
 
 def generate_set(kind: str, n: int, *, start: int = 1, step: int = 1,
@@ -57,23 +132,25 @@ def generate_set(kind: str, n: int, *, start: int = 1, step: int = 1,
     kind 'full' is all of [1, n]; 'evens' the even numbers; 'ap' the
     arithmetic progression start, start+step, ... capped at n; 'random'
     keeps each element independently with the given density, drawn from
-    the Mersenne Twister seeded with `seed` (portable across platforms).
+    the Mersenne Twister seeded with `seed` (see bernoulli_mask).
     """
     if n < 1:
         raise ValueError("n must be positive")
     if kind == "full":
-        elems: Iterable[int] = range(1, n + 1)
+        elems = np.arange(1, n + 1, dtype=np.int64)
     elif kind == "evens":
-        elems = range(2, n + 1, 2)
+        elems = np.arange(2, n + 1, 2, dtype=np.int64)
     elif kind == "ap":
         if step < 1 or start < 1:
             raise ValueError("ap needs start >= 1 and step >= 1")
-        elems = range(start, n + 1, step)
+        # range(start, n + 1, step) with the bounds clamped so that they fit
+        # int64; a step past n keeps only `start` either way
+        elems = np.arange(min(start, n + 1), n + 1, min(step, n), dtype=np.int64)
     elif kind == "random":
         if not 0.0 <= density <= 1.0:
             raise ValueError("density must lie in [0, 1]")
-        rng = random.Random(seed)
-        elems = [x for x in range(1, n + 1) if rng.random() < density]
+        elems = np.flatnonzero(bernoulli_mask(n, density, seed))
+        elems += 1
     else:
         raise ValueError(f"unknown set kind {kind!r} (want full|evens|ap|random)")
-    return IntegerSet(n, tuple(elems))
+    return IntegerSet(n, elems)

@@ -310,7 +310,7 @@ def _argmax_offset(dist_vals: np.ndarray, dist_origin: np.ndarray,
     """
     r = dist_vals.ndim
     ind = np.zeros((a.n,) * r, dtype=np.int64)
-    idx = np.array(a.elements) - 1
+    idx = a.array - 1
     mesh = np.meshgrid(*([idx] * r), indexing="ij")
     ind[tuple(mesh)] = 1
     out_shape = tuple(d + i - 1 for d, i in zip(dist_vals.shape, ind.shape))
@@ -384,7 +384,7 @@ def lift_construction(a: IntegerSet, family: PolynomialFamily,
     s, first_count = _argmax_offset(dist, origin, a)
 
     in_a = np.zeros(a.n + 2, dtype=bool)
-    in_a[np.array(a.elements)] = True
+    in_a[a.array] = True
 
     def member_mask(vals: np.ndarray, offs: Sequence[int]) -> np.ndarray:
         mask = np.ones(vals.shape[0], dtype=bool)

@@ -57,11 +57,11 @@ def _intersection_counts(a: IntegerSet, shifts: Sequence[int], mode: str) -> lis
     if mode == INTEGER:
         lags = [abs(int(s)) for s in shifts]
         top = min(max(lags, default=0), n - 1)
-        ind[np.array(a.elements, dtype=np.int64) - 1] = True
+        ind[a.array - 1] = True
         corr = exact_correlation(ind, ind, max_lag=top).tolist()
         return [corr[s] if s < n else 0 for s in lags]
     if mode == CYCLIC:
-        ind[np.array(a.elements, dtype=np.int64) % n] = True
+        ind[a.array % n] = True
         corr = exact_correlation(ind, ind, cyclic=True)
         return [int(corr[int(s) % n]) for s in shifts]
     raise ValueError(f"unknown mode {mode!r} (want {INTEGER!r} or {CYCLIC!r})")

@@ -119,16 +119,14 @@ def ellp_norm(spectrum: Spectrum, p: float) -> float:
 def indicator(a: IntegerSet) -> ZnFunction:
     """0/1 indicator of A read modulo n (the element n lands on residue 0)."""
     vals = np.zeros(a.n, dtype=np.complex128)
-    for r in a.residues():
-        vals[r] = 1.0
+    vals[a.array % a.n] = 1.0
     return ZnFunction(a.n, vals)
 
 
 def balanced_function(a: IntegerSet) -> ZnFunction:
     """Indicator of A minus its density; the transform vanishes at frequency 0."""
     vals = np.full(a.n, -float(a.density), dtype=np.complex128)
-    for r in a.residues():
-        vals[r] += 1.0
+    vals[a.array % a.n] += 1.0  # residues are distinct, so each gets one 1
     return ZnFunction(a.n, vals)
 
 

@@ -7,6 +7,7 @@ under test must agree with these.
 
 import cmath
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -185,3 +186,49 @@ def naive_count_solutions(poly, m, k_order):
             if sx == sum(poly.evaluate(y) for y in ys):
                 count += 1
     return count
+
+
+def naive_bernoulli(n, density, seed):
+    """The first n draws random() < density of random.Random(seed), one by one."""
+    rng = random.Random(seed)
+    return [rng.random() < density for _ in range(n)]
+
+
+def naive_cycles(mapping):
+    """Cycles of a permutation by walking from each unvisited point in turn."""
+    seen = set()
+    out = []
+    for start in range(len(mapping)):
+        if start in seen:
+            continue
+        cyc = [start]
+        seen.add(start)
+        x = mapping[start]
+        while x != start:
+            cyc.append(x)
+            seen.add(x)
+            x = mapping[x]
+        out.append(cyc)
+    return out
+
+
+def naive_order(mapping):
+    """Least t >= 1 with T^t = identity, from each point's return time."""
+    out = 1
+    for start in range(len(mapping)):
+        steps, x = 1, mapping[start]
+        while x != start:
+            steps, x = steps + 1, mapping[x]
+        out = math.lcm(out, steps)
+    return out
+
+
+def naive_power_map(mapping, shift):
+    """T^shift by stepping every point shift mod order(T) times."""
+    steps = shift % naive_order(mapping)
+    out = []
+    for x in range(len(mapping)):
+        for _ in range(steps):
+            x = mapping[x]
+        out.append(x)
+    return tuple(out)

@@ -1,0 +1,220 @@
+"""Array-backed sets and systems against tests/oracles.py.
+
+IntegerSet and FiniteMPSystem hold int64 arrays; random sets and subsets
+come from one vectorized Mersenne Twister stream, and powers of a system
+from its cached cycle decomposition.  Every answer must equal the plain
+Python loop it replaced.
+"""
+
+import json
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from polyrec import ergodic_lab
+from polyrec.cli import main
+from polyrec.ergodic_lab import (FiniteMPSystem, KhintchineResult, griesmer_search,
+                                 recurrence_measure)
+from polyrec.intset import IntegerSet, bernoulli_mask, generate_set
+from polyrec.recurrence import CYCLIC, _intersection_counts
+from polyrec.zn_fourier import ExactnessError, balanced_function, indicator
+
+from oracles import (naive_bernoulli, naive_cycles, naive_intersection_cyclic,
+                     naive_order, naive_power_map, naive_recurrence_measure)
+
+PROPERTY = settings(max_examples=60, deadline=None)
+
+seeds = (st.integers(-2 ** 70, 2 ** 70)
+         | st.sampled_from([0, -3, 2 ** 32 + 5, 2 ** 64 + 9]))
+
+
+@pytest.mark.parametrize("seed", [0, -3, 2 ** 32 + 5, 2 ** 64 + 9])
+@pytest.mark.parametrize("density", [0.0, 0.37, 1.0])
+@pytest.mark.parametrize("n", [1, 1000])
+def test_bernoulli_mask_matches_stdlib_loop(seed, density, n):
+    mask = bernoulli_mask(n, density, seed)
+    assert mask.dtype == bool
+    assert mask.tolist() == naive_bernoulli(n, density, seed)
+
+
+@PROPERTY
+@given(n=st.integers(1, 3000), density=st.floats(0, 1), seed=seeds)
+def test_random_sets_match_stdlib_loop(n, density, seed):
+    want = [x for x, hit in zip(range(1, n + 1), naive_bernoulli(n, density, seed))
+            if hit]
+    assert generate_set("random", n, density=density, seed=seed).elements == tuple(want)
+
+
+@st.composite
+def permutations(draw, max_size=20):
+    """Random permutations (fixed points included) or one long cycle."""
+    if draw(st.booleans()):
+        return draw(st.permutations(range(draw(st.integers(1, max_size)))))
+    order = draw(st.permutations(range(draw(st.integers(1, 200)))))
+    perm = [0] * len(order)
+    for x, y in zip(order, order[1:] + order[:1]):
+        perm[x] = y
+    return perm
+
+
+shifts = st.integers(-50, 50) | st.sampled_from([-9, 0, 123, 10 ** 30, -10 ** 30])
+
+
+@PROPERTY
+@given(perm=permutations(), shift_list=st.lists(shifts, min_size=1, max_size=4))
+@example(perm=[0], shift_list=[-9, 0, 123, 10 ** 30])
+@example(perm=[1, 0, 2, 4, 5, 3], shift_list=[-9, 0, 123, 10 ** 30])
+def test_power_map_order_and_cycles_match_naive_walk(perm, shift_list):
+    system = FiniteMPSystem.from_permutation(perm)
+    assert system.mapping == tuple(perm)
+    assert system.cycles() == naive_cycles(perm)
+    assert system.order() == naive_order(perm)
+    for shift in shift_list:
+        assert system.power_map(shift) == naive_power_map(perm, shift)
+    assert system.power_system(3) == FiniteMPSystem(naive_power_map(perm, 3))
+
+
+@PROPERTY
+@given(perm=permutations(max_size=30), data=st.data(),
+       shift=st.integers(-30, 30))
+def test_recurrence_measure_matches_naive_with_mask_and_set(perm, data, shift):
+    m = len(perm)
+    points = data.draw(st.sets(st.integers(0, m - 1)))
+    mask = np.zeros(m, dtype=bool)
+    mask[list(points)] = True
+    system = FiniteMPSystem(perm)
+    want = naive_recurrence_measure(perm, points, shift)
+    assert recurrence_measure(system, points, shift) == want
+    assert recurrence_measure(system, mask, shift) == want
+    assert recurrence_measure(system, sorted(points), shift) == want
+
+
+@PROPERTY
+@given(m=st.integers(1, 80), a=st.integers(-200, 200), s=st.integers(-40, 40),
+       data=st.data())
+def test_rotation_measure_is_a_cyclic_intersection_count(m, a, s, data):
+    points = data.draw(st.sets(st.integers(0, m - 1)))
+    # the point 0 of Z_m is the element m of [1, m]
+    a_set = IntegerSet(m, [x or m for x in points])
+    count = _intersection_counts(a_set, [a * s], CYCLIC)[0]
+    assert count == naive_intersection_cyclic(a_set.elements, m, a * s)
+    measure = recurrence_measure(FiniteMPSystem.rotation(m, a), points, s)
+    assert measure == Fraction(count, m)
+
+
+@pytest.mark.parametrize("a", [10 ** 30, -7, -10 ** 30 - 1, 0])
+@pytest.mark.parametrize("m", [1, 7, 12])
+def test_rotation_and_skew_use_exact_integer_arithmetic(m, a):
+    assert FiniteMPSystem.rotation(m, a).mapping == tuple((x + a) % m for x in range(m))
+    skew = tuple(((x + a) % m) * m + (y + x) % m for x in range(m) for y in range(m))
+    assert FiniteMPSystem.skew_product(m, a).mapping == skew
+
+
+def test_validate_subset_refuses_bad_points_and_masks():
+    system = FiniteMPSystem.rotation(6)
+    for bad in ([-1], [6], [0, 10 ** 30], [-10 ** 30]):
+        with pytest.raises(ValueError, match="outside the space"):
+            system.validate_subset(bad)
+    with pytest.raises(ValueError, match="6 entries"):
+        system.validate_subset(np.ones(5, dtype=bool))
+    with pytest.raises(ValueError, match="6 entries"):
+        system.validate_subset(np.ones((6, 1), dtype=bool))
+    mask = system.validate_subset([5, 1, 1])
+    assert mask.tolist() == [False, True, False, False, False, True]
+    assert system.validate_subset(mask) is mask
+    assert system.validate_subset(np.array([1, 5])).tolist() == mask.tolist()
+
+
+def test_sets_and_systems_compare_and_hash_by_value():
+    a = IntegerSet(10, (3, 1, 7))
+    b = IntegerSet(10, [7.0, 1, 3, 3])
+    assert a == b and hash(a) == hash(b)
+    assert a != IntegerSet(11, (1, 3, 7)) and a != IntegerSet(10, (1, 3))
+    assert a != (1, 3, 7)
+    assert len({a, b, generate_set("ap", 10, start=1, step=3)}) == 2
+    rot = FiniteMPSystem.rotation(5, 2)
+    same = FiniteMPSystem((2, 3, 4, 0, 1))
+    assert rot == same and hash(rot) == hash(same)
+    assert rot != FiniteMPSystem.rotation(5, 1)
+    assert rot != FiniteMPSystem.rotation(6, 2)
+
+
+def test_integer_set_array_is_read_only_and_tuples_hold_python_ints():
+    source = np.array([9, 2, 2, 5])
+    a = IntegerSet(10, source)
+    assert source.tolist() == [9, 2, 2, 5] and source.flags.writeable
+    assert a.array.dtype == np.int64 and not a.array.flags.writeable
+    assert a.elements == (2, 5, 9)
+    assert all(type(e) is int for e in a.elements)
+    assert a.residues() == (2, 5, 9)
+    system = FiniteMPSystem.from_permutation(np.array([1, 0]))
+    assert not system.permutation.flags.writeable
+    assert all(type(x) is int for x in system.mapping + system.power_map(3))
+
+
+def test_integer_set_membership_and_range_errors():
+    a = IntegerSet(10, (1, 5, 10))
+    assert [x in a for x in (0, 1, 2, 5, 9, 10, 11, 10 ** 30, -10 ** 30)] == \
+        [False, True, False, True, False, True, False, False, False]
+    assert 5.0 in a and 5.5 not in a and np.int64(10) in a
+    assert 1 not in IntegerSet(10, ())
+    assert IntegerSet(10, [1, 1, 4, 4, 4]).elements == (1, 4)
+    assert IntegerSet(10, np.array([2, 2, 3])).size == 2
+    for bad in ([10 ** 30], [-10 ** 30], [0], [11]):
+        with pytest.raises(ValueError, match=r"\[1, 10\]"):
+            IntegerSet(10, bad)
+
+
+def test_indicator_and_balanced_function_match_residue_loops():
+    a = generate_set("random", 97, density=0.4, seed=5)
+    want = np.zeros(97)
+    for e in a.elements:
+        want[e % 97] = 1.0
+    assert np.array_equal(indicator(a).values, want)
+    want = np.full(97, -float(a.density))
+    for e in a.elements:
+        want[e % 97] += 1.0
+    assert np.array_equal(balanced_function(a).values, want)
+
+
+def _bad_base_case(system, subset, eps, times, permissive=False):
+    # a base case that claims the shift 1, which the re-verification refutes
+    return KhintchineResult(found=True, pair=(1, 2), n=1, measure=Fraction(1),
+                            threshold=Fraction(0), strict=True, pairs_scanned=1)
+
+
+def test_griesmer_reverification_failure_raises(monkeypatch):
+    monkeypatch.setattr(ergodic_lab, "khintchine_search", _bad_base_case)
+    with pytest.raises(ExactnessError, match="re-verification failed for n=1"):
+        griesmer_search(FiniteMPSystem.rotation(8), {0}, 0.001, [1], [1, 2, 3])
+
+
+def test_cli_maps_griesmer_reverification_failure_to_exit_1(monkeypatch, capsys):
+    monkeypatch.setattr(ergodic_lab, "khintchine_search", _bad_base_case)
+    argv = ["ergodic", "--action", "griesmer", "--system", "rotation:8",
+            "--subset", "list:0", "--eps", "0.001", "--times", "1..3"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("internal check failed: re-verification failed")
+
+
+@pytest.mark.parametrize("spec", ["all", "range:2:5", "list:0,3,3,7",
+                                  "random:0.4:11", "random:0.6"])
+def test_cli_subset_literals_give_the_same_measure_as_point_sets(spec, capsys):
+    m = 8
+    rng_points = {
+        "all": set(range(m)), "range:2:5": {2, 3, 4, 5}, "list:0,3,3,7": {0, 3, 7},
+        "random:0.4:11": {x for x, hit in enumerate(naive_bernoulli(m, 0.4, 11)) if hit},
+        "random:0.6": {x for x, hit in enumerate(naive_bernoulli(m, 0.6, 0)) if hit},
+    }[spec]
+    assert main(["ergodic", "--action", "measure", "--system", "rotation:8:3",
+                 "--subset", spec, "--shift", "5"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["mu_A"] == str(Fraction(len(rng_points), m))
+    perm = [(x + 3) % m for x in range(m)]
+    assert results["measure"] == str(naive_recurrence_measure(perm, rng_points, 5))
