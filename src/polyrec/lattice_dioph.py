@@ -48,6 +48,19 @@ __all__ = [
 _ENUM_BUDGET = 2_000_000      # integer boxes enumerated per block
 _DUAL_COMBO_BUDGET = 200_000  # product dual points in the average's dual form
 _MAX_CONDITION = 1e8
+#: Largest N^k for which the phases n^j * alpha_j (n <= N, j <= k) are
+#: reduced modulo 1 in long double: integer parts stay below 1e12, which
+#: leaves a 64-bit mantissa about 7 fractional digits.
+_PHASE_LIMIT = 1e12
+_DILATE_CHUNK = 1 << 16       # values of n per block of dilates in a good-set scan
+
+
+def _require_phase_precision(n: int, k: int) -> None:
+    """Refuse phase reductions of n^j * alpha_j for n <= N, j <= k past _PHASE_LIMIT."""
+    if float(n) ** k > _PHASE_LIMIT:
+        raise ValueError(
+            f"N^k = {n}^{k} too large for reliable phase reduction "
+            f"(limit {_PHASE_LIMIT:g})")
 
 
 def _frozen_matrix(mat) -> np.ndarray:
@@ -185,13 +198,6 @@ class BlockVector:
     def block_arrays(self) -> list[np.ndarray]:
         return [np.asarray([float(x) for x in e], dtype=np.longdouble)
                 for e in self.entries]
-
-    def dilate(self, n: int) -> np.ndarray:
-        """Flat coordinates of n*alpha = (n^1 a_1, n^2 a_2, ..., n^k a_k)."""
-        pieces = []
-        for j, arr in enumerate(self.block_arrays(), start=1):
-            pieces.append(np.longdouble(n) ** j * arr)
-        return np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.longdouble)
 
 
 def nearest_integer_norm(x) -> float:
@@ -346,9 +352,15 @@ def gaussian_mass(lattice: ProductLattice,
     return direct
 
 
+def _dilates(arrays: Sequence[np.ndarray], start: int, stop: int) -> list[np.ndarray]:
+    """Per block j, the rows n^j * alpha_j for start <= n < stop, in long double."""
+    ns = np.arange(start, stop, dtype=np.int64).astype(np.longdouble)[:, None]
+    return [ns ** j * arr for j, arr in enumerate(arrays, start=1)]
+
+
 def _dilate_matrix(alpha: BlockVector, n_range: int) -> np.ndarray:
-    rows = [alpha.dilate(n) for n in range(1, n_range + 1)]
-    return np.stack(rows, axis=0)
+    """Flat coordinates of n*alpha = (n a_1, n^2 a_2, ..., n^k a_k), one row per n <= N."""
+    return np.concatenate(_dilates(alpha.block_arrays(), 1, n_range + 1), axis=1)
 
 
 def gaussian_average(lattice: ProductLattice, alpha: BlockVector, n_range: int,
@@ -364,6 +376,7 @@ def gaussian_average(lattice: ProductLattice, alpha: BlockVector, n_range: int,
         raise ValueError("need N >= 1")
     if alpha.dims != lattice.dims:
         raise ValueError("alpha blocks do not match lattice blocks")
+    _require_phase_precision(n_range, len(lattice.dims))
     xs = _dilate_matrix(alpha, n_range)
     direct = lattice.determinant * float(
         np.mean(_theta_direct_many(lattice, 1.0, xs, tol.theta_tail)))
@@ -465,16 +478,17 @@ def approx_good_set_power(alpha: BlockVector, eps: float, n_range: int) -> GoodS
             if ok:
                 members.append(n)
         return GoodSet(n_range, eps, tuple(members), exact=True)
+    _require_phase_precision(n_range, len(alpha.entries))
     arrays = alpha.block_arrays()
-    for n in range(1, n_range + 1):
-        ok = True
-        for j, arr in enumerate(arrays, start=1):
-            val = np.longdouble(n) ** j * arr
-            if nearest_integer_norm(val) >= eps:
-                ok = False
-                break
-        if ok:
-            members.append(n)
+    good = np.ones(n_range, dtype=bool)
+    for start in range(1, n_range + 1, _DILATE_CHUNK):
+        stop = min(start + _DILATE_CHUNK, n_range + 1)
+        keep = good[start - 1:stop - 1]
+        for val in _dilates(arrays, start, stop):
+            # nearest_integer_norm of each row, in the same long double steps
+            d = np.abs(val - np.rint(val))
+            keep &= ~(np.sqrt(np.sum(d * d, axis=1)).astype(float) >= eps)
+    members = (np.flatnonzero(good) + 1).tolist()
     return GoodSet(n_range, eps, tuple(members), exact=False)
 
 
@@ -493,6 +507,7 @@ def approx_good_set_family(family, thetas: Sequence, eps: float,
             if all(_rational_distance(v * th) < eps_f for v in vals for th in ths):
                 members.append(n)
         return GoodSet(n_range, eps, tuple(members), exact=True)
+    _require_phase_precision(n_range, family.common_degree_bound)
     ths = np.asarray([float(th) for th in thetas], dtype=np.longdouble)
     for n in range(1, n_range + 1):
         ok = True
@@ -558,6 +573,7 @@ def check_average_bounds(lattice: ProductLattice, alpha: BlockVector, n: int,
     if alpha.dims != lattice.dims:
         raise ValueError("alpha blocks do not match lattice blocks")
     k = len(lattice.dims)
+    _require_phase_precision(n, k)
     if perturbation_eps is None:
         perturbation_eps = min(1.0 / max(lattice.dimension, 1), 0.5)
     f_n = gaussian_average(lattice, alpha, n, tol=tol)
@@ -616,6 +632,7 @@ def schmidt_scan(lattice: ProductLattice, alpha: BlockVector, n: int,
         raise ValueError("need q_max >= 1, radius_max > 0, quality > 0")
     if alpha.dims != lattice.dims:
         raise ValueError("alpha blocks do not match lattice blocks")
+    _require_phase_precision(n, len(lattice.dims))
     f_value = gaussian_average(lattice, alpha, n, tol=tol)
     if f_value >= 0.5:
         return SchmidtReport(alternative=1, f_value=f_value)
@@ -692,8 +709,7 @@ def weyl_denominator(thetas: Sequence, n: int, delta: float, q_max: int,
     k = len(thetas)
     if k < 1:
         raise ValueError("need at least one coordinate")
-    if float(n) ** k > 1e12:
-        raise ValueError("N^k too large for reliable phase reduction")
+    _require_phase_precision(n, k)
     ths = np.asarray([float(t) for t in thetas], dtype=np.longdouble)
     ns = np.arange(1, n + 1, dtype=np.int64).astype(np.longdouble)
     args = np.zeros(n, dtype=np.longdouble)

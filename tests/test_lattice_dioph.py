@@ -4,7 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from polyrec.lattice_dioph import (BlockVector, ProductLattice,
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from polyrec.lattice_dioph import (BlockVector, ProductLattice, _dilate_matrix,
                                    approx_good_set_family,
                                    approx_good_set_power,
                                    check_average_bounds, gaussian_average,
@@ -199,6 +202,48 @@ def test_sqrt2_square_block_good_set_nonempty():
     # spot check the first member against the definition
     n = good.members[0]
     assert nearest_integer_norm(n * n * SQRT2) < 0.1
+
+
+block_vectors = st.lists(
+    st.lists(st.floats(-3, 3, allow_nan=False), min_size=0, max_size=3),
+    min_size=1, max_size=3).map(lambda blocks: BlockVector(tuple(map(tuple, blocks))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=block_vectors, eps=st.floats(0.01, 0.9), n_range=st.integers(1, 400))
+def test_vectorized_dilates_match_per_n_loop(alpha, eps, n_range):
+    # the per-n reference: n^j * alpha_j in long double, one n at a time
+    arrays = alpha.block_arrays()
+    rows = [[np.longdouble(n) ** j * arr for j, arr in enumerate(arrays, start=1)]
+            for n in range(1, n_range + 1)]
+    flat = np.stack([np.concatenate(row) for row in rows])
+    assert np.array_equal(_dilate_matrix(alpha, n_range), flat)
+    members = [n for n, row in enumerate(rows, start=1)
+               if all(nearest_integer_norm(val) < eps for val in row)]
+    assert list(approx_good_set_power(alpha, eps, n_range).members) == members
+
+
+def test_long_double_phase_paths_refuse_large_n_to_the_k():
+    lat = ProductLattice.integers([1, 1, 1])
+    alpha = BlockVector(((0.1,), (0.2,), (0.3,)))
+    n = 30_000  # N^3 = 2.7e13 > 1e12
+    calls = [
+        lambda: gaussian_average(lat, alpha, n),
+        lambda: check_average_bounds(lat, alpha, n, 0.5, 3),
+        lambda: schmidt_scan(lat, alpha, n, 10, 2.0, 1.0),
+        lambda: approx_good_set_power(alpha, 0.1, n),
+        lambda: approx_good_set_family(PolynomialFamily.parse(["0,0,1"]), [0.1],
+                                       0.1, n),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="phase reduction"):
+            call()
+    # exact rational scans have no phase limit
+    exact = approx_good_set_power(BlockVector(((Fraction(1, 3),),) * 3), 0.1, n)
+    assert exact.members[:3] == (3, 6, 9)
+    # N^3 = 10^12 is exactly at the limit and still runs
+    at_limit = approx_good_set_power(BlockVector(((0.5,), (0.25,), (0.125,))), 0.1, 10_000)
+    assert at_limit.members[:3] == (2, 4, 6)
 
 
 def test_check_average_bounds_randomized():

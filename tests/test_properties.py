@@ -10,12 +10,14 @@ import math
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polyrec import recurrence
 from polyrec.cli import main
 from polyrec.intset import IntegerSet
 from polyrec.polyfam import IntPolynomial, PolynomialFamily, shift_range
@@ -61,6 +63,60 @@ def test_intersection_counts_match_oracles(a, shifts, mode):
     naive = naive_intersection_integer if mode == INTEGER else naive_intersection_cyclic
     want = [naive(a.elements, a.n, s) for s in shifts]
     assert _intersection_counts(a, shifts, mode) == want
+
+
+@st.composite
+def packed_cases(draw):
+    """A set whose N sits on or next to a 64-bit word edge, and lags chosen
+    around the word edges and N itself."""
+    n = draw(st.sampled_from([1, 2, 63, 64, 65, 127, 128, 129, 191, 192, 193])
+             | st.integers(1, 300))
+    elements = draw(st.sets(st.integers(1, n), max_size=n))
+    edges = [0, 63, 64, 65, 128, n - 1, n, n + 1, 2 * n, 10 ** 30]
+    lag = st.sampled_from(edges) | st.integers(0, 2 * n + 130)
+    shifts = draw(st.lists(st.tuples(lag, st.booleans()), min_size=1, max_size=12))
+    return IntegerSet(n, tuple(elements)), [-s if neg else s for s, neg in shifts]
+
+
+@pytest.mark.parametrize("direct", [True, False], ids=["direct", "fft"])
+@pytest.mark.parametrize("mode", [INTEGER, CYCLIC])
+@PROPERTY
+@given(case=packed_cases())
+@example(case=(IntegerSet(1, (1,)), [0, 1, -1, 10 ** 30]))
+@example(case=(IntegerSet(200, tuple(range(1, 201, 3))), [64, 1, 2, 65, 0, 128, 3, 127]))
+@example(case=(IntegerSet(128, tuple(range(1, 129))), [128, 64, 0, 63, 127, -64]))
+def test_both_routes_match_oracles(case, mode, direct):
+    # [64, 1, ...]: a lag on a word edge makes the window a view of the
+    # shifted operand; writing into it would corrupt every later lag
+    a, shifts = case
+    naive = naive_intersection_integer if mode == INTEGER else naive_intersection_cyclic
+    want = [naive(a.elements, a.n, s) for s in shifts]
+    with mock.patch.object(recurrence, "_count_directly", lambda *args: direct):
+        assert _intersection_counts(a, shifts, mode) == want
+
+
+def _route(n, shifts, mode):
+    """The route _intersection_counts takes for these shifts at modulus n."""
+    rule = recurrence._count_directly
+    taken = []
+    with mock.patch.object(recurrence, "_count_directly",
+                           lambda *args: taken.append(rule(*args)) or taken[-1]):
+        _intersection_counts(IntegerSet(n, np.arange(1, n + 1, 3)), shifts, mode)
+    return "direct" if taken == [True] else "fft"
+
+
+@pytest.mark.parametrize("n, shifts, mode, route", [
+    (10 ** 6, [x ** 3 for x in range(1, 81)], INTEGER, "direct"),
+    (10 ** 6, [x ** 2 for x in range(1, 61)], INTEGER, "direct"),
+    (10 ** 6, [x ** 3 for x in range(1, 51)] + [x + x ** 3 for x in range(1, 51)],
+     INTEGER, "direct"),
+    (400_000, list(range(1, 1001)), CYCLIC, "direct"),
+    (600_000, list(range(1, 2778)), INTEGER, "fft"),
+    (200_000, list(range(1, 10_001)), INTEGER, "fft"),
+    (200_000, list(range(1, 1001)), INTEGER, "fft"),
+])
+def test_cost_rule_routes(n, shifts, mode, route):
+    assert _route(n, shifts, mode) == route
 
 
 @PROPERTY
@@ -229,6 +285,9 @@ def test_cli_maps_exactness_errors_to_exit_1(monkeypatch, capsys):
     ["tarry", "--K", "2", "--k", "1"],
     ["dioph", "--action", "goodset", "--alpha", "1/0"],
     ["dioph", "--action", "denominator"],
+    # N^3 = 2.7e13 is past the long-double phase limit
+    ["dioph", "--action", "average", "--lattice", "int:1,1,1", "--alpha", "0.1;0.2;0.3",
+     "--N", "30000"],
 ])
 def test_refusals_exit_2_with_one_line(argv, capsys):
     assert main(argv) == 2
