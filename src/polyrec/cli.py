@@ -29,11 +29,10 @@ from .zn_fourier import (ExactnessError, ZnFunction, balanced_function, dft,
                          ellp_norm, inverse_dft, lp_norm)
 from .polyfam import (IntPolynomial, PolynomialFamily, check_difference_identity,
                       check_lift_implication, coefficient_analysis,
-                      lift_construction, shift_range)
+                      lift_construction)
 from .weyl_tarry import (count_solutions_mod, growth_probe, moment_2k,
                          tarry_count, weyl_sum, wrap_free)
-from .recurrence import (decompose, find_good_shifts, intersection_profile,
-                         uniform_certificate)
+from .recurrence import decompose, find_good_shifts, intersection_profile
 from .lattice_dioph import (BlockVector, ProductLattice, approx_good_set_family,
                             approx_good_set_power, check_average_bounds,
                             gaussian_average, gaussian_mass, schmidt_scan,

@@ -13,6 +13,18 @@ import math
 import os
 from dataclasses import asdict, dataclass, field, fields
 
+__all__ = [
+    "Tolerances",
+    "Constants",
+    "ExperimentConfig",
+    "ConfigError",
+    "DEFAULT_TOLERANCES",
+    "DEFAULT_CONSTANTS",
+    "validate_config",
+    "config_from_dict",
+    "load_config",
+]
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -57,7 +69,6 @@ class ExperimentConfig:
     constants: Constants = field(default_factory=Constants)
     tolerances: Tolerances = field(default_factory=Tolerances)
     threads: int = 1
-    output_dir: str = "."
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -104,15 +115,13 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         _check_positive("tolerances", name, value)
     if not isinstance(cfg.threads, int) or cfg.threads < 1:
         raise ConfigError(f"threads: expected an integer >= 1, got {cfg.threads!r}")
-    if not isinstance(cfg.output_dir, str):
-        raise ConfigError(f"output_dir: expected a string, got {cfg.output_dir!r}")
     return cfg
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("config: top level must be a JSON object")
-    known = {"seed", "constants", "tolerances", "threads", "output_dir"}
+    known = {"seed", "constants", "tolerances", "threads"}
     for key in data:
         if key not in known:
             raise ConfigError(f"{key}: unknown field")
@@ -127,7 +136,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         constants=_build_record(Constants, "constants", constants),
         tolerances=_build_record(Tolerances, "tolerances", tolerances),
         threads=data.get("threads", 1),
-        output_dir=data.get("output_dir", "."),
     )
     return validate_config(cfg)
 

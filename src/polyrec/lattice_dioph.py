@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
 from numbers import Rational
 from typing import Optional, Sequence
 
@@ -49,9 +48,10 @@ _ENUM_BUDGET = 2_000_000      # integer boxes enumerated per block
 _DUAL_COMBO_BUDGET = 200_000  # product dual points in the average's dual form
 _MAX_CONDITION = 1e8
 #: Largest N^k for which the phases n^j * alpha_j (n <= N, j <= k) are
-#: reduced modulo 1 in long double: integer parts stay below 1e12, which
-#: leaves a 64-bit mantissa about 7 fractional digits.
-_PHASE_LIMIT = 1e12
+#: reduced modulo 1 in long double: integer parts keep 6 of the type's
+#: decimal digits for the fraction (1e12 for an 80-bit long double, 1e9
+#: where long double is a plain double).
+_PHASE_LIMIT = 10.0 ** (np.finfo(np.longdouble).precision - 6)
 _DILATE_CHUNK = 1 << 16       # values of n per block of dilates in a good-set scan
 
 
@@ -128,12 +128,6 @@ class ProductLattice:
             if b.shape[0]:
                 out *= abs(np.linalg.det(b))
         return out
-
-    @property
-    def block_condition_numbers(self) -> tuple[float, ...]:
-        return tuple(
-            float(np.linalg.cond(b)) if b.shape[0] else 1.0 for b in self.blocks
-        )
 
     def dual(self) -> "ProductLattice":
         """Blockwise inverse-transpose basis; dual of dual recovers this."""
@@ -450,32 +444,34 @@ class GoodSet:
         return not self.members
 
 
-def _rational_distance(value: Fraction) -> Fraction:
-    frac = value - math.floor(value)
-    return min(frac, 1 - frac)
-
-
 def approx_good_set_power(alpha: BlockVector, eps: float, n_range: int) -> GoodSet:
     """All n <= N with |n^j alpha_j| within eps of Z^{d_j} for every block.
 
-    Runs in exact rational arithmetic whenever all entries of alpha are
-    rational; otherwise extended-precision floats.
+    Runs in exact integer arithmetic whenever all entries of alpha are
+    rational; otherwise extended-precision floats.  With entries p_i/q_i,
+    Q the lcm of a block's q_i, r_i = n^j p_i mod q_i and eps = a/b, the
+    block passes when b^2 sum (min(r_i, q_i - r_i) Q/q_i)^2 < a^2 Q^2.
     """
     if eps <= 0 or n_range < 1:
         raise ValueError("need eps > 0 and N >= 1")
-    members = []
     if alpha.is_rational:
-        eps2 = Fraction(eps) ** 2
-        entries = [[Fraction(x) for x in block] for block in alpha.entries]
+        a, b = Fraction(eps).as_integer_ratio()
+        blocks = []  # (j, [(p_i, q_i, Q/q_i)], a^2 Q^2) for each block
+        for j, block in enumerate(alpha.entries, start=1):
+            fracs = [Fraction(x) for x in block]
+            big_q = math.lcm(*(x.denominator for x in fracs))
+            terms = [(x.numerator, x.denominator, big_q // x.denominator) for x in fracs]
+            blocks.append((j, terms, (a * big_q) ** 2))
+        members = []
         for n in range(1, n_range + 1):
-            ok = True
-            for j, block in enumerate(entries, start=1):
-                total = sum(_rational_distance(Fraction(n) ** j * x) ** 2
-                            for x in block)
-                if total >= eps2:
-                    ok = False
+            for j, terms, limit in blocks:
+                total = 0
+                for p, q, w in terms:
+                    r = pow(n, j, q) * p % q
+                    total += (min(r, q - r) * w) ** 2
+                if total * b * b >= limit:
                     break
-            if ok:
+            else:
                 members.append(n)
         return GoodSet(n_range, eps, tuple(members), exact=True)
     _require_phase_precision(n_range, len(alpha.entries))
@@ -495,16 +491,20 @@ def approx_good_set_power(alpha: BlockVector, eps: float, n_range: int) -> GoodS
 def approx_good_set_family(family, thetas: Sequence, eps: float,
                            n_range: int) -> GoodSet:
     """All n <= N with |P_i(n) theta_r| < eps for every polynomial P_i and
-    every real theta_r; exact rational arithmetic when the thetas are."""
+    every real theta_r.  Exact integer arithmetic when the thetas are
+    rational: with theta = p/q, r = v p mod q and eps = a/b, the entry
+    passes when min(r, q - r) b < a q."""
     if eps <= 0 or n_range < 1:
         raise ValueError("need eps > 0 and N >= 1")
     members = []
     if all(_entry_is_rational(th) for th in thetas):
-        eps_f = Fraction(eps)
-        ths = [Fraction(th) for th in thetas]
+        a, b = Fraction(eps).as_integer_ratio()
+        ths = [(th.numerator, th.denominator, a * th.denominator)
+               for th in map(Fraction, thetas)]
         for n in range(1, n_range + 1):
             vals = [p.evaluate(n) for p in family]
-            if all(_rational_distance(v * th) < eps_f for v in vals for th in ths):
+            if all(min(r := v * p % q, q - r) * b < limit
+                   for v in vals for p, q, limit in ths):
                 members.append(n)
         return GoodSet(n_range, eps, tuple(members), exact=True)
     _require_phase_precision(n_range, family.common_degree_bound)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -157,8 +156,9 @@ def shift_range(family: PolynomialFamily, n: int, eps: float, c: float = 1.0) ->
     The nominal m is recomputed in exact rational arithmetic, and shrunk
     if some |P_i(j)| with j <= m still exceeds eps*n (possible when c is
     generous or coefficients are large); the result records whether that
-    happened.  Raises when even m = 1 is inadmissible, naming the minimal
-    ambient n that would work.
+    happened.  The values are integers, so |P_i(j)| > eps*n exactly when
+    |P_i(j)| > floor(eps*n).  Raises when even m = 1 is inadmissible,
+    naming the minimal ambient n that would work.
     """
     if n < 1:
         raise ValueError("ambient bound n must be positive")
@@ -169,10 +169,11 @@ def shift_range(family: PolynomialFamily, n: int, eps: float, c: float = 1.0) ->
     k = family.common_degree_bound
     eps_f, c_f = Fraction(eps), Fraction(c)
     bound = eps_f * n
+    limit = math.floor(bound)
     m_nominal = _integer_root(c_f ** k * bound, k)
 
     first_values = [abs(p.evaluate(1)) for p in family]
-    if m_nominal < 1 or max(first_values) > bound:
+    if m_nominal < 1 or max(first_values) > limit:
         need_nominal = math.ceil(1 / (eps_f * c_f ** k))
         need_value = math.ceil(max(first_values) / eps_f)
         raise ValueError(
@@ -184,7 +185,7 @@ def shift_range(family: PolynomialFamily, n: int, eps: float, c: float = 1.0) ->
     max_seen = 0
     for j in range(1, m_nominal + 1):
         worst = max(abs(p.evaluate(j)) for p in family)
-        if worst > bound:
+        if worst > limit:
             m = j - 1
             break
         max_seen = max(max_seen, worst)

@@ -127,17 +127,28 @@ def _intersection_counts(a: IntegerSet, shifts: Sequence[int], mode: str) -> lis
     raise ValueError(f"unknown mode {mode!r} (want {INTEGER!r} or {CYCLIC!r})")
 
 
-def _require_validated_range(a: IntegerSet, family: PolynomialFamily, m: int,
-                             validated: Optional[ShiftRange]) -> None:
-    if validated is None:
-        raise ValueError(
-            "cyclic mode needs a validated ShiftRange (wrap-around control); "
-            "compute one with shift_range()"
-        )
-    if validated.family != family or validated.n != a.n:
-        raise ValueError("validated ShiftRange was computed for different inputs")
-    if m > validated.m:
-        raise ValueError(f"requested M={m} exceeds validated bound {validated.m}")
+def _count_table(a: IntegerSet, family: PolynomialFamily, m: int, mode: str,
+                 validated: Optional[ShiftRange]) -> np.ndarray:
+    """The l x M int64 table of |A ∩ (A + P_i(n))|, n = 1..M.
+
+    Cyclic mode insists on a validated shift range for these inputs, so
+    that every |P_i(n)| is small next to N.
+    """
+    if m < 1:
+        raise ValueError("need M >= 1")
+    if mode == CYCLIC:
+        if validated is None:
+            raise ValueError(
+                "cyclic mode needs a validated ShiftRange (wrap-around control); "
+                "compute one with shift_range()"
+            )
+        if validated.family != family or validated.n != a.n:
+            raise ValueError("validated ShiftRange was computed for different inputs")
+        if m > validated.m:
+            raise ValueError(f"requested M={m} exceeds validated bound {validated.m}")
+    shifts = [poly.evaluate(n) for poly in family for n in range(1, m + 1)]
+    counts = _intersection_counts(a, shifts, mode)
+    return np.array(counts, dtype=np.int64).reshape(family.size, m)
 
 
 def intersection_profile(a: IntegerSet, family: PolynomialFamily, m: int,
@@ -150,14 +161,8 @@ def intersection_profile(a: IntegerSet, family: PolynomialFamily, m: int,
     M; cyclic mode counts in Z_N and insists on a validated shift range so
     that every |P_i(n)| is small next to N.
     """
-    if m < 1:
-        raise ValueError("need M >= 1")
-    if mode == CYCLIC:
-        _require_validated_range(a, family, m, validated)
-    shifts = [poly.evaluate(n) for poly in family for n in range(1, m + 1)]
-    counts = _intersection_counts(a, shifts, mode)
-    return tuple(tuple(Fraction(cnt, a.n) for cnt in counts[i * m:(i + 1) * m])
-                 for i in range(family.size))
+    counts = _count_table(a, family, m, mode, validated).tolist()
+    return tuple(tuple(Fraction(cnt, a.n) for cnt in row) for row in counts)
 
 
 @dataclass(frozen=True)
@@ -168,7 +173,7 @@ class ShiftReport:
     family: PolynomialFamily
     eps: float
     shift_range: ShiftRange
-    table: tuple[tuple[Fraction, ...], ...]
+    counts: tuple[tuple[int, ...], ...]  # |A ∩ (A + P_i(n))|, l x M
     good_shifts: tuple[int, ...]
     threshold: Fraction           # density^2 - eps, exact
     within_hypotheses: bool
@@ -191,10 +196,11 @@ def find_good_shifts(a: IntegerSet, family: PolynomialFamily, eps: float,
                      permissive: bool = False) -> ShiftReport:
     """All n in [1, M] with |A ∩ (A + P_i(n))|/N > density^2 - eps for every i.
 
-    M comes from shift_range(family, N, eps, c); the comparison runs in
-    exact rational arithmetic on both sides.  Families with unequal
-    degrees sit outside the guarantee and are rejected unless permissive,
-    in which case the report is labeled accordingly.
+    M comes from shift_range(family, N, eps, c).  The comparison is exact:
+    count/N > threshold exactly when count > floor(threshold * N), one
+    integer limit for the whole table.  Families with unequal degrees sit
+    outside the guarantee and are rejected unless permissive, in which
+    case the report is labeled accordingly.
     """
     equal = family.equal_degrees
     if not equal and not permissive:
@@ -203,17 +209,12 @@ def find_good_shifts(a: IntegerSet, family: PolynomialFamily, eps: float,
             "pass permissive=True to search anyway"
         )
     sr = shift_range(family, a.n, eps, c)
-    if mode == CYCLIC:
-        table = intersection_profile(a, family, sr.m, mode=CYCLIC, validated=sr)
-    else:
-        table = intersection_profile(a, family, sr.m, mode=INTEGER)
+    counts = _count_table(a, family, sr.m, mode, sr)
     threshold = a.density ** 2 - Fraction(eps)
-    good = tuple(
-        n for n in range(1, sr.m + 1)
-        if all(table[i][n - 1] > threshold for i in range(family.size))
-    )
-    return ShiftReport(a=a, family=family, eps=eps, shift_range=sr, table=table,
-                       good_shifts=good, threshold=threshold,
+    good = np.flatnonzero((counts > math.floor(threshold * a.n)).all(axis=0)) + 1
+    return ShiftReport(a=a, family=family, eps=eps, shift_range=sr,
+                       counts=tuple(map(tuple, counts.tolist())),
+                       good_shifts=tuple(good.tolist()), threshold=threshold,
                        within_hypotheses=equal)
 
 
@@ -366,13 +367,12 @@ def uniform_certificate(a: IntegerSet, family: PolynomialFamily, eps: float,
         raise ValueError("moment order must be >= 1")
     eta = ellp_norm(dft(balanced_function(a)), math.inf)
     sr = shift_range(family, a.n, eps, c)
-    table = intersection_profile(a, family, sr.m, mode=CYCLIC, validated=sr)
-    target = a.density ** 2
-    eps_f = Fraction(eps)
-    count = sum(
-        1 for n in range(1, sr.m + 1)
-        if all(abs(table[i][n - 1] - target) < eps_f for i in range(family.size))
-    )
+    counts = _count_table(a, family, sr.m, CYCLIC, sr)
+    # |c/N - d^2| < eps exactly when floor((d^2 - eps) N) < c < ceil((d^2 + eps) N)
+    target, eps_f = a.density ** 2, Fraction(eps)
+    low = math.floor((target - eps_f) * a.n)
+    high = math.ceil((target + eps_f) * a.n)
+    count = int(((counts > low) & (counts < high)).all(axis=0).sum())
     predicted = 1.0 - family.size * c1 * eta ** (1.0 / k_order)
     return UniformCertificate(
         eta=eta,

@@ -136,6 +136,51 @@ def naive_good_residues(step_q, eps):
     return out
 
 
+def _distance_to_z(value):
+    """Distance from a Fraction to the nearest integer, as a Fraction."""
+    frac = value - math.floor(value)
+    return min(frac, 1 - frac)
+
+
+def naive_good_shifts(elements, ambient, polys, m, eps, cyclic=False):
+    """n <= m with |A ∩ (A + P_i(n))|/N > density^2 - eps for every P_i,
+    one Fraction comparison per shift."""
+    count = naive_intersection_cyclic if cyclic else naive_intersection_integer
+    threshold = Fraction(len(set(elements)), ambient) ** 2 - Fraction(eps)
+    return [n for n in range(1, m + 1)
+            if all(Fraction(count(elements, ambient, p.evaluate(n)), ambient) > threshold
+                   for p in polys)]
+
+
+def naive_uniform_count(elements, ambient, polys, m, eps):
+    """Number of n <= m with |A ∩ (A + P_i(n))|/N within eps of density^2
+    in Z_N for every P_i, one Fraction comparison per shift."""
+    target = Fraction(len(set(elements)), ambient) ** 2
+    return sum(
+        1 for n in range(1, m + 1)
+        if all(abs(Fraction(naive_intersection_cyclic(elements, ambient, p.evaluate(n)),
+                            ambient) - target) < Fraction(eps)
+               for p in polys))
+
+
+def naive_good_set_power(blocks, eps, n_range):
+    """n <= N with sum_x dist(n^j x, Z)^2 < eps^2 for every block j (from 1)
+    of rational entries x, in Fractions."""
+    eps2 = Fraction(eps) ** 2
+    return [n for n in range(1, n_range + 1)
+            if all(sum(_distance_to_z(Fraction(n) ** j * Fraction(x)) ** 2
+                       for x in block) < eps2
+                   for j, block in enumerate(blocks, start=1))]
+
+
+def naive_good_set_family(polys, thetas, eps, n_range):
+    """n <= N with dist(P_i(n) theta, Z) < eps for every P_i and rational
+    theta, in Fractions."""
+    return [n for n in range(1, n_range + 1)
+            if all(_distance_to_z(p.evaluate(n) * Fraction(th)) < Fraction(eps)
+                   for p in polys for th in thetas)]
+
+
 def naive_recurrence_measure(mapping, subset, shift):
     """mu(A intersect T^-shift A) by literally iterating the permutation."""
     m = len(mapping)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from polyrec.cli import main
 from polyrec.config import (ConfigError, DEFAULT_CONSTANTS, DEFAULT_TOLERANCES,
                             config_from_dict, load_config, validate_config)
 
@@ -56,3 +57,14 @@ def test_unknown_field_rejected():
     assert "C9" in str(err.value)
     with pytest.raises(ConfigError):
         config_from_dict({"frobnicate": True})
+
+
+def test_output_dir_is_an_unknown_field(tmp_path, capsys):
+    with pytest.raises(ConfigError) as err:
+        config_from_dict({"output_dir": "."})
+    assert str(err.value) == "output_dir: unknown field"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"output_dir": "out"}))
+    assert main(["--config", str(path), "selftest"]) == 2
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert err_lines == ["config error: output_dir: unknown field"]

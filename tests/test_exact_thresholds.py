@@ -1,0 +1,166 @@
+"""Exact thresholds against the Fraction scans in tests/oracles.py.
+
+find_good_shifts, uniform_certificate, shift_range and the two rational
+good-set scans compare integer counts, values and residues with one
+integer limit per call; the oracles build one Fraction per shift, per n
+or per entry.  A dyadic eps (0.5, 0.25, 0.125) makes ties exact, and a
+count, value or distance on the limit must fall on the strict side.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from polyrec.intset import IntegerSet
+from polyrec.lattice_dioph import (BlockVector, approx_good_set_family,
+                                   approx_good_set_power)
+from polyrec.polyfam import IntPolynomial, PolynomialFamily, shift_range
+from polyrec.recurrence import (CYCLIC, INTEGER, find_good_shifts,
+                                intersection_profile, uniform_certificate)
+
+from oracles import (naive_good_set_family, naive_good_set_power,
+                     naive_good_shifts, naive_uniform_count)
+
+PROPERTY = settings(max_examples=60, deadline=None)
+EPS = st.sampled_from([0.5, 0.25, 0.125]) | st.floats(0.01, 2.0)
+LINEAR = IntPolynomial((1,))
+#: A set in Z_32 whose counts at shifts 1..4 are 6, 9, 4, 12: with eps = 1/8
+#: the uniformity window density^2 N ± eps N is 4 < c < 12, so both ends occur.
+WINDOW_SET = IntegerSet(32, (1, 2, 3, 5, 9, 13, 15, 17, 19, 21, 23, 24, 25, 28, 29, 30))
+
+
+@st.composite
+def integer_sets(draw, max_n=48):
+    n = draw(st.sampled_from([8, 16, 32]) | st.integers(1, max_n))
+    return IntegerSet(n, tuple(draw(st.sets(st.integers(1, n), max_size=n))))
+
+
+polynomials = st.builds(
+    lambda coeffs, lead: IntPolynomial(tuple(coeffs) + (lead,)),
+    st.lists(st.integers(-3, 3), max_size=1), st.integers(-3, 3).filter(bool))
+families = st.lists(polynomials, min_size=1, max_size=3).map(
+    lambda polys: PolynomialFamily(tuple(polys)))
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=16)
+
+
+def _range_or_none(family, n, eps):
+    try:
+        return shift_range(family, n, eps)
+    except ValueError:
+        return None
+
+
+@PROPERTY
+@given(a=integer_sets(), family=families, eps=EPS, mode=st.sampled_from([INTEGER, CYCLIC]))
+@example(a=IntegerSet(8, tuple(range(1, 9))), family=PolynomialFamily((LINEAR,)),
+         eps=0.5, mode=INTEGER)
+@example(a=WINDOW_SET, family=PolynomialFamily((LINEAR, IntPolynomial((-1,)))),
+         eps=0.125, mode=CYCLIC)
+def test_good_shifts_match_fraction_scan(a, family, eps, mode):
+    sr = _range_or_none(family, a.n, eps)
+    if sr is None:
+        return
+    report = find_good_shifts(a, family, eps, mode=mode, permissive=True)
+    assert list(report.good_shifts) == naive_good_shifts(
+        a.elements, a.n, family, sr.m, eps, cyclic=mode == CYCLIC)
+    assert report.counts == tuple(
+        tuple(int(f * a.n) for f in row)
+        for row in intersection_profile(a, family, sr.m, mode=mode, validated=sr))
+
+
+def test_count_on_the_threshold_is_not_good():
+    # full set of 8, eps = 1/2: threshold * N = 8 - 4 = 4 and |A ∩ (A + n)| = 8 - n
+    report = find_good_shifts(IntegerSet(8, tuple(range(1, 9))),
+                              PolynomialFamily((LINEAR,)), 0.5)
+    assert report.threshold * 8 == 4
+    assert report.counts == ((7, 6, 5, 4),)
+    assert report.good_shifts == (1, 2, 3)
+    # a threshold below 0 keeps every shift, count 0 included
+    report = find_good_shifts(IntegerSet(16, (1,)), PolynomialFamily((LINEAR,)), 0.5,
+                              mode=CYCLIC)
+    assert report.threshold < 0
+    assert report.counts == ((0,) * 8,)
+    assert report.good_shifts == tuple(range(1, 9))
+
+
+@PROPERTY
+@given(a=integer_sets(), family=families, eps=EPS)
+@example(a=WINDOW_SET, family=PolynomialFamily((LINEAR,)), eps=0.125)
+def test_uniform_census_matches_fraction_scan(a, family, eps):
+    sr = _range_or_none(family, a.n, eps)
+    if sr is None:
+        return
+    cert = uniform_certificate(a, family, eps, k_order=2)
+    assert cert.count == naive_uniform_count(a.elements, a.n, family, sr.m, eps)
+
+
+def test_uniform_window_excludes_both_ends():
+    family = PolynomialFamily((LINEAR,))
+    sr = shift_range(family, 32, 0.125)
+    profile = intersection_profile(WINDOW_SET, family, 4, mode=CYCLIC, validated=sr)
+    assert profile == (tuple(Fraction(c, 32) for c in (6, 9, 4, 12)),)
+    assert uniform_certificate(WINDOW_SET, family, 0.125, k_order=2).count == 2
+
+
+@PROPERTY
+@given(family=families, n=st.integers(1, 400), eps=EPS)
+@example(family=PolynomialFamily((IntPolynomial((2,)),)), n=16, eps=0.25)
+@example(family=PolynomialFamily((LINEAR,)), n=10, eps=0.3)
+def test_shift_range_matches_fraction_bound(family, n, eps):
+    bound = Fraction(eps) * n
+    worst = [max(abs(p.evaluate(j)) for p in family) for j in range(1, int(bound) + 2)]
+    if bound < 1 or worst[0] > bound:
+        with pytest.raises(ValueError):
+            shift_range(family, n, eps)
+        return
+    sr = shift_range(family, n, eps)
+    want = next((j for j in range(1, sr.m_nominal + 1) if worst[j - 1] > bound),
+                sr.m_nominal + 1) - 1
+    assert sr.m == want
+    assert sr.max_abs_value == max(worst[:want])
+
+
+def test_value_on_the_shift_bound_is_admissible():
+    # |2j| <= eps N = 4 holds at j = 2 with equality and fails at j = 3
+    sr = shift_range(PolynomialFamily((IntPolynomial((2,)),)), 16, 0.25)
+    assert (sr.m, sr.m_nominal, sr.max_abs_value) == (2, 4, 4)
+    # Fraction(0.3) is just below 3/10, so |3| exceeds 0.3 * 10
+    assert shift_range(PolynomialFamily((LINEAR,)), 10, 0.3).m == 2
+
+
+@PROPERTY
+@given(blocks=st.lists(st.lists(rationals | st.integers(-3, 3), max_size=3),
+                       min_size=1, max_size=3),
+       eps=EPS, n_range=st.integers(1, 120))
+@example(blocks=[[], [Fraction(-1, 4), Fraction(1, 8)], []], eps=0.125, n_range=40)
+def test_rational_power_good_set_matches_fraction_scan(blocks, eps, n_range):
+    good = approx_good_set_power(BlockVector(tuple(map(tuple, blocks))), eps, n_range)
+    assert good.exact
+    assert list(good.members) == naive_good_set_power(blocks, eps, n_range)
+
+
+@PROPERTY
+@given(family=families, thetas=st.lists(rationals, min_size=1, max_size=3),
+       eps=EPS, n_range=st.integers(1, 120))
+@example(family=PolynomialFamily((IntPolynomial((0, -1)),)),
+         thetas=[Fraction(-3, 8)], eps=0.125, n_range=40)
+def test_rational_family_good_set_matches_fraction_scan(family, thetas, eps, n_range):
+    good = approx_good_set_family(family, thetas, eps, n_range)
+    assert good.exact
+    assert list(good.members) == naive_good_set_family(family, thetas, eps, n_range)
+
+
+def test_distance_on_eps_is_not_good():
+    # |n/4| = 1/4 = eps at odd n: strict, so only multiples of 4 are good
+    quarter = Fraction(1, 4)
+    assert approx_good_set_power(BlockVector(((quarter,),)), 0.25, 8).members == (4, 8)
+    assert approx_good_set_family(PolynomialFamily((LINEAR,)), [quarter], 0.25,
+                                  8).members == (4, 8)
+    # two entries at n = 1: (3/20)^2 + (4/20)^2 = eps^2
+    alpha = BlockVector(((Fraction(3, 20), Fraction(1, 5)),))
+    members = approx_good_set_power(alpha, 0.25, 20).members
+    assert 1 not in members and 20 in members
+    # an empty block has distance 0 and passes
+    assert approx_good_set_power(BlockVector(((),)), 0.125, 3).members == (1, 2, 3)

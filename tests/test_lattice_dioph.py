@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyrec.lattice_dioph import (BlockVector, ProductLattice, _dilate_matrix,
+from polyrec.lattice_dioph import (_PHASE_LIMIT, BlockVector, ProductLattice,
+                                   _dilate_matrix,
                                    approx_good_set_family,
                                    approx_good_set_power,
                                    check_average_bounds, gaussian_average,
@@ -241,9 +242,15 @@ def test_long_double_phase_paths_refuse_large_n_to_the_k():
     # exact rational scans have no phase limit
     exact = approx_good_set_power(BlockVector(((Fraction(1, 3),),) * 3), 0.1, n)
     assert exact.members[:3] == (3, 6, 9)
-    # N^3 = 10^12 is exactly at the limit and still runs
-    at_limit = approx_good_set_power(BlockVector(((0.5,), (0.25,), (0.125,))), 0.1, 10_000)
+    # N^3 exactly at the limit (10^12 with an 80-bit long double) still runs
+    n_at_limit = round(_PHASE_LIMIT ** (1 / 3))
+    assert float(n_at_limit) ** 3 == _PHASE_LIMIT
+    at_limit = approx_good_set_power(BlockVector(((0.5,), (0.25,), (0.125,))), 0.1,
+                                     n_at_limit)
     assert at_limit.members[:3] == (2, 4, 6)
+    # the limit comes from the platform's long double: below it, a phase
+    # keeps a spacing finer than 1e-6
+    assert np.spacing(np.longdouble(_PHASE_LIMIT)) < 1e-6
 
 
 def test_check_average_bounds_randomized():
