@@ -488,37 +488,46 @@ def approx_good_set_power(alpha: BlockVector, eps: float, n_range: int) -> GoodS
     return GoodSet(n_range, eps, tuple(members), exact=False)
 
 
+def _residues(values: np.ndarray, p: int, q: int) -> np.ndarray:
+    """v * p mod q for each exact value v: int64 while q^2 < 2^63, else
+    Python integers."""
+    if q * q < 2 ** 63:
+        return (values % q).astype(np.int64) * (p % q) % q
+    return values.astype(object) % q * (p % q) % q
+
+
 def approx_good_set_family(family, thetas: Sequence, eps: float,
                            n_range: int) -> GoodSet:
     """All n <= N with |P_i(n) theta_r| < eps for every polynomial P_i and
     every real theta_r.  Exact integer arithmetic when the thetas are
     rational: with theta = p/q, r = v p mod q and eps = a/b, the entry
-    passes when min(r, q - r) b < a q."""
+    passes when min(r, q - r) < ceil(a q / b).  Otherwise the values go
+    to long double."""
     if eps <= 0 or n_range < 1:
         raise ValueError("need eps > 0 and N >= 1")
-    members = []
-    if all(_entry_is_rational(th) for th in thetas):
+    exact = all(_entry_is_rational(th) for th in thetas)
+    if exact:
         a, b = Fraction(eps).as_integer_ratio()
-        ths = [(th.numerator, th.denominator, a * th.denominator)
+        ths = [(th.numerator, th.denominator, -(-a * th.denominator // b))
                for th in map(Fraction, thetas)]
-        for n in range(1, n_range + 1):
-            vals = [p.evaluate(n) for p in family]
-            if all(min(r := v * p % q, q - r) * b < limit
-                   for v in vals for p, q, limit in ths):
-                members.append(n)
-        return GoodSet(n_range, eps, tuple(members), exact=True)
-    _require_phase_precision(n_range, family.common_degree_bound)
-    ths = np.asarray([float(th) for th in thetas], dtype=np.longdouble)
-    for n in range(1, n_range + 1):
-        ok = True
-        for p in family:
-            prods = np.longdouble(p.evaluate(n)) * ths
-            if np.any(np.abs(prods - np.rint(prods)) >= eps):
-                ok = False
-                break
-        if ok:
-            members.append(n)
-    return GoodSet(n_range, eps, tuple(members), exact=False)
+    else:
+        _require_phase_precision(n_range, family.common_degree_bound)
+        ths = np.asarray([float(th) for th in thetas], dtype=np.longdouble)
+    good = np.ones(n_range, dtype=bool)
+    for start in range(1, n_range + 1, _DILATE_CHUNK):
+        ns = np.arange(start, min(start + _DILATE_CHUNK, n_range + 1), dtype=np.int64)
+        keep = good[start - 1:start - 1 + ns.size]
+        for poly in family:
+            vals = poly.values(ns)
+            if exact:
+                for p, q, limit in ths:
+                    r = _residues(vals, p, q)
+                    keep &= np.minimum(r, q - r) < limit
+            else:
+                prods = vals.astype(np.longdouble)[:, None] * ths
+                keep &= ~np.any(np.abs(prods - np.rint(prods)) >= eps, axis=1)
+    members = (np.flatnonzero(good) + 1).tolist()
+    return GoodSet(n_range, eps, tuple(members), exact=exact)
 
 
 @dataclass(frozen=True)

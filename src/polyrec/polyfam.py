@@ -38,6 +38,8 @@ __all__ = [
 _LIFT_MAX_DEGREE = 3
 _LIFT_MAX_AMBIENT = 200
 _LIFT_BOX_BUDGET = 20_000_000
+#: Length of the first block of values a shift range check reads.
+_SCAN_START = 1024
 
 
 @dataclass(frozen=True)
@@ -67,9 +69,6 @@ class IntPolynomial:
     def degree(self) -> int:
         return len(self.coefficients)
 
-    def __call__(self, n: int) -> int:
-        return self.evaluate(n)
-
     def evaluate(self, n: int) -> int:
         """Exact value at an integer argument (arbitrary precision)."""
         n = int(n)
@@ -77,6 +76,23 @@ class IntPolynomial:
         for c in reversed(self.coefficients):
             acc = acc * n + c
         return acc * n
+
+    def values(self, ns: np.ndarray) -> np.ndarray:
+        """Exact values at an int64 array of arguments, by Horner's rule.
+
+        Every Horner partial value is at most sum_j |c_j| max(1, max|n|)^j
+        in size, so when that bound is below 2^63 the table is int64;
+        otherwise it holds Python integers (object dtype).
+        """
+        ns = np.asarray(ns, dtype=np.int64)
+        top = max(1, -int(ns.min()), int(ns.max())) if ns.size else 1
+        bound = sum(abs(c) * top ** j for j, c in enumerate(self.coefficients, start=1))
+        if bound >= 2 ** 63:
+            ns = ns.astype(object)
+        acc = np.full(ns.shape, self.coefficients[-1], dtype=ns.dtype)
+        for c in reversed(self.coefficients[:-1]):
+            acc = acc * ns + c
+        return acc * ns
 
     def __str__(self) -> str:
         return ",".join(str(c) for c in self.coefficients)
@@ -137,17 +153,20 @@ class ShiftRange:
 
 
 def _integer_root(bound: Fraction, k: int) -> int:
-    """Largest m >= 0 with m^k <= bound, exactly."""
-    if bound < 1:
+    """Largest m >= 0 with m^k <= bound, by integer Newton steps.
+
+    The start 2^ceil(bits/k) lies above the root, and the steps decrease
+    until they stop at it; no float is involved, so any size is safe.
+    """
+    x = math.floor(bound)
+    if x < 1:
         return 0
-    floor_bound = int(bound)
-    m = int(round(floor_bound ** (1.0 / k)))
-    m = max(m, 0)
-    while (m + 1) ** k <= floor_bound:
-        m += 1
-    while m > 0 and m ** k > floor_bound:
-        m -= 1
-    return m
+    m = 1 << -(-x.bit_length() // k)
+    while True:
+        step = ((k - 1) * m + x // m ** (k - 1)) // k
+        if step >= m:
+            return m
+        m = step
 
 
 def shift_range(family: PolynomialFamily, n: int, eps: float, c: float = 1.0) -> ShiftRange:
@@ -157,8 +176,11 @@ def shift_range(family: PolynomialFamily, n: int, eps: float, c: float = 1.0) ->
     if some |P_i(j)| with j <= m still exceeds eps*n (possible when c is
     generous or coefficients are large); the result records whether that
     happened.  The values are integers, so |P_i(j)| > eps*n exactly when
-    |P_i(j)| > floor(eps*n).  Raises when even m = 1 is inadmissible,
-    naming the minimal ambient n that would work.
+    |P_i(j)| > floor(eps*n).  The check reads the value table in blocks
+    whose end doubles from _SCAN_START, so it evaluates at most
+    max(_SCAN_START, 2j) points when j is the first inadmissible shift.
+    Raises when even m = 1 is inadmissible, naming the minimal ambient n
+    that would work.
     """
     if n < 1:
         raise ValueError("ambient bound n must be positive")
@@ -166,29 +188,34 @@ def shift_range(family: PolynomialFamily, n: int, eps: float, c: float = 1.0) ->
         raise ValueError("eps must be positive")
     if not 0 < c:
         raise ValueError("c must be positive")
+    if not (math.isfinite(eps) and math.isfinite(c)):
+        raise ValueError("eps and c must be finite")
     k = family.common_degree_bound
     eps_f, c_f = Fraction(eps), Fraction(c)
     bound = eps_f * n
     limit = math.floor(bound)
     m_nominal = _integer_root(c_f ** k * bound, k)
 
-    first_values = [abs(p.evaluate(1)) for p in family]
-    if m_nominal < 1 or max(first_values) > limit:
+    first_value = max(abs(p.evaluate(1)) for p in family)
+    if m_nominal < 1 or first_value > limit:
         need_nominal = math.ceil(1 / (eps_f * c_f ** k))
-        need_value = math.ceil(max(first_values) / eps_f)
+        need_value = math.ceil(first_value / eps_f)
         raise ValueError(
             "shift range empty: no admissible shift at n=%d, eps=%g; "
             "smallest admissible n is %d" % (n, eps, max(need_nominal, need_value))
         )
 
-    m = m_nominal
-    max_seen = 0
-    for j in range(1, m_nominal + 1):
-        worst = max(abs(p.evaluate(j)) for p in family)
-        if worst > limit:
-            m = j - 1
+    m, max_seen, start, end = m_nominal, 0, 1, _SCAN_START
+    while start <= m_nominal:
+        ns = np.arange(start, min(end, m_nominal) + 1, dtype=np.int64)
+        worst = np.max([np.abs(p.values(ns)) for p in family], axis=0)
+        over = np.flatnonzero(worst > limit)
+        cut = int(over[0]) if over.size else ns.size
+        max_seen = max(max_seen, int(worst[:cut].max(initial=0)))
+        if over.size:
+            m = start + cut - 1
             break
-        max_seen = max(max_seen, worst)
+        start, end = end + 1, 2 * end
     return ShiftRange(
         m=m,
         m_nominal=m_nominal,

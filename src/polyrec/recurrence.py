@@ -5,8 +5,7 @@ shifts: |A ∩ (A + P_i(n))| stays close to the random-set heuristic
 density^2 * N for most n in an admissible range.  This module measures
 that exactly, searches for simultaneous good shifts, and carries the
 supporting spectral tooling: the level-set decomposition f = f1 + f2 + f3
-driven by a shrinking schedule, the structured main-term evaluator, and
-the census of shifts with large error correlation.
+driven by a shrinking schedule, and the uniformity certificate.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -22,8 +21,7 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .intset import IntegerSet
 from .polyfam import PolynomialFamily, ShiftRange, shift_range
 from .zn_fourier import (Spectrum, ZnFunction, _fast_length, balanced_function,
-                         correlation, dft, ellp_norm, exact_correlation,
-                         inverse_dft, lp_norm)
+                         dft, ellp_norm, exact_correlation, inverse_dft, lp_norm)
 
 __all__ = [
     "INTEGER",
@@ -34,11 +32,8 @@ __all__ = [
     "intersection_profile",
     "find_good_shifts",
     "default_schedule",
-    "reference_schedule_log",
     "decompose",
-    "main_term",
     "uniform_certificate",
-    "error_term_census",
 ]
 
 INTEGER = "integer"
@@ -61,8 +56,8 @@ def _count_directly(lags: int, n: int, length: int) -> bool:
     return lags * (words + _DIRECT_LAG_COST) < _FFT_COST * length * math.log2(length)
 
 
-def _packed_counts(ind: np.ndarray, lags: Sequence[int], cyclic: bool) -> dict[int, int]:
-    """{s: #{y : ind[y] and ind[y + s]}} for lags 0 <= s < N, by AND-popcount.
+def _packed_counts(ind: np.ndarray, lags: np.ndarray, cyclic: bool) -> np.ndarray:
+    """#{y : ind[y] and ind[y + s]} for each lag 0 <= s < N, by AND-popcount.
 
     The indicator is packed into little-endian 64-bit words; the second
     operand is the indicator followed by zeros (integer mode) or by itself
@@ -78,8 +73,8 @@ def _packed_counts(ind: np.ndarray, lags: Sequence[int], cyclic: bool) -> dict[i
     y.view(np.uint8)[:-(-second.size // 8)] = np.packbits(second, bitorder="little")
     win = np.empty(words, dtype="<u8")
     high = np.empty(words, dtype="<u8")
-    out = {}
-    for s in lags:
+    out = np.empty(lags.size, dtype=np.int64)
+    for i, s in enumerate(lags.tolist()):
         q, r = divmod(s, 64)
         # Results go to the scratch buffers: at r == 0 the slice is a view
         # of y, and an AND into it would corrupt y for every later lag.
@@ -90,41 +85,44 @@ def _packed_counts(ind: np.ndarray, lags: Sequence[int], cyclic: bool) -> dict[i
             win &= x
         else:
             np.bitwise_and(y[q:q + words], x, out=win)
-        out[s] = int(np.bitwise_count(win).sum())
+        out[i] = np.bitwise_count(win).sum()
     return out
 
 
-def _intersection_counts(a: IntegerSet, shifts: Sequence[int], mode: str) -> list[int]:
+def _intersection_counts(a: IntegerSet, shifts, mode: str) -> np.ndarray:
     """|A ∩ (A + s)| for each shift, exactly (integer or cyclic convention).
 
-    Two exact routes, picked by _count_directly: a direct AND-popcount of
-    the packed indicator per distinct lag, or one FFT autocorrelation of
-    the indicator for every lag at once.  In integer mode the count
-    depends on |s| only and vanishes once |s| >= N; shifts are reduced as
-    Python integers, so any size is safe.
+    shifts is an int64 or object array (any other sequence is read as
+    Python integers).  Two exact routes, picked by _count_directly: a
+    direct AND-popcount of the packed indicator per distinct lag, or one
+    FFT autocorrelation of the indicator for every lag at once.  In
+    integer mode the count depends on |s| only and vanishes once |s| >= N.
     """
     n = a.n
+    if not isinstance(shifts, np.ndarray):
+        shifts = np.array(shifts, dtype=object)
     ind = np.zeros(n, dtype=bool)
     if mode == INTEGER:
-        lags = [abs(int(s)) for s in shifts]
-        distinct = sorted({s for s in lags if s < n})
-        top = min(max(lags, default=0), n - 1)
+        lags = np.minimum(np.abs(shifts), n).astype(np.int64)  # N stands for any |s| >= N
         ind[a.array - 1] = True
-        if _count_directly(len(distinct), n, _fast_length(n + top)):
-            counts = _packed_counts(ind, distinct, cyclic=False)
-            return [counts.get(s, 0) for s in lags]
-        corr = exact_correlation(ind, ind, max_lag=top).tolist()
-        return [corr[s] if s < n else 0 for s in lags]
-    if mode == CYCLIC:
-        lags = [int(s) % n for s in shifts]
-        distinct = sorted(set(lags))
+        top = min(int(lags.max(initial=0)), n - 1)
+        length = _fast_length(n + top)
+    elif mode == CYCLIC:
+        lags = (shifts % n).astype(np.int64)
         ind[a.array % n] = True
-        if _count_directly(len(distinct), n, _fast_length(2 * n)):
-            counts = _packed_counts(ind, distinct, cyclic=True)
-            return [counts[s] for s in lags]
-        corr = exact_correlation(ind, ind, cyclic=True)
-        return [int(corr[s]) for s in lags]
-    raise ValueError(f"unknown mode {mode!r} (want {INTEGER!r} or {CYCLIC!r})")
+        length = _fast_length(2 * n)
+    else:
+        raise ValueError(f"unknown mode {mode!r} (want {INTEGER!r} or {CYCLIC!r})")
+    distinct, where = np.unique(lags, return_inverse=True)
+    inside = distinct[distinct < n]
+    if _count_directly(inside.size, n, length):
+        counts = _packed_counts(ind, inside, cyclic=mode == CYCLIC)
+    elif mode == CYCLIC:
+        counts = exact_correlation(ind, ind, cyclic=True)[inside]
+    else:
+        counts = exact_correlation(ind, ind, max_lag=top)[inside]
+    # a lag of N (integer mode only) meets nothing
+    return np.append(counts, np.zeros(distinct.size - inside.size, np.int64))[where]
 
 
 def _count_table(a: IntegerSet, family: PolynomialFamily, m: int, mode: str,
@@ -146,9 +144,9 @@ def _count_table(a: IntegerSet, family: PolynomialFamily, m: int, mode: str,
             raise ValueError("validated ShiftRange was computed for different inputs")
         if m > validated.m:
             raise ValueError(f"requested M={m} exceeds validated bound {validated.m}")
-    shifts = [poly.evaluate(n) for poly in family for n in range(1, m + 1)]
-    counts = _intersection_counts(a, shifts, mode)
-    return np.array(counts, dtype=np.int64).reshape(family.size, m)
+    ns = np.arange(1, m + 1, dtype=np.int64)
+    shifts = np.concatenate([poly.values(ns) for poly in family])
+    return _intersection_counts(a, shifts, mode).reshape(family.size, m)
 
 
 def intersection_profile(a: IntegerSet, family: PolynomialFamily, m: int,
@@ -223,24 +221,6 @@ def default_schedule(eps: float) -> Callable[[int], float]:
     if eps <= 0:
         raise ValueError("eps must be positive")
     return lambda t: eps / (4.0 * math.pi * (t + 1))
-
-
-def reference_schedule_log(t: int, eps: float, ell: int, c1: float = 1.0,
-                           k_order: int = 8, c_schedule: float = 1.0) -> float:
-    """log of the tower-type reference schedule, evaluated symbolically.
-
-    The schedule itself, (l C1)^(-K) (eps / 4 pi t)^(C Kt^2) / 2,
-    underflows float range almost immediately, so only its logarithm is
-    exposed; it exists for inspection and for comparing shrink rates, not
-    for driving the decomposition.
-    """
-    if t < 1 or eps <= 0 or ell < 1:
-        raise ValueError("need t >= 1, eps > 0, ell >= 1")
-    return (
-        -k_order * math.log(ell * c1)
-        + c_schedule * k_order * t * t * math.log(eps / (4.0 * math.pi * t))
-        - math.log(2.0)
-    )
 
 
 @dataclass(frozen=True)
@@ -331,16 +311,6 @@ def decompose(f: ZnFunction, eps: float,
     )
 
 
-def main_term(spec: Spectrum, support: Sequence[int], shift: int) -> complex:
-    """Structured part of a correlation: sum over the support frequencies
-    of |F(xi)|^2 e(xi * shift / N)."""
-    n = spec.modulus
-    xi = np.array(list(support), dtype=np.int64)
-    weights = np.abs(spec.coefficients[xi]) ** 2
-    phases = np.exp(2j * np.pi * (xi * (shift % n)) / n)
-    return complex(np.sum(weights * phases))
-
-
 @dataclass(frozen=True)
 class UniformCertificate:
     """Census of shifts whose profile stays eps-close to density^2."""
@@ -382,28 +352,3 @@ def uniform_certificate(a: IntegerSet, family: PolynomialFamily, eps: float,
         predicted_fraction=predicted,
         bound_holds=count >= predicted * sr.m,
     )
-
-
-def error_term_census(h: ZnFunction, g: ZnFunction, poly, m: int,
-                      threshold: float,
-                      tol: Tolerances = DEFAULT_TOLERANCES) -> int:
-    """Number of n <= M whose correlation at shift P(n) reaches the threshold.
-
-    Computes v_n = (1/N) sum_x h(x) g(x - P(n)) for every n and counts
-    |v_n| >= threshold.  Both inputs must sit in the L2 unit ball.
-    """
-    if m < 1:
-        raise ValueError("need M >= 1")
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    for name, fn in (("h", h), ("g", g)):
-        if lp_norm(fn, 2) > 1.0 + tol.unit_norm_slack:
-            raise ValueError(f"{name} must satisfy lp_norm({name}, 2) <= 1")
-    corr = correlation(h, g)
-    n_mod = h.modulus
-    count = 0
-    for n in range(1, m + 1):
-        v = corr[poly.evaluate(n) % n_mod]
-        if abs(v) >= threshold:
-            count += 1
-    return count

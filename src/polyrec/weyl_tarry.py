@@ -82,7 +82,7 @@ def weyl_sum(poly: IntPolynomial, m: int, n_modulus: int,
         raise ValueError("need M >= 1 and N >= 1")
     w = _check_weights(weights, m)
     mass = np.zeros(n_modulus, dtype=np.int64)
-    residues = [poly.evaluate(n) % n_modulus for n in range(1, m + 1)]
+    residues = (poly.values(np.arange(1, m + 1)) % n_modulus).astype(np.int64)
     np.add.at(mass, residues, w)
     values = np.fft.ifft(mass) * n_modulus  # sum_y mass[y] e(+y xi / N)
     return WeylSum(poly=poly, length=m, modulus=n_modulus, weights=w, values=values)
@@ -98,8 +98,8 @@ def moment_2k(s: WeylSum, k_order: int) -> float:
 
 def value_range(poly: IntPolynomial, m: int) -> tuple[int, int]:
     """Exact (min, max) of P over [1, M]."""
-    vals = [poly.evaluate(n) for n in range(1, m + 1)]
-    return min(vals), max(vals)
+    vals = poly.values(np.arange(1, m + 1))
+    return int(vals.min()), int(vals.max())
 
 
 def wrap_free(poly: IntPolynomial, m: int, n_modulus: int, k_order: int) -> bool:
@@ -184,7 +184,7 @@ def count_solutions_mod(poly: IntPolynomial, m: int, n_modulus: int,
     if m < 1 or n_modulus < 1 or k_order < 1:
         raise ValueError("need M >= 1, N >= 1, K >= 1")
     residues, mult = np.unique(
-        np.array([poly.evaluate(n) % n_modulus for n in range(1, m + 1)], dtype=np.int64),
+        (poly.values(np.arange(1, m + 1)) % n_modulus).astype(np.int64),
         return_counts=True)
     return _shift_add_square_sum(residues[:, None], mult, k_order, modulus=n_modulus)
 
@@ -253,19 +253,18 @@ def tarry_count_poly(poly: IntPolynomial, k_order: int, m: int) -> TarryCount:
     """
     if k_order < 1 or m < 1:
         raise ValueError("need K >= 1 and M >= 1")
-    values = [poly.evaluate(n) for n in range(1, m + 1)]
-    lo, hi = min(values), max(values)
+    values = poly.values(np.arange(1, m + 1))
+    lo, hi = int(values.min()), int(values.max())
     spread = hi - lo + 1
     work = sum(min(m ** j, k_order * spread) * m for j in range(1, k_order))
     if work > MITM_BUDGET:
         raise ValueError("budget exceeded with no fallback possible")
     if k_order * (spread - 1) + 1 <= SIGNATURE_BUDGET:
-        offsets, mult = np.unique(np.array([v - lo for v in values], dtype=np.int64),
-                                  return_counts=True)
+        offsets, mult = np.unique((values - lo).astype(np.int64), return_counts=True)
         count = _shift_add_square_sum(offsets[:, None], mult, k_order)
         method = "convolution"
     else:
-        count = _grouped_square_sum([values], k_order)
+        count = _grouped_square_sum([values.tolist()], k_order)
         method = "mitm"
     return TarryCount(k_order=k_order, m=m, count=count, method=method, poly=poly)
 

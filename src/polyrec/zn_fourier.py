@@ -30,7 +30,6 @@ __all__ = [
     "ellp_norm",
     "indicator",
     "balanced_function",
-    "correlation",
     "ExactnessError",
     "exact_correlation",
 ]
@@ -128,20 +127,6 @@ def balanced_function(a: IntegerSet) -> ZnFunction:
     vals = np.full(a.n, -float(a.density), dtype=np.complex128)
     vals[a.array % a.n] += 1.0  # residues are distinct, so each gets one 1
     return ZnFunction(a.n, vals)
-
-
-def correlation(h: ZnFunction, g: ZnFunction) -> np.ndarray:
-    """All shifted averages out[t] = (1/N) sum_x h(x) g(x - t), computed spectrally.
-
-    For real f, correlation(f, f)[t] equals sum_xi |F(xi)|^2 e(t xi / N).
-    """
-    if h.modulus != g.modulus:
-        raise ValueError("h and g must live on the same Z_N")
-    n = h.modulus
-    # out[t] = (1/N) * (h * g~)(t) with g~(y) = g(-y), a cyclic convolution.
-    g_rev = np.roll(g.values[::-1], 1)
-    out = np.fft.ifft(np.fft.fft(h.values) * np.fft.fft(g_rev)) / n
-    return out
 
 
 def _fast_length(n: int) -> int:

@@ -14,6 +14,11 @@ from itertools import product
 import numpy as np
 
 
+def _value(poly, n):
+    """P(n) = sum_i c_i n^i, read from the coefficients (c_1 first)."""
+    return sum(c * n ** i for i, c in enumerate(poly.coefficients, start=1))
+
+
 def naive_dft(values):
     """Probability-normalized DFT by direct O(N^2) summation."""
     n = len(values)
@@ -37,18 +42,6 @@ def naive_inverse_dft(coeffs):
     return out
 
 
-def naive_correlation(h_vals, g_vals):
-    """out[t] = (1/N) sum_x h(x) g(x - t), indices mod N."""
-    n = len(h_vals)
-    out = np.zeros(n, dtype=complex)
-    for t in range(n):
-        acc = 0j
-        for x in range(n):
-            acc += h_vals[x] * g_vals[(x - t) % n]
-        out[t] = acc / n
-    return out
-
-
 def naive_intersection_integer(elements, ambient, shift):
     """|A intersect (A - shift)| inside [1, ambient], no wraparound."""
     elems = set(elements)
@@ -66,7 +59,7 @@ def naive_weyl_sum(poly, m, n_modulus, point, weights=None):
     acc = 0j
     for i, n in enumerate(range(1, m + 1)):
         w = 1 if weights is None else weights[i]
-        acc += w * cmath.exp(2j * math.pi * poly.evaluate(n) * point / n_modulus)
+        acc += w * cmath.exp(2j * math.pi * _value(poly, n) * point / n_modulus)
     return acc
 
 
@@ -83,9 +76,9 @@ def naive_count_solutions_mod(poly, m, n_modulus, k_order):
     """Tuples (x, y) in [1,m]^K x [1,m]^K with equal P-sums mod N."""
     count = 0
     for xs in product(range(1, m + 1), repeat=k_order):
-        sx = sum(poly.evaluate(x) for x in xs) % n_modulus
+        sx = sum(_value(poly, x) for x in xs) % n_modulus
         for ys in product(range(1, m + 1), repeat=k_order):
-            sy = sum(poly.evaluate(y) for y in ys) % n_modulus
+            sy = sum(_value(poly, y) for y in ys) % n_modulus
             if sx == sy:
                 count += 1
     return count
@@ -148,7 +141,7 @@ def naive_good_shifts(elements, ambient, polys, m, eps, cyclic=False):
     count = naive_intersection_cyclic if cyclic else naive_intersection_integer
     threshold = Fraction(len(set(elements)), ambient) ** 2 - Fraction(eps)
     return [n for n in range(1, m + 1)
-            if all(Fraction(count(elements, ambient, p.evaluate(n)), ambient) > threshold
+            if all(Fraction(count(elements, ambient, _value(p, n)), ambient) > threshold
                    for p in polys)]
 
 
@@ -158,7 +151,7 @@ def naive_uniform_count(elements, ambient, polys, m, eps):
     target = Fraction(len(set(elements)), ambient) ** 2
     return sum(
         1 for n in range(1, m + 1)
-        if all(abs(Fraction(naive_intersection_cyclic(elements, ambient, p.evaluate(n)),
+        if all(abs(Fraction(naive_intersection_cyclic(elements, ambient, _value(p, n)),
                             ambient) - target) < Fraction(eps)
                for p in polys))
 
@@ -177,8 +170,20 @@ def naive_good_set_family(polys, thetas, eps, n_range):
     """n <= N with dist(P_i(n) theta, Z) < eps for every P_i and rational
     theta, in Fractions."""
     return [n for n in range(1, n_range + 1)
-            if all(_distance_to_z(p.evaluate(n) * Fraction(th)) < Fraction(eps)
+            if all(_distance_to_z(_value(p, n) * Fraction(th)) < Fraction(eps)
                    for p in polys for th in thetas)]
+
+
+def naive_good_set_long_double(polys, thetas, eps, n_range):
+    """n <= N with |P_i(n) theta| < eps for every P_i and real theta, one n
+    at a time: P(n) goes to long double as np.longdouble(int) takes it."""
+    ths = np.asarray([float(th) for th in thetas], dtype=np.longdouble)
+    out = []
+    for n in range(1, n_range + 1):
+        prods = [np.longdouble(_value(p, n)) * ths for p in polys]
+        if all(np.all(np.abs(x - np.rint(x)) < eps) for x in prods):
+            out.append(n)
+    return out
 
 
 def naive_recurrence_measure(mapping, subset, shift):
@@ -226,9 +231,9 @@ def naive_count_solutions(poly, m, k_order):
     """Tuples (x, y) in [1,m]^K x [1,m]^K with equal P-sums over the integers."""
     count = 0
     for xs in product(range(1, m + 1), repeat=k_order):
-        sx = sum(poly.evaluate(x) for x in xs)
+        sx = sum(_value(poly, x) for x in xs)
         for ys in product(range(1, m + 1), repeat=k_order):
-            if sx == sum(poly.evaluate(y) for y in ys):
+            if sx == sum(_value(poly, y) for y in ys):
                 count += 1
     return count
 

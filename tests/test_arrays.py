@@ -99,7 +99,7 @@ def test_rotation_measure_is_a_cyclic_intersection_count(m, a, s, data):
     points = data.draw(st.sets(st.integers(0, m - 1)))
     # the point 0 of Z_m is the element m of [1, m]
     a_set = IntegerSet(m, [x or m for x in points])
-    count = _intersection_counts(a_set, [a * s], CYCLIC)[0]
+    count = _intersection_counts(a_set, [a * s], CYCLIC).tolist()[0]
     assert count == naive_intersection_cyclic(a_set.elements, m, a * s)
     measure = recurrence_measure(FiniteMPSystem.rotation(m, a), points, s)
     assert measure == Fraction(count, m)

@@ -150,3 +150,24 @@ def test_invalid_literals_exit_2(capsys):
                  "--eps", "0.1"]) == 2
     assert main(["dioph", "--action", "goodset", "--alpha", "x,y",
                  "--eps", "0.1"]) == 2
+
+
+def test_search_with_a_huge_c_scans_to_the_first_bad_shift(capsys):
+    code, report = run_cli(capsys, "search", "--N", "1000", "--set", "evens",
+                           "--poly", "0,0,1", "--eps", "0.1", "--c", "1e200")
+    assert code == 0
+    # j^3 <= eps N = 100 holds up to j = 4
+    assert report["results"]["shift_bound"] == 4
+    assert report["results"]["shift_bound_adjusted"]
+
+
+@pytest.mark.parametrize("flag, value", [("--eps", "inf"), ("--c", "inf"),
+                                         ("--eps", "nan")])
+def test_search_refuses_non_finite_eps_and_c(capsys, flag, value):
+    argv = {"--N": "1000", "--set": "evens", "--poly": "0,1", "--eps": "0.1",
+            flag: value}
+    code = main(["search", *(part for item in argv.items() for part in item)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")

@@ -8,11 +8,13 @@ count, value or distance on the limit must fall on the strict side.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polyrec import lattice_dioph
 from polyrec.intset import IntegerSet
 from polyrec.lattice_dioph import (BlockVector, approx_good_set_family,
                                    approx_good_set_power)
@@ -20,8 +22,8 @@ from polyrec.polyfam import IntPolynomial, PolynomialFamily, shift_range
 from polyrec.recurrence import (CYCLIC, INTEGER, find_good_shifts,
                                 intersection_profile, uniform_certificate)
 
-from oracles import (naive_good_set_family, naive_good_set_power,
-                     naive_good_shifts, naive_uniform_count)
+from oracles import (naive_good_set_family, naive_good_set_long_double,
+                     naive_good_set_power, naive_good_shifts, naive_uniform_count)
 
 PROPERTY = settings(max_examples=60, deadline=None)
 EPS = st.sampled_from([0.5, 0.25, 0.125]) | st.floats(0.01, 2.0)
@@ -105,17 +107,23 @@ def test_uniform_window_excludes_both_ends():
 
 
 @PROPERTY
-@given(family=families, n=st.integers(1, 400), eps=EPS)
-@example(family=PolynomialFamily((IntPolynomial((2,)),)), n=16, eps=0.25)
-@example(family=PolynomialFamily((LINEAR,)), n=10, eps=0.3)
-def test_shift_range_matches_fraction_bound(family, n, eps):
-    bound = Fraction(eps) * n
-    worst = [max(abs(p.evaluate(j)) for p in family) for j in range(1, int(bound) + 2)]
-    if bound < 1 or worst[0] > bound:
+@given(family=families, n=st.integers(1, 400) | st.integers(1000, 5000), eps=EPS,
+       c=st.sampled_from([1.0, 1e6]))
+@example(family=PolynomialFamily((IntPolynomial((2,)),)), n=16, eps=0.25, c=1.0)
+@example(family=PolynomialFamily((LINEAR,)), n=10, eps=0.3, c=1.0)
+@example(family=PolynomialFamily((IntPolynomial((-2, 1)),)), n=6, eps=0.25, c=1e6)
+@example(family=PolynomialFamily((LINEAR,)), n=5000, eps=2.0, c=1e6)
+@example(family=PolynomialFamily((IntPolynomial((-1, 1)),)), n=1, eps=0.5, c=1e6)
+def test_shift_range_matches_fraction_bound(family, n, eps, c):
+    # |P(j)| >= j except at the k - 1 roots of P(j)/j, so a shift past
+    # bound + k is inadmissible whatever c is
+    bound, k = Fraction(eps) * n, family.common_degree_bound
+    worst = [max(abs(p.evaluate(j)) for p in family) for j in range(1, int(bound) + k + 2)]
+    if Fraction(c) ** k * bound < 1 or worst[0] > bound:
         with pytest.raises(ValueError):
-            shift_range(family, n, eps)
+            shift_range(family, n, eps, c)
         return
-    sr = shift_range(family, n, eps)
+    sr = shift_range(family, n, eps, c)
     want = next((j for j in range(1, sr.m_nominal + 1) if worst[j - 1] > bound),
                 sr.m_nominal + 1) - 1
     assert sr.m == want
@@ -150,6 +158,58 @@ def test_rational_family_good_set_matches_fraction_scan(family, thetas, eps, n_r
     good = approx_good_set_family(family, thetas, eps, n_range)
     assert good.exact
     assert list(good.members) == naive_good_set_family(family, thetas, eps, n_range)
+
+
+@st.composite
+def big_rationals(draw):
+    """p/q with q > 2^32, so that residue products pass int64."""
+    q = draw(st.integers(2 ** 32 + 1, 2 ** 70))
+    return Fraction(draw(st.integers(-3 * q, 3 * q)), q)
+
+
+big_coefficients = st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=1,
+                            max_size=3).filter(lambda c: c[-1]).map(tuple)
+big_families = st.lists(st.builds(IntPolynomial, big_coefficients), min_size=1,
+                        max_size=2).map(lambda polys: PolynomialFamily(tuple(polys)))
+CHUNKS = st.sampled_from([1, 7, 1 << 16])
+
+
+@PROPERTY
+@given(family=families | big_families,
+       thetas=st.lists(rationals | big_rationals(), min_size=1, max_size=3),
+       eps=EPS, n_range=st.integers(1, 60), chunk=CHUNKS)
+@example(family=PolynomialFamily((LINEAR,)), thetas=[Fraction(1, 2 ** 33 + 1)],
+         eps=0.125, n_range=60, chunk=7)
+def test_family_good_set_in_chunks_matches_fraction_scan(family, thetas, eps, n_range,
+                                                         chunk):
+    # q > 2^32 takes the Python-integer residues; a chunk below N splits the scan
+    with mock.patch.object(lattice_dioph, "_DILATE_CHUNK", chunk):
+        good = approx_good_set_family(family, thetas, eps, n_range)
+    assert good.exact
+    assert list(good.members) == naive_good_set_family(family, thetas, eps, n_range)
+
+
+def test_family_good_set_past_one_chunk():
+    n_range = lattice_dioph._DILATE_CHUNK + 300
+    family = PolynomialFamily((IntPolynomial((0, 1)), IntPolynomial((3, 0, -2))))
+    thetas = [Fraction(2, 7), Fraction(1, 2 ** 40 + 15)]
+    good = approx_good_set_family(family, thetas, 0.25, n_range)
+    assert list(good.members) == naive_good_set_family(family, thetas, 0.25, n_range)
+    assert good.members[-1] > lattice_dioph._DILATE_CHUNK
+
+
+@PROPERTY
+@given(coeffs=big_coefficients,
+       thetas=st.lists(st.floats(-2, 2), min_size=1, max_size=3),
+       eps=st.floats(0.01, 0.5), n_range=st.integers(1, 60), chunk=CHUNKS)
+def test_float_family_good_set_matches_scalar_long_double_scan(coeffs, thetas, eps,
+                                                              n_range, chunk):
+    # values past 2^63 go to long double as np.longdouble(int) takes them
+    family = PolynomialFamily((IntPolynomial(coeffs), LINEAR))
+    with mock.patch.object(lattice_dioph, "_DILATE_CHUNK", chunk):
+        good = approx_good_set_family(family, thetas, eps, n_range)
+    assert not good.exact
+    assert list(good.members) == naive_good_set_long_double(family, thetas, eps, n_range)
 
 
 def test_distance_on_eps_is_not_good():

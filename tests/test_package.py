@@ -1,4 +1,5 @@
-"""Package-level checks: the export list and imports that nothing uses."""
+"""Package-level checks: the export list, and imports and private names
+that nothing reads."""
 
 import ast
 from pathlib import Path
@@ -9,13 +10,14 @@ import polyrec
 
 SRC = Path(polyrec.__file__).parent
 
-#: Every name the package exported when its export list was kept by hand.
+#: Every name the package exported when its export list was kept by hand,
+#: less the helpers deleted since because nothing read them.
 EXPORTED = [
     "Constants", "ExperimentConfig", "Tolerances", "ConfigError",
     "DEFAULT_CONSTANTS", "DEFAULT_TOLERANCES", "load_config",
     "IntegerSet", "bernoulli_mask", "generate_set",
     "ExactnessError", "Spectrum", "ZnFunction", "balanced_function",
-    "correlation", "dft", "ellp_norm", "exact_correlation", "indicator",
+    "dft", "ellp_norm", "exact_correlation", "indicator",
     "inverse_dft", "lp_norm",
     "CoefficientMatrix", "IntPolynomial", "LiftResult", "PolynomialFamily",
     "ShiftRange", "check_difference_identity", "check_lift_implication",
@@ -24,8 +26,7 @@ EXPORTED = [
     "growth_probe", "moment_2k", "tarry_count", "tarry_count_poly",
     "value_range", "weyl_sum", "wrap_free",
     "DecompositionResult", "ShiftReport", "UniformCertificate", "decompose",
-    "default_schedule", "error_term_census", "find_good_shifts",
-    "intersection_profile", "main_term", "reference_schedule_log",
+    "default_schedule", "find_good_shifts", "intersection_profile",
     "uniform_certificate",
     "AverageBoundsReport", "BlockVector", "GoodSet", "ProductLattice",
     "SchmidtReport", "WeylDenominatorReport", "approx_good_set_family",
@@ -76,3 +77,58 @@ def test_unused_import_check_flags_an_unread_name():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_modules_import_nothing_they_do_not_use(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_definitions(source: str) -> dict[str, int]:
+    """Private module-level functions, classes and constants, and private
+    methods, each with its line (dunder names aside)."""
+    found = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        found.update((name, node.lineno) for name in names if _is_private(name))
+        if isinstance(node, ast.ClassDef):
+            found.update((item.name, item.lineno) for item in node.body
+                         if isinstance(item, ast.FunctionDef) and _is_private(item.name))
+    return found
+
+
+def names_read(source: str) -> set[str]:
+    """Names a module loads, attributes it reads and names it imports."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_private_name_check_flags_an_unread_definition():
+    source = ("_A = 1\n_B: int = 2\ndef _f():\n    return _A\n"
+              "class _C:\n    def _m(self):\n        return self._n()\n"
+              "    def _n(self):\n        return _f()\n    def __len__(self):\n"
+              "        return 0\n")
+    unread = set(private_definitions(source)) - names_read(source)
+    assert unread == {"_B", "_C", "_m"}
+
+
+def test_private_names_are_read_in_the_package():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    read = set().union(*map(names_read, sources.values()))
+    unread = [f"{module} line {line}: {name}"
+              for module, source in sorted(sources.items())
+              for name, line in private_definitions(source).items() if name not in read]
+    assert unread == []

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polyrec.intset import IntegerSet, generate_set
-from polyrec.polyfam import (IntPolynomial, PolynomialFamily,
+from polyrec.polyfam import (IntPolynomial, PolynomialFamily, _integer_root,
                              check_difference_identity, check_lift_implication,
                              coefficient_analysis, lift_construction,
                              shift_range)
@@ -16,7 +18,7 @@ def test_polynomial_parse_and_evaluate():
     p = IntPolynomial.parse("2,0,-1")
     assert p.degree == 3
     assert p.evaluate(3) == 2 * 3 - 27
-    assert p(0) == 0  # zero constant term always
+    assert p.evaluate(0) == 0  # zero constant term always
     assert str(p) == "2,0,-1"
 
 
@@ -31,6 +33,49 @@ def test_evaluate_is_exact_on_big_inputs():
     p = IntPolynomial((0, 0, 7))
     n = 10 ** 8
     assert p.evaluate(n) == 7 * n ** 3  # would overflow float64
+
+
+INT64_MAX = 2 ** 63 - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeffs=st.lists(st.integers(-10 ** 6, 10 ** 6) | st.integers(-2 ** 70, 2 ** 70),
+                       min_size=1, max_size=4).filter(lambda c: c[-1]),
+       ns=st.lists(st.integers(-2 ** 21, 2 ** 21) | st.integers(-2 ** 63, INT64_MAX),
+                   max_size=20))
+@example(coeffs=[INT64_MAX], ns=[1, -1, 0])
+@example(coeffs=[-3, 5, -7], ns=[-2 ** 63, INT64_MAX])
+def test_values_match_evaluate(coeffs, ns):
+    p = IntPolynomial(tuple(coeffs))
+    got = p.values(np.array(ns, dtype=np.int64))
+    assert got.shape == (len(ns),)
+    assert [int(v) for v in got] == [p.evaluate(n) for n in ns]
+
+
+@pytest.mark.parametrize("coeffs, ns, dtype", [
+    ((INT64_MAX,), [1, -1], np.int64),                # bound 2^63 - 1 fits
+    ((2 ** 62, 2 ** 62), [1, 0], object),              # bound 2^63 does not
+    ((-1, -1), [2 ** 31 - 1, -(2 ** 31 - 1)], np.int64),
+    ((2 ** 62, 2 ** 62 - 1), [1, -1], np.int64),       # bound 2^63 - 1 again
+    ((0, 0, -1), [2 ** 21 - 1, 1 - 2 ** 21], np.int64),
+    ((0, 0, -1), [2 ** 21], object),                   # (2^21)^3 = 2^63
+    ((1,), [-2 ** 63], object),                        # |n| itself passes int64
+    ((1,), [], np.int64),
+])
+def test_values_dtype_follows_the_int64_bound(coeffs, ns, dtype):
+    p = IntPolynomial(coeffs)
+    got = p.values(np.array(ns, dtype=np.int64))
+    assert got.dtype == dtype
+    assert got.tolist() == [p.evaluate(n) for n in ns]
+
+
+@given(x=st.integers(0, 10 ** 6) | st.integers(0, 2 ** 400),
+       den=st.integers(1, 50), k=st.integers(1, 6))
+@example(x=10 ** 400, den=1, k=3)
+def test_integer_root_is_exact(x, den, k):
+    bound = Fraction(x, den)
+    m = _integer_root(bound, k)
+    assert m ** k <= bound < (m + 1) ** k
 
 
 def test_family_shape_helpers():

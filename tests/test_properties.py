@@ -62,7 +62,7 @@ shift_values = st.integers(-150, 150) | st.integers(-10 ** 30, 10 ** 30)
 def test_intersection_counts_match_oracles(a, shifts, mode):
     naive = naive_intersection_integer if mode == INTEGER else naive_intersection_cyclic
     want = [naive(a.elements, a.n, s) for s in shifts]
-    assert _intersection_counts(a, shifts, mode) == want
+    assert _intersection_counts(a, shifts, mode).tolist() == want
 
 
 @st.composite
@@ -92,7 +92,7 @@ def test_both_routes_match_oracles(case, mode, direct):
     naive = naive_intersection_integer if mode == INTEGER else naive_intersection_cyclic
     want = [naive(a.elements, a.n, s) for s in shifts]
     with mock.patch.object(recurrence, "_count_directly", lambda *args: direct):
-        assert _intersection_counts(a, shifts, mode) == want
+        assert _intersection_counts(a, shifts, mode).tolist() == want
 
 
 def _route(n, shifts, mode):

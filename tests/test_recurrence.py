@@ -7,10 +7,8 @@ import pytest
 
 from polyrec.intset import IntegerSet, generate_set
 from polyrec.polyfam import IntPolynomial, PolynomialFamily, shift_range
-from polyrec.recurrence import (decompose, default_schedule, error_term_census,
-                                find_good_shifts, intersection_profile,
-                                main_term, reference_schedule_log,
-                                uniform_certificate)
+from polyrec.recurrence import (decompose, default_schedule, find_good_shifts,
+                                intersection_profile, uniform_certificate)
 from polyrec.zn_fourier import (ZnFunction, balanced_function, dft, ellp_norm,
                                 indicator, lp_norm)
 
@@ -178,23 +176,6 @@ def test_default_schedule_shape():
         default_schedule(0.0)
 
 
-def test_reference_schedule_log_decreases_fast():
-    vals = [reference_schedule_log(t, 0.1, 2) for t in (1, 2, 3)]
-    assert vals[0] > vals[1] > vals[2]
-    # the log-scale drop is already enormous by t = 3
-    assert vals[2] < -100.0
-
-
-def test_main_term_at_zero_shift_is_support_mass():
-    a = generate_set("random", 128, density=0.4, seed=8)
-    f = balanced_function(a)
-    out = decompose(f, 0.3)
-    spec = dft(f)
-    got = main_term(spec, out.support, 0)
-    want = sum(abs(spec.coefficients[xi]) ** 2 for xi in out.support)
-    assert abs(got - want) < 1e-12
-
-
 def test_uniform_certificate_on_random_set():
     a = generate_set("random", 4096, density=0.5, seed=12)
     fam = PolynomialFamily.parse(["0,1"])
@@ -211,14 +192,3 @@ def test_uniform_certificate_structured_set_fails_prediction_gracefully():
     cert = uniform_certificate(a, fam, 0.05, k_order=8)
     assert abs(cert.eta - 0.5) < 1e-12   # evens have a huge coefficient
     assert cert.predicted_fraction < 1.0
-
-
-def test_error_term_census():
-    a = generate_set("random", 256, density=0.5, seed=4)
-    f = balanced_function(a)
-    poly = IntPolynomial((0, 1))
-    total = error_term_census(f, f, poly, 10, 1e-12)
-    big = error_term_census(f, f, poly, 10, 0.9)
-    assert 0 <= big <= total <= 10
-    with pytest.raises(ValueError):
-        error_term_census(ZnFunction(4, 5 * np.ones(4)), f, poly, 3, 0.1)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from polyrec.intset import IntegerSet
-from polyrec.zn_fourier import (ZnFunction, balanced_function, correlation,
-                                dft, ellp_norm, indicator, inverse_dft, lp_norm)
+from polyrec.zn_fourier import (ZnFunction, balanced_function, dft, ellp_norm,
+                                indicator, inverse_dft, lp_norm)
 
-from oracles import naive_correlation, naive_dft, naive_inverse_dft
+from oracles import naive_dft, naive_inverse_dft
 
 
 def test_dft_of_constant_one():
@@ -86,29 +86,6 @@ def test_balanced_of_evens_has_single_nonzero_frequency():
     assert np.max(others) < 1e-12
 
 
-def test_correlation_matches_naive():
-    rng = np.random.default_rng(10)
-    for n in (2, 9, 40):
-        h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        got = correlation(ZnFunction(n, h), ZnFunction(n, g))
-        want = naive_correlation(h, g)
-        assert np.max(np.abs(got - want)) < 1e-10
-
-
-def test_correlation_counts_intersections():
-    # For indicators, N * correlation at t counts |A intersect (A + t)| mod N.
-    a = IntegerSet(12, (1, 2, 3, 7))
-    ind = indicator(a)
-    cor = correlation(ind, ind)
-    residues = set(x % 12 for x in a.elements)
-    for t in range(12):
-        direct = sum(1 for r in residues if (r - t) % 12 in residues)
-        assert abs(cor[t] * 12 - direct) < 1e-10
-
-
 def test_modulus_mismatch_rejected():
-    with pytest.raises(ValueError):
-        correlation(ZnFunction(4, np.ones(4)), ZnFunction(5, np.ones(5)))
     with pytest.raises(ValueError):
         ZnFunction(4, np.ones(3))
