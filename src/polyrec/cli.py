@@ -80,6 +80,8 @@ def _parse_subset(spec: str, m: int, default_seed: int):
             raise ValueError("range literal is range:a:b (inclusive)")
         return range(int(parts[1]), int(parts[2]) + 1)
     if kind == "list":
+        if len(parts) != 2:
+            raise ValueError("list literal is list:i,j,...")
         return [int(x) for x in parts[1].split(",")]
     if kind == "random":
         if len(parts) not in (2, 3):
@@ -105,15 +107,17 @@ def _parse_system(spec: str) -> FiniteMPSystem:
     """System literals: rotation:m[:a] | skew:m[:a] | perm:path."""
     parts = spec.split(":")
     kind = parts[0].lower()
-    if kind == "rotation":
+    if kind in ("rotation", "skew"):
+        if len(parts) not in (2, 3):
+            raise ValueError(f"{kind} literal is {kind}:m[:a]")
         m = int(parts[1])
         a = int(parts[2]) if len(parts) > 2 else 1
-        return FiniteMPSystem.rotation(m, a)
-    if kind == "skew":
-        m = int(parts[1])
-        a = int(parts[2]) if len(parts) > 2 else 1
+        if kind == "rotation":
+            return FiniteMPSystem.rotation(m, a)
         return FiniteMPSystem.skew_product(m, a)
     if kind == "perm":
+        if len(parts) < 2:
+            raise ValueError("perm literal is perm:path")
         with open(parts[1]) as fh:
             data = json.load(fh)
         return FiniteMPSystem.from_permutation(data)
@@ -125,11 +129,17 @@ def _parse_lattice(spec: str) -> ProductLattice:
     parts = spec.split(":")
     kind = parts[0].lower()
     if kind == "int":
+        if len(parts) != 2:
+            raise ValueError("int literal is int:d1,d2,...")
         return ProductLattice.integers([int(d) for d in parts[1].split(",")])
     if kind == "scaled":
+        if len(parts) != 3:
+            raise ValueError("scaled literal is scaled:s:d1,d2,...")
         dims = [int(d) for d in parts[2].split(",")]
         return ProductLattice.scaled_integers(float(parts[1]), dims)
     if kind == "file":
+        if len(parts) < 2:
+            raise ValueError("file literal is file:path")
         with open(parts[1]) as fh:
             return ProductLattice.from_spec(json.load(fh))
     raise ValueError(f"unknown lattice literal {spec!r}")

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -33,76 +33,14 @@ __all__ = [
 ]
 
 
-class _CycleIndex(NamedTuple):
-    """The cycle decomposition of a permutation, as arrays.
-
-    Cycles are numbered by their smallest point; `order` lists every
-    point cycle by cycle, each cycle from its smallest point onwards, so
-    point x sits at order[start[cycle[x]] + pos[x]].
-    """
-
-    order: np.ndarray        # every point, cycle by cycle
-    cycle: np.ndarray        # per point: the number of its cycle
-    pos: np.ndarray          # per point: steps from its cycle's smallest point
-    start: np.ndarray        # per cycle: where it begins in `order`
-    length: np.ndarray       # per cycle: its length
-    lengths: tuple[int, ...]  # the distinct cycle lengths, ascending
-    length_rank: np.ndarray  # per cycle: the index of its length in `lengths`
-
-
-def _smallest_points(perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For every point x: the smallest point of its cycle, and the number
-    of steps from x forward to it.  Pointer jumping: O(n log L) array
-    steps for cycles of length at most L."""
-    n = perm.size
-    # After k rounds, low[x] is the smallest of x, T x, ..., T^(2^k - 1) x
-    # and dist[x] the number of steps from x to its first occurrence.  A
-    # round that lowers no entry leaves low[x] == low[T^(2^k) x] for every
-    # x, so low is constant along each cycle: its smallest point.
-    low, dist = np.arange(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    jump, span = perm, 1
-    while True:
-        ahead = low[jump]
-        better = ahead < low
-        if not better.any():
-            return low, dist
-        np.copyto(low, ahead, where=better)
-        ahead = dist[jump]
-        ahead += span
-        np.copyto(dist, ahead, where=better)
-        jump, span = jump[jump], 2 * span
-
-
-def _cycle_index(perm: np.ndarray) -> _CycleIndex:
-    """The cycle index of a permutation (see _CycleIndex)."""
-    low, dist = _smallest_points(perm)
-    is_low = dist == 0
-    length = dist[perm[is_low]] + 1
-    cycle = np.cumsum(is_low)[low]
-    cycle -= 1
-    pos = length[cycle]
-    pos -= dist
-    pos[is_low] = 0
-    del low, dist  # scratch, freed before the scatter below
-    start = np.zeros(length.size, dtype=np.int64)
-    np.cumsum(length[:-1], out=start[1:])
-    at = start[cycle]
-    at += pos
-    order = np.empty(perm.size, dtype=np.int64)
-    order[at] = np.arange(perm.size, dtype=np.int64)
-    lengths, length_rank = np.unique(length, return_inverse=True)
-    return _CycleIndex(order, cycle, pos, start, length, tuple(lengths.tolist()),
-                       length_rank)
-
-
 @dataclass(frozen=True, eq=False)
 class FiniteMPSystem:
     """A bijection of {0, ..., m-1} with uniform measure, held as a
     read-only int64 array.
 
     `mapping` is the same permutation as a tuple of Python ints, built on
-    first read.  The cycle decomposition is computed once, on first use,
-    and serves every power of T.
+    first read.  Powers of T come from repeated squaring of the array;
+    nothing about them is cached.
     """
 
     permutation: np.ndarray
@@ -150,38 +88,59 @@ class FiniteMPSystem:
     def mapping(self) -> tuple[int, ...]:
         return tuple(self.permutation.tolist())
 
-    @cached_property
-    def _index(self) -> _CycleIndex:
-        return _cycle_index(self.permutation)
-
     def cycles(self) -> list[list[int]]:
         """The cycles, ordered by their smallest point, each starting there."""
-        index = self._index
-        flat = index.order.tolist()
-        bounds = index.start.tolist() + [self.size]
-        return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        perm = self.mapping
+        seen = bytearray(len(perm))
+        out = []
+        for start in range(len(perm)):
+            if seen[start]:
+                continue
+            cycle = []
+            x = start
+            while not seen[x]:
+                seen[x] = 1
+                cycle.append(x)
+                x = perm[x]
+            out.append(cycle)
+        return out
 
     def order(self) -> int:
         """Least t >= 1 with T^t = identity (lcm of cycle lengths)."""
-        return math.lcm(*self._index.lengths)
+        return math.lcm(*{len(cycle) for cycle in self.cycles()})
 
     def _power(self, shift: int) -> np.ndarray:
-        """T^shift as an int64 array (see power_map)."""
-        index = self._index
-        # shift mod L in Python ints, once per distinct cycle length L
-        turn = np.array([shift % size for size in index.lengths], dtype=np.int64)
-        turn = turn[index.length_rank][index.cycle]
-        length = index.length[index.cycle]
-        pos = index.pos + turn
-        np.subtract(pos, length, out=pos, where=pos >= length)
-        return index.order[index.start[index.cycle] + pos]
+        """T^shift as an int64 array (see power_map).
+
+        Works in three arrays of the system's size whatever the shift, so
+        its memory does not depend on how many bits the shift has.
+        """
+        out = np.arange(self.size, dtype=np.int64)
+        step, spare = np.empty_like(out), np.empty_like(out)
+        if shift < 0:
+            step[self.permutation] = out
+            shift = -shift
+        else:
+            np.copyto(step, self.permutation)
+        while shift:
+            # step is T^(2^i) (or its inverse) while bit i of |shift| is read;
+            # mode="clip" writes straight into spare (indices are in range)
+            if shift & 1:
+                np.take(step, out, out=spare, mode="clip")
+                out, spare = spare, out
+            shift >>= 1
+            if shift:
+                np.take(step, step, out=spare, mode="clip")
+                step, spare = spare, step
+        return out
 
     def power_map(self, shift: int) -> tuple[int, ...]:
         """T^shift as a permutation tuple; shift may be negative or huge.
 
-        Every point moves shift mod L places along its cycle of length L,
-        read off the cached cycle decomposition with one gather, so the
-        cost does not depend on the magnitude of the shift.
+        Binary exponentiation: T^shift composes the squares T, T^2, T^4,
+        ... named by the bits of |shift| (of the inverse of T when shift is
+        negative), each by one array gather, so the cost is O(log |shift|)
+        gathers and the shift stays an exact Python int.
         """
         return tuple(self._power(shift).tolist())
 

@@ -502,7 +502,8 @@ def approx_good_set_family(family, thetas: Sequence, eps: float,
     every real theta_r.  Exact integer arithmetic when the thetas are
     rational: with theta = p/q, r = v p mod q and eps = a/b, the entry
     passes when min(r, q - r) < ceil(a q / b).  Otherwise the values go
-    to long double."""
+    to long double, and max |P_i(n)| * max |theta_r| past _PHASE_LIMIT is
+    refused like N^k is."""
     if eps <= 0 or n_range < 1:
         raise ValueError("need eps > 0 and N >= 1")
     exact = all(_entry_is_rational(th) for th in thetas)
@@ -513,6 +514,7 @@ def approx_good_set_family(family, thetas: Sequence, eps: float,
     else:
         _require_phase_precision(n_range, family.common_degree_bound)
         ths = np.asarray([float(th) for th in thetas], dtype=np.longdouble)
+        theta_top = max((abs(float(th)) for th in thetas), default=0.0)
     good = np.ones(n_range, dtype=bool)
     for start in range(1, n_range + 1, _DILATE_CHUNK):
         ns = np.arange(start, min(start + _DILATE_CHUNK, n_range + 1), dtype=np.int64)
@@ -524,6 +526,11 @@ def approx_good_set_family(family, thetas: Sequence, eps: float,
                     r = _residues(vals, p, q)
                     keep &= np.minimum(r, q - r) < limit
             else:
+                top = int(np.abs(vals).max())
+                if theta_top and top > _PHASE_LIMIT / theta_top:
+                    raise ValueError(
+                        f"|P(n) theta| up to {top} * {theta_top:g} too large for "
+                        f"reliable phase reduction (limit {_PHASE_LIMIT:g})")
                 prods = vals.astype(np.longdouble)[:, None] * ths
                 keep &= ~np.any(np.abs(prods - np.rint(prods)) >= eps, axis=1)
     members = (np.flatnonzero(good) + 1).tolist()

@@ -282,3 +282,18 @@ def naive_power_map(mapping, shift):
             x = mapping[x]
         out.append(x)
     return tuple(out)
+
+
+def closed_form_power_map(kind, m, a, shift):
+    """T^shift of rotation:m:a or skew:m:a from the closed form, in Python ints.
+
+    The rotation x -> x + a has T^s x = x + s a mod m.  The skew product
+    (x, y) -> (x + a, y + x) on Z_m x Z_m, flattened as x*m + y, has
+    T^s (x, y) = (x + s a, y + s x + a s(s-1)/2) mod m, for every integer s.
+    """
+    s = shift
+    if kind == "rotation":
+        return tuple((x + s * a) % m for x in range(m))
+    drift = a * (s * (s - 1) // 2)
+    return tuple((x + s * a) % m * m + (y + s * x + drift) % m
+                 for x in range(m) for y in range(m))

@@ -2,11 +2,13 @@
 
 IntegerSet and FiniteMPSystem hold int64 arrays; random sets and subsets
 come from one vectorized Mersenne Twister stream, and powers of a system
-from its cached cycle decomposition.  Every answer must equal the plain
-Python loop it replaced.
+from repeated squaring of its permutation.  Every answer must equal the
+plain Python loop it replaced, or for large powers the closed form of a
+rotation or skew product.
 """
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,8 +24,9 @@ from polyrec.intset import IntegerSet, bernoulli_mask, generate_set
 from polyrec.recurrence import CYCLIC, _intersection_counts
 from polyrec.zn_fourier import ExactnessError, balanced_function, indicator
 
-from oracles import (naive_bernoulli, naive_cycles, naive_intersection_cyclic,
-                     naive_order, naive_power_map, naive_recurrence_measure)
+from oracles import (closed_form_power_map, naive_bernoulli, naive_cycles,
+                     naive_intersection_cyclic, naive_order, naive_power_map,
+                     naive_recurrence_measure)
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -75,6 +78,47 @@ def test_power_map_order_and_cycles_match_naive_walk(perm, shift_list):
     for shift in shift_list:
         assert system.power_map(shift) == naive_power_map(perm, shift)
     assert system.power_system(3) == FiniteMPSystem(naive_power_map(perm, 3))
+
+
+huge_shifts = st.integers(-10 ** 30, 10 ** 30) | shifts
+
+
+@PROPERTY
+@given(kind=st.sampled_from(["rotation", "skew"]), m=st.integers(1, 60),
+       a=st.integers() | st.integers(-10 ** 30, 10 ** 30), shift=huge_shifts)
+def test_power_map_matches_closed_form(kind, m, a, shift):
+    build = {"rotation": FiniteMPSystem.rotation, "skew": FiniteMPSystem.skew_product}
+    assert build[kind](m, a).power_map(shift) == closed_form_power_map(kind, m, a, shift)
+
+
+def test_large_skew_power_matches_closed_form():
+    # 40,000 points of order 400: naive_power_map would step about 10^7 times
+    shift = 10 ** 30 + 7
+    system = FiniteMPSystem.skew_product(200, 3)
+    assert system.power_map(shift) == closed_form_power_map("skew", 200, 3, shift)
+
+
+def test_power_working_memory_does_not_depend_on_the_shift():
+    # a process's peak memory must not move with the bits of the shift
+    system = FiniteMPSystem.skew_product(100)
+    size = system.permutation.nbytes
+    for shift in (0, 1, -1, 2, 10, 12345, 10 ** 30, -10 ** 30 - 3):
+        tracemalloc.start()
+        try:
+            system._power(shift)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # three arrays of the system's size, give or take a few small objects
+        assert 3 * size <= peak < 3 * size + size // 8, shift
+
+
+@PROPERTY
+@given(perm=permutations(), s=huge_shifts, t=huge_shifts)
+def test_powers_compose_as_a_group(perm, s, t):
+    system = FiniteMPSystem(perm)
+    first, second = system.power_map(s), system.power_map(t)
+    assert system.power_map(s + t) == tuple(first[x] for x in second)
 
 
 @PROPERTY

@@ -152,6 +152,25 @@ def test_invalid_literals_exit_2(capsys):
                  "--eps", "0.1"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["ergodic", "--action", "measure", "--system", "skew", "--subset", "all"],
+    ["ergodic", "--action", "measure", "--system", "rotation", "--subset", "all"],
+    ["ergodic", "--action", "measure", "--system", "rotation:5:1:2", "--subset", "all"],
+    ["ergodic", "--action", "measure", "--system", "perm", "--subset", "all"],
+    ["ergodic", "--action", "measure", "--system", "rotation:5", "--subset", "list"],
+    ["dioph", "--action", "mass", "--lattice", "int"],
+    ["dioph", "--action", "mass", "--lattice", "scaled:1.5"],
+    ["dioph", "--action", "mass", "--lattice", "file"],
+])
+def test_truncated_literals_exit_2_with_one_line(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert " literal is " in captured.err
+
+
 def test_search_with_a_huge_c_scans_to_the_first_bad_shift(capsys):
     code, report = run_cli(capsys, "search", "--N", "1000", "--set", "evens",
                            "--poly", "0,0,1", "--eps", "0.1", "--c", "1e200")

@@ -11,7 +11,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polyrec import lattice_dioph
@@ -198,18 +198,52 @@ def test_family_good_set_past_one_chunk():
     assert good.members[-1] > lattice_dioph._DILATE_CHUNK
 
 
+def _phase_size(family, thetas, n_range):
+    """max |P_i(n)| * max |theta_r| over n <= N, exactly."""
+    top = max(abs(p.evaluate(n)) for p in family for n in range(1, n_range + 1))
+    return top * max(abs(Fraction(th)) for th in thetas)
+
+
+FLOAT_FAMILY_DRAWS = dict(coeffs=big_coefficients,
+                          thetas=st.lists(st.floats(-2, 2), min_size=1, max_size=3),
+                          eps=st.floats(0.01, 0.5), n_range=st.integers(1, 60),
+                          chunk=CHUNKS)
+
+
 @PROPERTY
-@given(coeffs=big_coefficients,
-       thetas=st.lists(st.floats(-2, 2), min_size=1, max_size=3),
-       eps=st.floats(0.01, 0.5), n_range=st.integers(1, 60), chunk=CHUNKS)
+@given(**FLOAT_FAMILY_DRAWS)
 def test_float_family_good_set_matches_scalar_long_double_scan(coeffs, thetas, eps,
                                                               n_range, chunk):
-    # values past 2^63 go to long double as np.longdouble(int) takes them
+    # values past 2^63 go to long double as np.longdouble(int) takes them;
+    # thetas past the phase limit are scaled to half of it
     family = PolynomialFamily((IntPolynomial(coeffs), LINEAR))
+    size = _phase_size(family, thetas, n_range)
+    if size > lattice_dioph._PHASE_LIMIT:
+        thetas = [th * float(Fraction(lattice_dioph._PHASE_LIMIT) / size) / 2
+                  for th in thetas]
     with mock.patch.object(lattice_dioph, "_DILATE_CHUNK", chunk):
         good = approx_good_set_family(family, thetas, eps, n_range)
     assert not good.exact
     assert list(good.members) == naive_good_set_long_double(family, thetas, eps, n_range)
+
+
+@PROPERTY
+@given(**FLOAT_FAMILY_DRAWS)
+def test_float_family_good_set_past_the_phase_limit_is_refused(coeffs, thetas, eps,
+                                                              n_range, chunk):
+    family = PolynomialFamily((IntPolynomial(coeffs), LINEAR))
+    assume(_phase_size(family, thetas, n_range) > lattice_dioph._PHASE_LIMIT)
+    with (mock.patch.object(lattice_dioph, "_DILATE_CHUNK", chunk),
+          pytest.raises(ValueError, match="phase reduction")):
+        approx_good_set_family(family, thetas, eps, n_range)
+
+
+def test_float_family_good_set_refuses_values_a_long_double_cannot_reduce():
+    # (2^70 + 1) n / 2 keeps no fractional digit in a 64-bit mantissa
+    family = PolynomialFamily((IntPolynomial((2 ** 70 + 1,)),))
+    assert approx_good_set_family(family, [Fraction(1, 2)], 0.25, 6).members == (2, 4, 6)
+    with pytest.raises(ValueError, match="phase reduction"):
+        approx_good_set_family(family, [0.5], 0.25, 6)
 
 
 def test_distance_on_eps_is_not_good():

@@ -132,3 +132,14 @@ def test_private_names_are_read_in_the_package():
               for module, source in sorted(sources.items())
               for name, line in private_definitions(source).items() if name not in read]
     assert unread == []
+
+
+def test_system_methods_the_tracer_patches_exist():
+    # perfbench/tracing.py wraps FiniteMPSystem.__dict__[name] for each key
+    # of _SYSTEM_METHODS; a missing method would break every traced run
+    tracing = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    tree = ast.parse(tracing.read_text(encoding="utf-8"))
+    [table] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+               and any(getattr(t, "id", None) == "_SYSTEM_METHODS" for t in node.targets)]
+    names = ast.literal_eval(table)
+    assert names and [n for n in names if n not in polyrec.FiniteMPSystem.__dict__] == []
