@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import heapq
 import json
 import math
 import random
@@ -118,7 +117,7 @@ def _parse_system(spec: str) -> FiniteMPSystem:
     if kind == "perm":
         if len(parts) < 2:
             raise ValueError("perm literal is perm:path")
-        with open(parts[1]) as fh:
+        with open(spec.split(":", 1)[1]) as fh:  # the path may hold ':'
             data = json.load(fh)
         return FiniteMPSystem.from_permutation(data)
     raise ValueError(f"unknown system literal {spec!r}")
@@ -140,7 +139,7 @@ def _parse_lattice(spec: str) -> ProductLattice:
     if kind == "file":
         if len(parts) < 2:
             raise ValueError("file literal is file:path")
-        with open(parts[1]) as fh:
+        with open(spec.split(":", 1)[1]) as fh:  # the path may hold ':'
             return ProductLattice.from_spec(json.load(fh))
     raise ValueError(f"unknown lattice literal {spec!r}")
 
@@ -240,11 +239,8 @@ def _cmd_decompose(args, config: ExperimentConfig):
         vals = rng.standard_normal(args.N) + 1j * rng.standard_normal(args.N)
         f = ZnFunction(args.N, vals / max(lp_norm(ZnFunction(args.N, vals), 2), 1e-30))
     out = decompose(f, args.eps, tol=config.tolerances)
-    # f - (f1 + f2 + f3) in one scratch array, in the order of the plain sum
-    resid = out.f1.values + out.f2.values
-    resid += out.f3.values
-    np.subtract(f.values, resid, out=resid)
-    recon = float(np.max(np.abs(resid)))
+    recon = out.reconstruction_error
+    smallest = min(200, out.support.size)
     l2_f2 = lp_norm(out.f2, 2)
     linf_f3_hat = ellp_norm(dft(out.f3), math.inf)
     results = {
@@ -252,8 +248,8 @@ def _cmd_decompose(args, config: ExperimentConfig):
         "eps": args.eps,
         "m": out.m,
         "rounds": out.rounds,
-        "support_size": len(out.support),
-        "support": heapq.nsmallest(200, out.support),
+        "support_size": int(out.support.size),
+        "support": np.sort(np.partition(out.support, smallest - 1)[:smallest]).tolist(),
         "eta_of_m": out.eta_of_m,
         "l1_f1_hat": ellp_norm(dft(out.f1), 1),
         "l2_f2": l2_f2,

@@ -20,7 +20,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .intset import IntegerSet
 from .polyfam import PolynomialFamily, ShiftRange, shift_range
-from .zn_fourier import (Spectrum, ZnFunction, _fast_length, balanced_function,
+from .zn_fourier import (Spectrum, ZnFunction, _block_layout, balanced_function,
                          dft, ellp_norm, exact_correlation, inverse_dft, lp_norm)
 
 __all__ = [
@@ -42,34 +42,37 @@ CYCLIC = "cyclic"
 
 #: Cost rule between the two exact routes of _intersection_counts: count
 #: D distinct lags directly (D passes over W = ceil(N/64) packed words)
-#: when D * (W + _DIRECT_LAG_COST) < _FFT_COST * L * log2(L), L the FFT
-#: length.  _DIRECT_LAG_COST is the fixed per-lag overhead in words.  Both
-#: constants come from timings of the two routes at N = 2e5-1e6 with
-#: 60-10000 lags (x86_64, numpy 2.4); near a tie the FFT keeps the call.
+#: when D * (W + _DIRECT_LAG_COST) < _FFT_COST * rows * S * log2(S), rows
+#: and S the block count and transform length of the blocked FFT.
+#: _DIRECT_LAG_COST is the fixed per-lag overhead in words.  Both
+#: constants are a least-squares fit to timings of the two routes at
+#: N = 2e5-1e6 with largest lags 100-30000 (x86_64, numpy 2.4): about
+#: 3.0 ns per word and lag, 1.6-3.0 ns per unit of rows * S * log2(S),
+#: median 1.8; near a tie the FFT keeps the call.
 _DIRECT_LAG_COST = 3000
-_FFT_COST = 0.8
+_FFT_COST = 0.6
 
 
-def _count_directly(lags: int, n: int, length: int) -> bool:
-    """Whether `lags` direct passes beat one FFT of `length` at modulus n."""
+def _count_directly(lags: int, n: int, top: int) -> bool:
+    """Whether `lags` direct passes beat the blocked FFT for lags <= top."""
     words = -(-n // 64)
-    return lags * (words + _DIRECT_LAG_COST) < _FFT_COST * length * math.log2(length)
+    _, rows, size = _block_layout(n, top)
+    return lags * (words + _DIRECT_LAG_COST) < _FFT_COST * rows * size * math.log2(size)
 
 
-def _packed_counts(ind: np.ndarray, lags: np.ndarray, cyclic: bool) -> np.ndarray:
-    """#{y : ind[y] and ind[y + s]} for each lag 0 <= s < N, by AND-popcount.
+def _packed_counts(ind: np.ndarray, second: np.ndarray, lags: np.ndarray) -> np.ndarray:
+    """#{y : ind[y] and second[y + s]} for each lag 0 <= s < N, by AND-popcount.
 
-    The indicator is packed into little-endian 64-bit words; the second
-    operand is the indicator followed by zeros (integer mode) or by itself
-    (cyclic mode), so the word window at bit offset s holds ind[y + s]
-    for every y < N.  Integer arithmetic throughout, hence exact.
+    Both operands are packed into little-endian 64-bit words; the second
+    is followed by zeros, so the word window at bit offset s holds
+    second[y + s] for every y < N.  Integer arithmetic throughout, hence
+    exact.
     """
     n = ind.size
     words = -(-n // 64)
     x = np.zeros(words, dtype="<u8")
     x.view(np.uint8)[:-(-n // 8)] = np.packbits(ind, bitorder="little")
     y = np.zeros(2 * words, dtype="<u8")
-    second = np.concatenate([ind, ind]) if cyclic else ind
     y.view(np.uint8)[:-(-second.size // 8)] = np.packbits(second, bitorder="little")
     win = np.empty(words, dtype="<u8")
     high = np.empty(words, dtype="<u8")
@@ -93,10 +96,14 @@ def _intersection_counts(a: IntegerSet, shifts, mode: str) -> np.ndarray:
     """|A ∩ (A + s)| for each shift, exactly (integer or cyclic convention).
 
     shifts is an int64 or object array (any other sequence is read as
-    Python integers).  Two exact routes, picked by _count_directly: a
-    direct AND-popcount of the packed indicator per distinct lag, or one
-    FFT autocorrelation of the indicator for every lag at once.  In
-    integer mode the count depends on |s| only and vanishes once |s| >= N.
+    Python integers).  Every count is a correlation of the indicator with
+    a second operand for lags 0 <= s <= top: the indicator itself in
+    integer mode, where the count depends on |s| only and vanishes once
+    |s| >= N; the indicator followed by its first top points in cyclic
+    mode, where a lag s mod N is folded to min(s, N - s), exact because
+    an autocorrelation has c(s) = c(N - s).  Two exact routes, picked by
+    _count_directly: a direct AND-popcount of the packed operands per
+    distinct lag, or one blocked FFT for every lag at once.
     """
     n = a.n
     if not isinstance(shifts, np.ndarray):
@@ -105,22 +112,20 @@ def _intersection_counts(a: IntegerSet, shifts, mode: str) -> np.ndarray:
     if mode == INTEGER:
         lags = np.minimum(np.abs(shifts), n).astype(np.int64)  # N stands for any |s| >= N
         ind[a.array - 1] = True
-        top = min(int(lags.max(initial=0)), n - 1)
-        length = _fast_length(n + top)
     elif mode == CYCLIC:
         lags = (shifts % n).astype(np.int64)
+        lags = np.minimum(lags, n - lags)
         ind[a.array % n] = True
-        length = _fast_length(2 * n)
     else:
         raise ValueError(f"unknown mode {mode!r} (want {INTEGER!r} or {CYCLIC!r})")
     distinct, where = np.unique(lags, return_inverse=True)
     inside = distinct[distinct < n]
-    if _count_directly(inside.size, n, length):
-        counts = _packed_counts(ind, inside, cyclic=mode == CYCLIC)
-    elif mode == CYCLIC:
-        counts = exact_correlation(ind, ind, cyclic=True)[inside]
+    top = int(inside.max(initial=0))
+    second = ind if mode == INTEGER else np.concatenate([ind, ind[:top]])
+    if _count_directly(inside.size, n, top):
+        counts = _packed_counts(ind, second, inside)
     else:
-        counts = exact_correlation(ind, ind, max_lag=top)[inside]
+        counts = exact_correlation(ind, second, max_lag=top)[inside]
     # a lag of N (integer mode only) meets nothing
     return np.append(counts, np.zeros(distinct.size - inside.size, np.int64))[where]
 
@@ -230,17 +235,20 @@ class DecompositionResult:
     f1 holds the m largest coefficients (ties to the smaller frequency),
     f3 the next block up to the schedule's new mark, f2 everything after;
     sup |transform of f2| <= eta(m) and the L2 mass of f3 is below the
-    requested eps.
+    requested eps.  support is a read-only int64 array of f1's
+    frequencies in rank order; reconstruction_error is
+    max |f - (f1 + f2 + f3)|.
     """
 
     m: int
     rounds: int
-    support: tuple[int, ...]
+    support: np.ndarray
     f1: ZnFunction
     f2: ZnFunction
     f3: ZnFunction
     eta_of_m: float
     block_norms: tuple[float, ...]
+    reconstruction_error: float
 
 
 def decompose(f: ZnFunction, eps: float,
@@ -262,7 +270,7 @@ def decompose(f: ZnFunction, eps: float,
     n = f.modulus
     spec = dft(f)
     coeffs = spec.coefficients
-    order = np.lexsort((np.arange(n), -np.abs(coeffs)))
+    order = np.argsort(-np.abs(coeffs), kind="stable")
 
     sorted_mags2 = np.abs(coeffs[order]) ** 2
     suffix = np.concatenate([np.cumsum(sorted_mags2[::-1])[::-1], [0.0]])
@@ -294,15 +302,22 @@ def decompose(f: ZnFunction, eps: float,
                 masked = np.zeros(n, dtype=np.complex128)
                 masked[sel] = coeffs[sel]
                 out.append(inverse_dft(Spectrum(n, masked)))
+            # f - (f1 + f2 + f3) in one scratch array, in the order of the plain sum
+            resid = out[0].values + out[1].values
+            resid += out[2].values
+            np.subtract(f.values, resid, out=resid)
+            support = sel1.astype(np.int64)
+            support.setflags(write=False)
             return DecompositionResult(
                 m=m_mark,
                 rounds=round_no,
-                support=tuple(sel1.tolist()),
+                support=support,
                 f1=out[0],
                 f2=out[1],
                 f3=out[2],
                 eta_of_m=eta_m,
                 block_norms=tuple(block_norms),
+                reconstruction_error=float(np.max(np.abs(resid))),
             )
         m_mark = next_mark
     raise AssertionError(

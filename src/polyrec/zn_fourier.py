@@ -40,6 +40,13 @@ _FFT_ERROR_CONSTANT = 16.0
 #: Both the a-priori bound and the observed rounding residual must stay
 #: below this, far from the 1/2 at which rounding could pick a wrong integer.
 _EXACT_MARGIN = 0.125
+#: Shortest transform of the blocked max_lag layout: below it the per-row
+#: overhead of a batched FFT outweighs its shorter length.
+_SHORT_FFT = 2048
+#: Transform points per batch of blocks: the batch's scratch (float copies
+#: of blocks and windows, three half spectra, about 40 bytes per point)
+#: stays near 2.5 MB.
+_CHUNK_POINTS = 1 << 16
 
 
 class ExactnessError(ArithmeticError):
@@ -145,6 +152,26 @@ def _fast_length(n: int) -> int:
     return best
 
 
+def _block_length(n: int, max_lag: int) -> int:
+    """Points of `a` per block in the blocked layout of exact_correlation.
+
+    A block and its window take one transform of S = _fast_length(B +
+    max_lag) points; S near four lags long (and at least _SHORT_FFT)
+    was the fastest at N = 2e5-1e6 with 60-10000 lags.  Fewer than three
+    such blocks were slower than one transform of n + max_lag points, so
+    then all of `a` is one block.
+    """
+    block = _fast_length(max(_SHORT_FFT, 4 * max_lag)) - max_lag
+    return block if 2 * block < n else n
+
+
+def _block_layout(n: int, max_lag: int) -> tuple[int, int, int]:
+    """(B, rows, S): block length, block count and transform length of the
+    blocked correlation of an n-point `a` for lags 0..max_lag."""
+    block = _block_length(n, max_lag)
+    return block, -(-n // block), _fast_length(block + max_lag)
+
+
 def _integer_array(x) -> np.ndarray:
     arr = np.asarray(x)
     if arr.dtype.kind not in "biu":
@@ -152,6 +179,72 @@ def _integer_array(x) -> np.ndarray:
     if arr.ndim < 1 or arr.size < 1:
         raise ValueError("exact correlation needs nonempty arrays")
     return arr
+
+
+def _sum_squares(x: np.ndarray) -> float:
+    if x.dtype == np.bool_:
+        return float(np.count_nonzero(x))
+    xf = x.astype(np.float64)
+    return float(np.vdot(xf, xf))
+
+
+def _check_bound(length: int, factor: float, squares: float) -> None:
+    """Refuse unless c * u * factor * sqrt(squares) stays below the margin.
+
+    factor is log2 of the transform length (plus any sum of transforms)
+    and squares the product |a|_2^2 |b|_2^2 (times any overlap).
+    """
+    bound = (_FFT_ERROR_CONSTANT * np.finfo(np.float64).eps / 2
+             * max(factor, 1.0) * math.sqrt(squares))
+    if bound >= _EXACT_MARGIN:
+        raise ExactnessError(
+            f"FFT correlation of length {length} cannot be exact: "
+            f"rounding bound {bound:.3g} is not below {_EXACT_MARGIN}")
+
+
+def _rounded(raw: np.ndarray) -> np.ndarray:
+    """raw rounded to int64, refused when any residual reaches the margin."""
+    counts = np.rint(raw)
+    residual = float(np.max(np.abs(raw - counts)))
+    if residual >= _EXACT_MARGIN:
+        raise ExactnessError(
+            f"FFT correlation lost exactness: rounding residual {residual:.3g}")
+    return counts.astype(np.int64)
+
+
+def _blocked_correlation(a: np.ndarray, b: np.ndarray, max_lag: int) -> np.ndarray:
+    """out[s] = sum_y a[y] * b[y + s] for 0 <= s <= max_lag, a and b 1-D.
+
+    Block j of `a` (points jB..jB+B-1) meets only the window of b from
+    jB to jB+B+max_lag-1, so each pair takes one transform of S >= B +
+    max_lag points, where no needed lag wraps.  The blocks' products
+    are summed in the frequency domain and inverted once.  Rows go
+    through the FFT _CHUNK_POINTS transform points at a time.
+    """
+    block, rows, size = _block_layout(a.size, max_lag)
+    span = rows * block + max_lag
+    # each point of b lies in at most 1 + ceil(max_lag / B) windows
+    overlap = 1 + -(-max_lag // block)
+    _check_bound(size, math.log2(size) + rows,
+                 _sum_squares(a) * _sum_squares(b[:span]) * overlap)
+    ext = np.zeros(span, dtype=b.dtype)  # b cut or padded with zeros to span
+    ext[:b.size] = b[:span]
+    if b is a:
+        blocks = ext[:rows * block]
+    else:
+        blocks = np.zeros(rows * block, dtype=a.dtype)
+        blocks[:a.size] = a
+    blocks = blocks.reshape(rows, block)
+    windows = np.lib.stride_tricks.sliding_window_view(ext, block + max_lag)[::block]
+    total = np.zeros(size // 2 + 1, dtype=np.complex128)
+    step = max(1, _CHUNK_POINTS // size)
+    for r in range(0, rows, step):
+        fa = np.fft.rfft(blocks[r:r + step], size, axis=1)
+        prod = np.conj(fa)
+        # one block of a against itself: its window is the block, zero-padded
+        prod *= fa if b is a and rows == 1 else np.fft.rfft(windows[r:r + step], size, axis=1)
+        total += prod.sum(axis=0)
+    return _rounded(np.fft.irfft(total, size)[:max_lag + 1])
 
 
 def exact_correlation(a, b, *, cyclic: bool = False,
@@ -167,13 +260,24 @@ def exact_correlation(a, b, *, cyclic: bool = False,
       through b extent - 1 along each axis, stored at s + a extent - 1,
       so out has shape a.shape + b.shape - 1;
     - linear with max_lag=L: only the lags 0 <= s <= L along each axis,
-      stored at out[s]; the transform is padded just far enough for them.
+      stored at out[s].  In one dimension a is cut into blocks of B
+      points, and each block meets the window of b that starts with it
+      and runs L points further, in one batched transform of S =
+      _fast_length(B + L) points (S about 4L and at least _SHORT_FFT; a
+      that would make fewer than three blocks is one block): no lag up
+      to L wraps, the block products are summed before one inverse
+      transform, and the cost is about (N/B) * S * log2(S) for N points
+      of a, not the (N + L) * log2(N + L) of one long transform.  With
+      more axes the transform is padded just far enough for the lags.
 
     The product is formed with real FFTs and rounded to int64.  Exactness
     is checked twice and an ExactnessError raised if either check fails:
-    the a-priori rounding bound c * u * log2(L) * |a|_2 * |b|_2 must stay
-    far below 1/2, and so must the largest observed residual
-    |raw - rint(raw)|.
+    the a-priori rounding bound c * u * log2(L) * |a|_2 * |b|_2, L the
+    transform length, must stay far below 1/2, and so must the largest
+    observed residual |raw - rint(raw)|.  For blocks the bound reads
+    c * u * (log2(S) + rows) * |a|_2 * |b|_2 * sqrt(1 + ceil(L / B)):
+    summing the rows' products adds up to `rows` roundings, and a point
+    of b sits in up to 1 + ceil(L / B) windows.
     """
     a = _integer_array(a)
     b = _integer_array(b)
@@ -191,18 +295,15 @@ def exact_correlation(a, b, *, cyclic: bool = False,
     else:
         if max_lag < 0:
             raise ValueError("max_lag must be nonnegative")
+        if a.ndim == 1:
+            return _blocked_correlation(a, b, max_lag)
         size = tuple(_fast_length(max(na + max_lag, nb))
                      for na, nb in zip(a.shape, b.shape))
 
     af = a.astype(np.float64)
     bf = af if b is a else b.astype(np.float64)
-    bound = (_FFT_ERROR_CONSTANT * np.finfo(np.float64).eps / 2
-             * max(math.log2(math.prod(size)), 1.0)
-             * math.sqrt(float(np.vdot(af, af)) * float(np.vdot(bf, bf))))
-    if bound >= _EXACT_MARGIN:
-        raise ExactnessError(
-            f"FFT correlation of length {math.prod(size)} cannot be exact: "
-            f"rounding bound {bound:.3g} is not below {_EXACT_MARGIN}")
+    _check_bound(math.prod(size), math.log2(math.prod(size)),
+                 float(np.vdot(af, af)) * float(np.vdot(bf, bf)))
     axes = tuple(range(a.ndim))
     fa = np.fft.rfftn(af, size, axes)
     prod = np.conj(fa)
@@ -220,9 +321,4 @@ def exact_correlation(a, b, *, cyclic: bool = False,
         raw = raw[tuple(slice(0, na + nb - 1) for na, nb in zip(a.shape, b.shape))]
     else:
         raw = raw[tuple(slice(0, max_lag + 1) for _ in size)]
-    counts = np.rint(raw)
-    residual = float(np.max(np.abs(raw - counts)))
-    if residual >= _EXACT_MARGIN:
-        raise ExactnessError(
-            f"FFT correlation lost exactness: rounding residual {residual:.3g}")
-    return counts.astype(np.int64)
+    return _rounded(raw)

@@ -171,6 +171,21 @@ def test_truncated_literals_exit_2_with_one_line(capsys, argv):
     assert " literal is " in captured.err
 
 
+@pytest.mark.parametrize("argv, flag, literal, content, same_as", [
+    (["ergodic", "--action", "measure", "--subset", "range:0:1", "--shift", "1"],
+     "--system", "perm", [1, 2, 0], "rotation:3"),
+    (["dioph", "--action", "mass"], "--lattice", "file", [{"dim": 1}], "int:1"),
+])
+def test_path_literals_keep_colons_in_the_path(tmp_path, capsys, argv, flag, literal,
+                                                content, same_as):
+    path = tmp_path / "a:b" / "spec.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps(content))
+    code, report = run_cli(capsys, *argv, flag, f"{literal}:{path}")
+    assert code == 0
+    assert report["results"] == run_cli(capsys, *argv, flag, same_as)[1]["results"]
+
+
 def test_search_with_a_huge_c_scans_to_the_first_bad_shift(capsys):
     code, report = run_cli(capsys, "search", "--N", "1000", "--set", "evens",
                            "--poly", "0,0,1", "--eps", "0.1", "--c", "1e200")

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polyrec import recurrence
+from polyrec import recurrence, zn_fourier
 from polyrec.cli import main
 from polyrec.intset import IntegerSet
 from polyrec.polyfam import IntPolynomial, PolynomialFamily, shift_range
@@ -110,7 +110,7 @@ def _route(n, shifts, mode):
     (10 ** 6, [x ** 2 for x in range(1, 61)], INTEGER, "direct"),
     (10 ** 6, [x ** 3 for x in range(1, 51)] + [x + x ** 3 for x in range(1, 51)],
      INTEGER, "direct"),
-    (400_000, list(range(1, 1001)), CYCLIC, "direct"),
+    (400_000, list(range(1, 1001)), CYCLIC, "fft"),
     (600_000, list(range(1, 2778)), INTEGER, "fft"),
     (200_000, list(range(1, 10_001)), INTEGER, "fft"),
     (200_000, list(range(1, 1001)), INTEGER, "fft"),
@@ -179,6 +179,76 @@ def test_exact_correlation_cyclic(pair):
     out = exact_correlation(a, b, cyclic=True)
     for lag in np.ndindex(a.shape):
         assert out[lag] == naive_cross_correlation(a, b, lag, cyclic=True)
+
+
+@st.composite
+def blocked_cases(draw):
+    """1-D operands of any two lengths and a largest lag from 0 to past both."""
+    values = st.integers(-50, 50)
+    a = draw(st.lists(values, min_size=1, max_size=40))
+    b = draw(st.lists(values, min_size=1, max_size=60))
+    max_lag = draw(st.sampled_from([0, len(a) - 1, len(a), len(b) + 3])
+                   | st.integers(0, 70))
+    return np.array(a), np.array(b), max_lag
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+@PROPERTY
+@given(case=blocked_cases())
+@example(case=(np.arange(10), np.arange(10), 0))           # 10 = 7 + 3
+@example(case=(np.arange(1, 11), np.arange(1, 11), 9))     # top = N - 1
+@example(case=(np.arange(1, 11), np.arange(1, 11), 14))    # top > N - 1
+@example(case=(np.array([3, -1, 2]), np.arange(-20, 20), 25))  # b longer than a
+def test_blocked_correlation_matches_oracle(case, block):
+    a, b, max_lag = case
+    want = [naive_cross_correlation(a, b, (s,)) for s in range(max_lag + 1)]
+    with mock.patch.object(zn_fourier, "_block_length", lambda n, lag: block):
+        assert exact_correlation(a, b, max_lag=max_lag).tolist() == want
+        assert exact_correlation(a, a, max_lag=max_lag).tolist() == \
+            [naive_cross_correlation(a, a, (s,)) for s in range(max_lag + 1)]
+
+
+@st.composite
+def fold_cases(draw):
+    """A set mod N with the shifts of '1;-3' at n = 1..m and lags above N/2."""
+    n = draw(st.integers(1, 80))
+    elements = draw(st.sets(st.integers(1, n), max_size=n))
+    m = draw(st.integers(1, 12))
+    high = st.integers(n // 2, n) | st.integers(-n, -(n // 2))
+    shifts = [x for x in range(1, m + 1)] + [-3 * x for x in range(1, m + 1)]
+    shifts += draw(st.lists(high, max_size=6))
+    return IntegerSet(n, tuple(elements)), shifts
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+@PROPERTY
+@given(case=fold_cases())
+@example(case=(IntegerSet(10, (1, 2, 4, 8)), [1, 2, 3, -3, -6, -9, 6, 7, 9, 5]))
+def test_cyclic_fold_matches_oracle(case, block):
+    a, shifts = case
+    want = [naive_intersection_cyclic(a.elements, a.n, s) for s in shifts]
+    with mock.patch.object(zn_fourier, "_block_length", lambda n, lag: block), \
+            mock.patch.object(recurrence, "_count_directly", lambda *args: False):
+        assert _intersection_counts(a, shifts, CYCLIC).tolist() == want
+
+
+def test_blocked_bound_counts_the_block_sum():
+    # 256 values of 2^16: one transform of 256 points passes the bound,
+    # 256 one-point blocks add 256 roundings and must be refused
+    a = np.full(256, 2 ** 16)
+    assert exact_correlation(a, a, max_lag=0).tolist() == [256 * 2 ** 32]
+    with mock.patch.object(zn_fourier, "_block_length", lambda n, lag: 1):
+        with pytest.raises(ExactnessError, match="bound"):
+            exact_correlation(a, a, max_lag=0)
+    with pytest.raises(ExactnessError, match="bound"):
+        exact_correlation(np.array([2 ** 40, 1]), np.array([2 ** 40, 3]), max_lag=1)
+
+
+def test_blocked_residual_check_raises(monkeypatch):
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *args: irfft(*args) + 0.3)
+    with pytest.raises(ExactnessError, match="residual"):
+        exact_correlation(np.array([1, 0, 1]), np.array([1, 1, 0]), max_lag=1)
 
 
 @PROPERTY
