@@ -108,8 +108,10 @@ def bernoulli_mask(n: int, density: float, seed: int) -> np.ndarray:
     The stdlib generator's Mersenne Twister state is copied into numpy's
     MT19937; both turn two 32-bit words into one 53-bit float the same
     way, so the array reproduces the stdlib draws exactly, on every
-    platform.
+    platform.  A density outside [0, 1], or NaN, is refused.
     """
+    if not 0.0 <= density <= 1.0:
+        raise ValueError("density must lie in [0, 1]")
     state = random.Random(seed).getstate()[1]
     bits = np.random.MT19937()
     bits.state = {"bit_generator": "MT19937",
@@ -147,8 +149,6 @@ def generate_set(kind: str, n: int, *, start: int = 1, step: int = 1,
         # int64; a step past n keeps only `start` either way
         elems = np.arange(min(start, n + 1), n + 1, min(step, n), dtype=np.int64)
     elif kind == "random":
-        if not 0.0 <= density <= 1.0:
-            raise ValueError("density must lie in [0, 1]")
         elems = np.flatnonzero(bernoulli_mask(n, density, seed))
         elems += 1
     else:

@@ -47,20 +47,27 @@ __all__ = [
 _ENUM_BUDGET = 2_000_000      # integer boxes enumerated per block
 _DUAL_COMBO_BUDGET = 200_000  # product dual points in the average's dual form
 _MAX_CONDITION = 1e8
-#: Largest N^k for which the phases n^j * alpha_j (n <= N, j <= k) are
-#: reduced modulo 1 in long double: integer parts keep 6 of the type's
-#: decimal digits for the fraction (1e12 for an 80-bit long double, 1e9
-#: where long double is a plain double).
+#: Largest |x| of a phase x (n^j * alpha_j, P(n) * theta or q * theta) that
+#: is reduced modulo 1 in long double: the integer part then leaves 6 of the
+#: type's decimal digits for the fraction (1e12 for an 80-bit long double,
+#: 1e9 where long double is a plain double).
 _PHASE_LIMIT = 10.0 ** (np.finfo(np.longdouble).precision - 6)
-_DILATE_CHUNK = 1 << 16       # values of n per block of dilates in a good-set scan
+_DILATE_CHUNK = 1 << 16       # values of n (or q) per block of a phase scan
 
 
-def _require_phase_precision(n: int, k: int) -> None:
-    """Refuse phase reductions of n^j * alpha_j for n <= N, j <= k past _PHASE_LIMIT."""
-    if float(n) ** k > _PHASE_LIMIT:
-        raise ValueError(
-            f"N^k = {n}^{k} too large for reliable phase reduction "
-            f"(limit {_PHASE_LIMIT:g})")
+def _phases(x: np.ndarray, nearest: bool = False) -> np.ndarray:
+    """The long-double phases x modulo 1: x - floor(x), or the distance
+    |x - rint(x)| to the nearest integer with nearest=True.
+
+    Refuses x holding NaN or an entry past _PHASE_LIMIT in size."""
+    top = max(-x.min(initial=0.0), x.max(initial=0.0))
+    if not top <= _PHASE_LIMIT:  # NaN fails the comparison
+        raise ValueError(f"phase {float(top):g} too large for reliable phase "
+                         f"reduction (limit {_PHASE_LIMIT:g})")
+    # one scratch array: the dual side of an average reduces 2e6 phases at once
+    frac = (np.rint if nearest else np.floor)(x, out=np.empty_like(x))
+    np.subtract(x, frac, out=frac)
+    return np.abs(frac, out=frac) if nearest else frac
 
 
 def _frozen_matrix(mat) -> np.ndarray:
@@ -197,7 +204,7 @@ class BlockVector:
 def nearest_integer_norm(x) -> float:
     """Distance to the nearest integer point (Euclidean for vectors)."""
     arr = np.asarray(x, dtype=np.longdouble)
-    d = np.abs(arr - np.rint(arr))
+    d = _phases(arr, nearest=True)
     if arr.ndim == 0:
         return float(d)
     return float(np.sqrt(np.sum(d * d)))
@@ -258,9 +265,9 @@ def _block_theta_direct(basis: np.ndarray, xs: np.ndarray, t: float,
                         tail: float) -> np.ndarray:
     """sum_m exp(-pi t |x - m|^2) for each row x of xs (one lattice block).
 
-    Offsets are first reduced into the fundamental cell (exactness of the
-    reduction is in extended precision, so huge dilates stay safe), then a
-    fixed point cloud around the cell covers every term above the tail.
+    Offsets are first reduced into the fundamental cell (in extended
+    precision, through _phases), then a fixed point cloud around the cell
+    covers every term above the tail.
     """
     num = xs.shape[0]
     d = basis.shape[0]
@@ -268,8 +275,7 @@ def _block_theta_direct(basis: np.ndarray, xs: np.ndarray, t: float,
         return np.ones(num)
     inv = np.linalg.inv(basis)
     c_real = xs @ inv.astype(np.longdouble)
-    xs_red = np.asarray((c_real - np.floor(c_real)) @ basis.astype(np.longdouble),
-                        dtype=float)
+    xs_red = np.asarray(_phases(c_real) @ basis.astype(np.longdouble), dtype=float)
     cell_diam = float(np.sum(np.linalg.norm(basis, axis=1)))
     radius = _tail_radius(t, _sigma_min(basis), d, tail)
     _, pts = _lattice_points_within(basis, radius + cell_diam)
@@ -370,7 +376,6 @@ def gaussian_average(lattice: ProductLattice, alpha: BlockVector, n_range: int,
         raise ValueError("need N >= 1")
     if alpha.dims != lattice.dims:
         raise ValueError("alpha blocks do not match lattice blocks")
-    _require_phase_precision(n_range, len(lattice.dims))
     xs = _dilate_matrix(alpha, n_range)
     direct = lattice.determinant * float(
         np.mean(_theta_direct_many(lattice, 1.0, xs, tol.theta_tail)))
@@ -413,8 +418,7 @@ def gaussian_average(lattice: ProductLattice, alpha: BlockVector, n_range: int,
     chunk = max(1, 2_000_000 // max(n_range, 1))
     for start in range(0, combos, chunk):
         g = gammas[start:start + chunk]
-        args = powers @ g.T          # (N, chunk) in extended precision
-        args -= np.floor(args)
+        args = _phases(powers @ g.T)   # (N, chunk) in extended precision
         mean_re = np.cos(2.0 * math.pi * args.astype(float)).mean(axis=0)
         acc[start:start + chunk] = mean_re
     dual = float(np.sum(weights * acc))
@@ -448,12 +452,13 @@ def approx_good_set_power(alpha: BlockVector, eps: float, n_range: int) -> GoodS
     """All n <= N with |n^j alpha_j| within eps of Z^{d_j} for every block.
 
     Runs in exact integer arithmetic whenever all entries of alpha are
-    rational; otherwise extended-precision floats.  With entries p_i/q_i,
+    rational; otherwise extended-precision floats, refused when a phase
+    n^j alpha_j is past _PHASE_LIMIT in size.  With entries p_i/q_i,
     Q the lcm of a block's q_i, r_i = n^j p_i mod q_i and eps = a/b, the
     block passes when b^2 sum (min(r_i, q_i - r_i) Q/q_i)^2 < a^2 Q^2.
     """
-    if eps <= 0 or n_range < 1:
-        raise ValueError("need eps > 0 and N >= 1")
+    if not (math.isfinite(eps) and eps > 0) or n_range < 1:
+        raise ValueError("need finite eps > 0 and N >= 1")
     if alpha.is_rational:
         a, b = Fraction(eps).as_integer_ratio()
         blocks = []  # (j, [(p_i, q_i, Q/q_i)], a^2 Q^2) for each block
@@ -474,7 +479,6 @@ def approx_good_set_power(alpha: BlockVector, eps: float, n_range: int) -> GoodS
             else:
                 members.append(n)
         return GoodSet(n_range, eps, tuple(members), exact=True)
-    _require_phase_precision(n_range, len(alpha.entries))
     arrays = alpha.block_arrays()
     good = np.ones(n_range, dtype=bool)
     for start in range(1, n_range + 1, _DILATE_CHUNK):
@@ -482,7 +486,7 @@ def approx_good_set_power(alpha: BlockVector, eps: float, n_range: int) -> GoodS
         keep = good[start - 1:stop - 1]
         for val in _dilates(arrays, start, stop):
             # nearest_integer_norm of each row, in the same long double steps
-            d = np.abs(val - np.rint(val))
+            d = _phases(val, nearest=True)
             keep &= ~(np.sqrt(np.sum(d * d, axis=1)).astype(float) >= eps)
     members = (np.flatnonzero(good) + 1).tolist()
     return GoodSet(n_range, eps, tuple(members), exact=False)
@@ -501,20 +505,18 @@ def approx_good_set_family(family, thetas: Sequence, eps: float,
     """All n <= N with |P_i(n) theta_r| < eps for every polynomial P_i and
     every real theta_r.  Exact integer arithmetic when the thetas are
     rational: with theta = p/q, r = v p mod q and eps = a/b, the entry
-    passes when min(r, q - r) < ceil(a q / b).  Otherwise the values go
-    to long double, and max |P_i(n)| * max |theta_r| past _PHASE_LIMIT is
-    refused like N^k is."""
-    if eps <= 0 or n_range < 1:
-        raise ValueError("need eps > 0 and N >= 1")
+    passes when min(r, q - r) < ceil(a q / b).  Otherwise the products
+    P_i(n) theta_r go to long double, and one past _PHASE_LIMIT in size
+    is refused."""
+    if not (math.isfinite(eps) and eps > 0) or n_range < 1:
+        raise ValueError("need finite eps > 0 and N >= 1")
     exact = all(_entry_is_rational(th) for th in thetas)
     if exact:
         a, b = Fraction(eps).as_integer_ratio()
         ths = [(th.numerator, th.denominator, -(-a * th.denominator // b))
                for th in map(Fraction, thetas)]
     else:
-        _require_phase_precision(n_range, family.common_degree_bound)
         ths = np.asarray([float(th) for th in thetas], dtype=np.longdouble)
-        theta_top = max((abs(float(th)) for th in thetas), default=0.0)
     good = np.ones(n_range, dtype=bool)
     for start in range(1, n_range + 1, _DILATE_CHUNK):
         ns = np.arange(start, min(start + _DILATE_CHUNK, n_range + 1), dtype=np.int64)
@@ -526,13 +528,8 @@ def approx_good_set_family(family, thetas: Sequence, eps: float,
                     r = _residues(vals, p, q)
                     keep &= np.minimum(r, q - r) < limit
             else:
-                top = int(np.abs(vals).max())
-                if theta_top and top > _PHASE_LIMIT / theta_top:
-                    raise ValueError(
-                        f"|P(n) theta| up to {top} * {theta_top:g} too large for "
-                        f"reliable phase reduction (limit {_PHASE_LIMIT:g})")
                 prods = vals.astype(np.longdouble)[:, None] * ths
-                keep &= ~np.any(np.abs(prods - np.rint(prods)) >= eps, axis=1)
+                keep &= ~np.any(_phases(prods, nearest=True) >= eps, axis=1)
     members = (np.flatnonzero(good) + 1).tolist()
     return GoodSet(n_range, eps, tuple(members), exact=exact)
 
@@ -588,24 +585,22 @@ def check_average_bounds(lattice: ProductLattice, alpha: BlockVector, n: int,
         raise ValueError("need integer 1 <= q <= N/2")
     if alpha.dims != lattice.dims:
         raise ValueError("alpha blocks do not match lattice blocks")
-    k = len(lattice.dims)
-    _require_phase_precision(n, k)
     if perturbation_eps is None:
         perturbation_eps = min(1.0 / max(lattice.dimension, 1), 0.5)
-    f_n = gaussian_average(lattice, alpha, n, tol=tol)
-    f_scaled = gaussian_average(lattice, alpha, int(c * n), tol=tol)
-    f_sub = gaussian_average(lattice, alpha, n // q, tol=tol)
+    # Theta(1, n*alpha) for n <= N: F(N), F(floor(cN)) and F(floor(N/q)) are
+    # det times means of its leading entries, and it is the ratio's numerator
+    top = _theta_direct_many(lattice, 1.0, _dilate_matrix(alpha, n), tol.theta_tail)
+    f_n, f_scaled, f_sub = (lattice.determinant * float(np.mean(top[:m]))
+                            for m in (n, int(c * n), n // q))
 
     if beta is None:
         beta = _perturbed_vector(alpha, n, perturbation_eps)
     scaled_lattice = lattice.scale(1.0 + perturbation_eps)
-    xs_top = _dilate_matrix(alpha, n)
     stretched = BlockVector(tuple(
         tuple((1.0 + perturbation_eps) * float(x) for x in block)
         for block in beta.entries
     ))
     xs_bot = _dilate_matrix(stretched, n)
-    top = _theta_direct_many(lattice, 1.0, xs_top, tol.theta_tail)
     bot = _theta_direct_many(scaled_lattice, 1.0, xs_bot, tol.theta_tail)
     ratio = float(np.min(top / bot))
 
@@ -648,7 +643,6 @@ def schmidt_scan(lattice: ProductLattice, alpha: BlockVector, n: int,
         raise ValueError("need q_max >= 1, radius_max > 0, quality > 0")
     if alpha.dims != lattice.dims:
         raise ValueError("alpha blocks do not match lattice blocks")
-    _require_phase_precision(n, len(lattice.dims))
     f_value = gaussian_average(lattice, alpha, n, tol=tol)
     if f_value >= 0.5:
         return SchmidtReport(alternative=1, f_value=f_value)
@@ -676,8 +670,7 @@ def schmidt_scan(lattice: ProductLattice, alpha: BlockVector, n: int,
         picks = []
         dists = []
         for j, cand, dots in block_data:
-            vals = np.asarray(q * dots, dtype=np.longdouble)
-            dist = np.abs(vals - np.rint(vals)).astype(float)
+            dist = _phases(q * dots, nearest=True).astype(float)
             idx = int(np.argmin(dist))
             picks.append(tuple(float(v) for v in cand[idx]))
             dists.append(float(dist[idx]))
@@ -725,14 +718,12 @@ def weyl_denominator(thetas: Sequence, n: int, delta: float, q_max: int,
     k = len(thetas)
     if k < 1:
         raise ValueError("need at least one coordinate")
-    _require_phase_precision(n, k)
     ths = np.asarray([float(t) for t in thetas], dtype=np.longdouble)
     ns = np.arange(1, n + 1, dtype=np.int64).astype(np.longdouble)
     args = np.zeros(n, dtype=np.longdouble)
     for j in range(1, k + 1):
         args += ns ** j * ths[j - 1]
-    args -= np.floor(args)
-    s_val = np.exp(2j * math.pi * args.astype(float)).mean()
+    s_val = np.exp(2j * math.pi * _phases(args).astype(float)).mean()
 
     if thresholds is None:
         thresholds = [delta ** (-c_exponent) * float(n) ** (-i)
@@ -743,12 +734,13 @@ def weyl_denominator(thetas: Sequence, n: int, delta: float, q_max: int,
             raise ValueError("need one threshold per coordinate")
     q_found = None
     dists_found: tuple[float, ...] = ()
-    for q in range(1, q_max + 1):
-        vals = q * ths
-        dist = np.abs(vals - np.rint(vals)).astype(float)
-        if all(d < b for d, b in zip(dist, thresholds)):
-            q_found = q
-            dists_found = tuple(float(d) for d in dist)
+    for start in range(1, q_max + 1, _DILATE_CHUNK):
+        qs = np.arange(start, min(start + _DILATE_CHUNK, q_max + 1), dtype=np.longdouble)
+        dist = _phases(qs[:, None] * ths, nearest=True).astype(float)
+        hits = np.flatnonzero(np.all(dist < thresholds, axis=1))
+        if hits.size:
+            q_found = start + int(hits[0])
+            dists_found = tuple(float(d) for d in dist[hits[0]])
             break
     return WeylDenominatorReport(
         s_abs=float(abs(s_val)),

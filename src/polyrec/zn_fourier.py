@@ -247,28 +247,24 @@ def _blocked_correlation(a: np.ndarray, b: np.ndarray, max_lag: int) -> np.ndarr
     return _rounded(np.fft.irfft(total, size)[:max_lag + 1])
 
 
-def exact_correlation(a, b, *, cyclic: bool = False,
-                      max_lag: Optional[int] = None) -> np.ndarray:
+def exact_correlation(a, b, *, max_lag: Optional[int] = None) -> np.ndarray:
     """Integer cross-correlation out[s] = sum_y a[y] * b[y + s], exactly.
 
     a and b are integer (or boolean) arrays of one dimension count; the
-    lag s is a vector with one entry per axis.  Three layouts:
+    lag s is a vector with one entry per axis.  Two layouts:
 
-    - cyclic: a and b share one shape, indices wrap around it, and out
-      has that shape with lag s at out[s];
     - linear (the default): every lag, s running from -(a extent - 1)
       through b extent - 1 along each axis, stored at s + a extent - 1,
       so out has shape a.shape + b.shape - 1;
-    - linear with max_lag=L: only the lags 0 <= s <= L along each axis,
-      stored at out[s].  In one dimension a is cut into blocks of B
-      points, and each block meets the window of b that starts with it
-      and runs L points further, in one batched transform of S =
-      _fast_length(B + L) points (S about 4L and at least _SHORT_FFT; a
-      that would make fewer than three blocks is one block): no lag up
-      to L wraps, the block products are summed before one inverse
-      transform, and the cost is about (N/B) * S * log2(S) for N points
-      of a, not the (N + L) * log2(N + L) of one long transform.  With
-      more axes the transform is padded just far enough for the lags.
+    - max_lag=L, one dimension only: the lags 0 <= s <= L, stored at
+      out[s].  a is cut into blocks of B points, and each block meets the
+      window of b that starts with it and runs L points further, in one
+      batched transform of S = _fast_length(B + L) points (S about 4L and
+      at least _SHORT_FFT; a that would make fewer than three blocks is
+      one block): no lag up to L wraps, the block products are summed
+      before one inverse transform, and the cost is about (N/B) * S *
+      log2(S) for N points of a, not the (N + L) * log2(N + L) of one
+      long transform.
 
     The product is formed with real FFTs and rounded to int64.  Exactness
     is checked twice and an ExactnessError raised if either check fails:
@@ -283,23 +279,14 @@ def exact_correlation(a, b, *, cyclic: bool = False,
     b = _integer_array(b)
     if a.ndim != b.ndim:
         raise ValueError("a and b need the same number of dimensions")
-    if cyclic:
-        if a.shape != b.shape:
-            raise ValueError("cyclic correlation needs a and b of one shape")
-        if max_lag is not None:
-            raise ValueError("max_lag applies to linear correlation only")
-        # padded to a fast length >= 2N, then folded back to length N
-        size = tuple(_fast_length(2 * n) for n in a.shape)
-    elif max_lag is None:
-        size = tuple(_fast_length(na + nb - 1) for na, nb in zip(a.shape, b.shape))
-    else:
+    if max_lag is not None:
+        if a.ndim != 1:
+            raise ValueError("max_lag applies to one-dimensional arrays only")
         if max_lag < 0:
             raise ValueError("max_lag must be nonnegative")
-        if a.ndim == 1:
-            return _blocked_correlation(a, b, max_lag)
-        size = tuple(_fast_length(max(na + max_lag, nb))
-                     for na, nb in zip(a.shape, b.shape))
+        return _blocked_correlation(a, b, max_lag)
 
+    size = tuple(_fast_length(na + nb - 1) for na, nb in zip(a.shape, b.shape))
     af = a.astype(np.float64)
     bf = af if b is a else b.astype(np.float64)
     _check_bound(math.prod(size), math.log2(math.prod(size)),
@@ -311,14 +298,5 @@ def exact_correlation(a, b, *, cyclic: bool = False,
     del af, bf, fa
     raw = np.fft.irfftn(prod, size, axes)
     del prod
-    if cyclic:
-        for ax, (n, p) in enumerate(zip(a.shape, size)):
-            lead = (slice(None),) * ax
-            raw = raw[lead + (slice(0, n),)] + raw[lead + (slice(p - n, p),)]
-    elif max_lag is None:
-        shift = tuple(na - 1 for na in a.shape)
-        raw = np.roll(raw, shift, axis=axes)
-        raw = raw[tuple(slice(0, na + nb - 1) for na, nb in zip(a.shape, b.shape))]
-    else:
-        raw = raw[tuple(slice(0, max_lag + 1) for _ in size)]
-    return _rounded(raw)
+    raw = np.roll(raw, tuple(na - 1 for na in a.shape), axis=axes)
+    return _rounded(raw[tuple(slice(0, na + nb - 1) for na, nb in zip(a.shape, b.shape))])

@@ -11,7 +11,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyrec import lattice_dioph
@@ -198,6 +198,34 @@ def test_family_good_set_past_one_chunk():
     assert good.members[-1] > lattice_dioph._DILATE_CHUNK
 
 
+dyadics = st.builds(lambda p, e: Fraction(p, 2 ** e),
+                    st.integers(-2 ** 12, 2 ** 12) | st.integers(1 - 2 ** 52, 2 ** 52 - 1),
+                    st.integers(0, 10))
+
+
+@PROPERTY
+@given(alpha=st.lists(dyadics, min_size=1, max_size=3),
+       eps=st.builds(lambda a, e: a / 2 ** e, st.integers(1, 2 ** 10), st.integers(0, 10)),
+       n_range=st.integers(1, 200), chunk=CHUNKS)
+@example(alpha=[Fraction(1, 1024), Fraction(3, 1024), Fraction(5, 1024)], eps=0.125,
+         n_range=200, chunk=7)
+@example(alpha=[Fraction(2 ** 52 - 1, 4)], eps=0.25, n_range=200, chunk=7)
+def test_float_power_good_set_is_exact_or_refused(alpha, eps, n_range, chunk):
+    # float(alpha_j) is exact, and a phase n^j alpha_j within the limit keeps
+    # all of its bits in a long double: the scan is exact, or it is refused
+    # exactly when the largest phase N^j |alpha_j| is past the limit
+    blocks = BlockVector(tuple((float(x),) for x in alpha))
+    past = max(n_range ** j * abs(x) for j, x in enumerate(alpha, start=1))
+    with mock.patch.object(lattice_dioph, "_DILATE_CHUNK", chunk):
+        if past > lattice_dioph._PHASE_LIMIT:
+            with pytest.raises(ValueError, match="phase reduction"):
+                approx_good_set_power(blocks, eps, n_range)
+            return
+        good = approx_good_set_power(blocks, eps, n_range)
+    assert not good.exact
+    assert list(good.members) == naive_good_set_power([[x] for x in alpha], eps, n_range)
+
+
 def _phase_size(family, thetas, n_range):
     """max |P_i(n)| * max |theta_r| over n <= N, exactly."""
     top = max(abs(p.evaluate(n)) for p in family for n in range(1, n_range + 1))
@@ -228,11 +256,15 @@ def test_float_family_good_set_matches_scalar_long_double_scan(coeffs, thetas, e
 
 
 @PROPERTY
-@given(**FLOAT_FAMILY_DRAWS)
-def test_float_family_good_set_past_the_phase_limit_is_refused(coeffs, thetas, eps,
-                                                              n_range, chunk):
+@given(theta=st.floats(0.5, 2) | st.floats(-2, -0.5), **FLOAT_FAMILY_DRAWS)
+def test_float_family_good_set_past_the_phase_limit_is_refused(theta, coeffs, thetas,
+                                                              eps, n_range, chunk):
+    # one theta is nonzero; all are scaled so the largest phase is twice the limit
     family = PolynomialFamily((IntPolynomial(coeffs), LINEAR))
-    assume(_phase_size(family, thetas, n_range) > lattice_dioph._PHASE_LIMIT)
+    thetas = [theta, *thetas]
+    scale = float(2 * Fraction(lattice_dioph._PHASE_LIMIT) / _phase_size(family, thetas,
+                                                                         n_range))
+    thetas = [th * scale for th in thetas]
     with (mock.patch.object(lattice_dioph, "_DILATE_CHUNK", chunk),
           pytest.raises(ValueError, match="phase reduction")):
         approx_good_set_family(family, thetas, eps, n_range)

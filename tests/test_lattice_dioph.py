@@ -268,6 +268,16 @@ def test_check_average_bounds_randomized():
         assert rep.perturbation_ratio > 0.0
 
 
+def test_check_average_bounds_takes_each_average_from_one_theta_table():
+    # F(N), F(floor(cN)) and F(floor(N/q)) are means of leading entries of one
+    # table of Theta(1, n*alpha); each equals its own gaussian_average
+    lat = ProductLattice.scaled_integers(1.3, [1, 2])
+    alpha = BlockVector(((0.31,), (0.72, 0.15)))
+    rep = check_average_bounds(lat, alpha, 97, 0.55, 4)
+    assert (rep.f_n, rep.f_scaled, rep.f_subsampled) == tuple(
+        gaussian_average(lat, alpha, m) for m in (97, 53, 24))
+
+
 def test_check_average_bounds_validates_inputs():
     lat = ProductLattice.integers([1])
     alpha = BlockVector(((0.5,),))

@@ -143,3 +143,47 @@ def test_system_methods_the_tracer_patches_exist():
                and any(getattr(t, "id", None) == "_SYSTEM_METHODS" for t in node.targets)]
     names = ast.literal_eval(table)
     assert names and [n for n in names if n not in polyrec.FiniteMPSystem.__dict__] == []
+
+
+#: The functions of lattice_dioph.py that may call np.floor or np.rint: the
+#: one guarded phase reduction, and the box of an enumeration of lattice
+#: points, whose floor is of a radius, not a phase.
+ROUNDING_FUNCTIONS = {"_phases", "_lattice_points_within"}
+MODULE = "<module>"
+
+
+def rounding_outside(source: str, allowed=ROUNDING_FUNCTIONS) -> list[str]:
+    """Each np.floor or np.rint that the module body or a top-level function
+    or method outside `allowed` names, with its line and owner (nested
+    functions count as their owner)."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and owner == MODULE:
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr in ("floor", "rint")
+                    and getattr(child.value, "id", None) == "np"
+                    and owner not in allowed):
+                found.append(f"line {child.lineno}: np.{child.attr} in {owner}")
+            visit(child, owner)
+
+    visit(ast.parse(source), MODULE)
+    return found
+
+
+def test_rounding_check_flags_each_reduction_outside_the_allowed_functions():
+    source = ("x = np.floor(1.5)\n"
+              "def _phases(x):\n    return x - np.floor(x)\n"
+              "def scan(x):\n    d = np.abs(x - np.rint(x))\n"
+              "    def inner(y):\n        return np.floor(y)\n    return inner\n"
+              "class C:\n    def m(self, x):\n        return x - np.floor(x)\n")
+    assert rounding_outside(source) == ["line 1: np.floor in <module>",
+                                        "line 5: np.rint in scan",
+                                        "line 7: np.floor in scan",
+                                        "line 11: np.floor in m"]
+
+
+def test_lattice_dioph_reduces_phases_in_one_place():
+    assert rounding_outside((SRC / "lattice_dioph.py").read_text(encoding="utf-8")) == []

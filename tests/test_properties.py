@@ -165,20 +165,14 @@ def test_exact_correlation_linear_layouts(pair, max_lag):
     for p in np.ndindex(full.shape):
         lag = tuple(pi - (na - 1) for pi, na in zip(p, a.shape))
         assert full[p] == naive_cross_correlation(a, b, lag)
+    if a.ndim > 1:
+        with pytest.raises(ValueError, match="one-dimensional"):
+            exact_correlation(a, b, max_lag=max_lag)
+        return
     head = exact_correlation(a, b, max_lag=max_lag)
-    assert head.shape == (max_lag + 1,) * a.ndim
+    assert head.shape == (max_lag + 1,)
     for lag in np.ndindex(head.shape):
         assert head[lag] == naive_cross_correlation(a, b, lag)
-
-
-@PROPERTY
-@given(pair=array_pairs())
-def test_exact_correlation_cyclic(pair):
-    a, _ = pair
-    b = np.roll(a[::-1], 1) * 3 - 1
-    out = exact_correlation(a, b, cyclic=True)
-    for lag in np.ndindex(a.shape):
-        assert out[lag] == naive_cross_correlation(a, b, lag, cyclic=True)
 
 
 @st.composite
@@ -358,9 +352,31 @@ def test_cli_maps_exactness_errors_to_exit_1(monkeypatch, capsys):
     # N^3 = 2.7e13 is past the long-double phase limit
     ["dioph", "--action", "average", "--lattice", "int:1,1,1", "--alpha", "0.1;0.2;0.3",
      "--N", "30000"],
+    ["dioph", "--action", "goodset", "--alpha", "0.3", "--eps", "nan", "--N", "5"],
+    ["dioph", "--action", "goodset", "--alpha", "1/3", "--eps", "inf"],
+    ["dioph", "--action", "goodset", "--poly", "1", "--theta", "1/3", "--eps", "inf"],
+    ["ergodic", "--action", "measure", "--system", "rotation:10", "--subset", "random:1.5"],
+    ["ergodic", "--action", "measure", "--system", "rotation:10", "--subset", "random:nan"],
 ])
 def test_refusals_exit_2_with_one_line(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
+BIG = "1125899906842624.25"  # 2^50 + 1/4: n * BIG passes the phase limit at n = 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["dioph", "--action", "goodset", "--alpha", BIG, "--eps", "0.2"],
+    ["dioph", "--action", "denominator", "--theta", BIG],
+    ["dioph", "--action", "average", "--lattice", "int:1", "--alpha", BIG],
+    ["dioph", "--action", "goodset", "--alpha", "nan"],
+    ["dioph", "--action", "average", "--lattice", "int:1", "--alpha", "nan"],
+])
+def test_phases_past_the_limit_exit_2_with_one_line(argv, capsys):
+    assert main([*argv, "--N", "20000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "phase reduction" in captured.err
