@@ -70,9 +70,6 @@ class ExperimentConfig:
     tolerances: Tolerances = field(default_factory=Tolerances)
     threads: int = 1
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 DEFAULT_TOLERANCES = Tolerances()
 DEFAULT_CONSTANTS = Constants()

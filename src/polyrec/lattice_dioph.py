@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
+from .polyfam import IntPolynomial
 
 __all__ = [
     "ProductLattice",
@@ -59,10 +60,12 @@ def _phases(x: np.ndarray, nearest: bool = False) -> np.ndarray:
     """The long-double phases x modulo 1: x - floor(x), or the distance
     |x - rint(x)| to the nearest integer with nearest=True.
 
-    Refuses x holding NaN or an entry past _PHASE_LIMIT in size."""
+    Refuses x holding NaN or an entry past _PHASE_LIMIT in size; the
+    message prints that entry with every digit it needs, so a phase just
+    past the limit reads as past it."""
     top = max(-x.min(initial=0.0), x.max(initial=0.0))
     if not top <= _PHASE_LIMIT:  # NaN fails the comparison
-        raise ValueError(f"phase {float(top):g} too large for reliable phase "
+        raise ValueError(f"phase {top!s} too large for reliable phase "
                          f"reduction (limit {_PHASE_LIMIT:g})")
     # one scratch array: the dual side of an average reduces 2e6 phases at once
     frac = (np.rint if nearest else np.floor)(x, out=np.empty_like(x))
@@ -74,6 +77,8 @@ def _frozen_matrix(mat) -> np.ndarray:
     arr = np.asarray(mat, dtype=float).copy()
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("block basis must be a square matrix")
+    if not np.isfinite(arr).all():
+        raise ValueError("block basis must have finite entries")
     arr.setflags(write=False)
     return arr
 
@@ -104,7 +109,8 @@ class ProductLattice:
 
     @classmethod
     def scaled_integers(cls, scale: float, dims: Sequence[int]) -> "ProductLattice":
-        return cls(tuple(float(scale) * np.eye(int(d)) for d in dims))
+        with np.errstate(invalid="ignore"):  # 0 * inf: __post_init__ refuses it
+            return cls(tuple(float(scale) * np.eye(int(d)) for d in dims))
 
     @classmethod
     def from_spec(cls, spec: Sequence[dict]) -> "ProductLattice":
@@ -147,17 +153,6 @@ class ProductLattice:
             raise ValueError("scale factor must be positive")
         return ProductLattice(tuple(factor * b for b in self.blocks))
 
-    def split(self, flat: Sequence[float]) -> list[np.ndarray]:
-        """Cut a flat coordinate vector into per-block pieces."""
-        flat = np.asarray(flat, dtype=np.longdouble)
-        if flat.shape != (self.dimension,):
-            raise ValueError(f"point must have {self.dimension} coordinates")
-        out, pos = [], 0
-        for d in self.dims:
-            out.append(flat[pos:pos + d])
-            pos += d
-        return out
-
 
 def _entry_is_rational(x) -> bool:
     return isinstance(x, Rational)
@@ -172,21 +167,6 @@ class BlockVector:
     def __post_init__(self):
         entries = tuple(tuple(e) for e in self.entries)
         object.__setattr__(self, "entries", entries)
-
-    @classmethod
-    def from_flat(cls, dims: Sequence[int], flat: Sequence) -> "BlockVector":
-        flat = list(flat)
-        if len(flat) != sum(dims):
-            raise ValueError("flat vector length does not match block dims")
-        out, pos = [], 0
-        for d in dims:
-            out.append(tuple(flat[pos:pos + d]))
-            pos += d
-        return cls(tuple(out))
-
-    @classmethod
-    def zero(cls, dims: Sequence[int]) -> "BlockVector":
-        return cls(tuple((0,) * d for d in dims))
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -261,6 +241,20 @@ def _sigma_min(basis: np.ndarray) -> float:
     return float(np.linalg.svd(basis, compute_uv=False)[-1])
 
 
+def _dual_points(basis: np.ndarray, t: float, tail: float
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The dual vectors xi of one block (rows of the inverse transpose of
+    its basis) whose weights exp(-pi |xi|^2 / t) leave out less than tail,
+    and those weights.  A zero-dimensional block has the one point ()."""
+    d = basis.shape[0]
+    if d == 0:
+        return np.zeros((1, 0)), np.ones(1)
+    dual_basis = np.linalg.inv(basis).T
+    radius = _tail_radius(1.0 / t, _sigma_min(dual_basis), d, tail)
+    _, pts = _lattice_points_within(dual_basis, radius)
+    return pts, np.exp(-math.pi / t * np.einsum("ij,ij->i", pts, pts))
+
+
 def _block_theta_direct(basis: np.ndarray, xs: np.ndarray, t: float,
                         tail: float) -> np.ndarray:
     """sum_m exp(-pi t |x - m|^2) for each row x of xs (one lattice block).
@@ -303,7 +297,9 @@ def theta(lattice: ProductLattice, t: float, x: Sequence[float],
     side='direct' sums exp(-pi t |x-m|^2) over lattice points; side='dual'
     evaluates t^(-D/2) det^-1 sum over dual vectors of
     exp(-pi |xi|^2 / t) e(xi . x).  The two agree (Poisson summation); both
-    truncate with tail below tol.theta_tail.
+    truncate with tail below tol.theta_tail.  Each side reduces its phases
+    (x in the fundamental cell, xi . x modulo 1) in long double through
+    _phases, so both refuse a point whose phases pass _PHASE_LIMIT.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -318,17 +314,11 @@ def theta(lattice: ProductLattice, t: float, x: Sequence[float],
     pos = 0
     for basis in lattice.blocks:
         d = basis.shape[0]
-        if d == 0:
-            continue
-        x_j = np.asarray(xs[0, pos:pos + d], dtype=float)
+        pts, weights = _dual_points(basis, t, tol.theta_tail)
+        phases = _phases(pts.astype(np.longdouble) @ xs[0, pos:pos + d]).astype(float)
         pos += d
-        dual_basis = np.linalg.inv(basis).T
-        radius = _tail_radius(1.0 / t, _sigma_min(dual_basis), d, tol.theta_tail)
-        _, pts = _lattice_points_within(dual_basis, radius)
-        w = np.exp(-math.pi / t * np.einsum("ij,ij->i", pts, pts))
-        phases = np.exp(2j * math.pi * (pts @ x_j))
-        value *= (w * phases).sum() / (t ** (d / 2.0) * abs(np.linalg.det(basis)))
-    return float(value.real)
+        value *= (weights * np.exp(2j * math.pi * phases)).sum()
+    return float(value.real) / (t ** (lattice.dimension / 2.0) * lattice.determinant)
 
 
 def gaussian_mass(lattice: ProductLattice,
@@ -352,15 +342,12 @@ def gaussian_mass(lattice: ProductLattice,
     return direct
 
 
-def _dilates(arrays: Sequence[np.ndarray], start: int, stop: int) -> list[np.ndarray]:
-    """Per block j, the rows n^j * alpha_j for start <= n < stop, in long double."""
-    ns = np.arange(start, stop, dtype=np.int64).astype(np.longdouble)[:, None]
-    return [ns ** j * arr for j, arr in enumerate(arrays, start=1)]
-
-
 def _dilate_matrix(alpha: BlockVector, n_range: int) -> np.ndarray:
-    """Flat coordinates of n*alpha = (n a_1, n^2 a_2, ..., n^k a_k), one row per n <= N."""
-    return np.concatenate(_dilates(alpha.block_arrays(), 1, n_range + 1), axis=1)
+    """Flat coordinates of n*alpha = (n a_1, n^2 a_2, ..., n^k a_k), one row
+    per n <= N, in long double."""
+    ns = np.arange(1, n_range + 1, dtype=np.int64).astype(np.longdouble)[:, None]
+    return np.concatenate([ns ** j * arr for j, arr in
+                           enumerate(alpha.block_arrays(), start=1)], axis=1)
 
 
 def gaussian_average(lattice: ProductLattice, alpha: BlockVector, n_range: int,
@@ -382,35 +369,18 @@ def gaussian_average(lattice: ProductLattice, alpha: BlockVector, n_range: int,
     if not check_dual:
         return direct
 
-    # Dual side: enumerate product dual vectors with Gaussian weight, then
-    # average the resulting polynomial phases over n.
-    block_pts: list[np.ndarray] = []
-    for basis in lattice.blocks:
-        d = basis.shape[0]
-        if d == 0:
-            block_pts.append(np.zeros((1, 0)))
-            continue
-        dual_basis = np.linalg.inv(basis).T
-        radius = _tail_radius(1.0, _sigma_min(dual_basis), d, tol.theta_tail)
-        _, pts = _lattice_points_within(dual_basis, radius)
-        block_pts.append(pts)
-    combos = math.prod(p.shape[0] for p in block_pts)
-    if combos > _DUAL_COMBO_BUDGET:
+    # Dual side: product dual vectors xi with Gaussian weight, then the
+    # average over n of the resulting polynomial phases.
+    block_pts = [_dual_points(basis, 1.0, tol.theta_tail) for basis in lattice.blocks]
+    if math.prod(pts.shape[0] for pts, _ in block_pts) > _DUAL_COMBO_BUDGET:
         raise ValueError("dual-side combination budget exceeded")
-
-    arrays = alpha.block_arrays()
-    # gamma[c, j] = xi_j . alpha_j for combination c, in extended precision.
-    gammas = np.zeros((combos, len(lattice.blocks)), dtype=np.longdouble)
-    weights = np.ones(combos)
-    for j, pts in enumerate(block_pts):
-        reps_inner = math.prod(p.shape[0] for p in block_pts[j + 1:])
-        reps_outer = combos // (pts.shape[0] * reps_inner)
-        dots = pts.astype(np.longdouble) @ arrays[j] if pts.shape[1] else \
-            np.zeros(pts.shape[0], dtype=np.longdouble)
-        norms2 = np.einsum("ij,ij->i", pts, pts)
-        gammas[:, j] = np.tile(np.repeat(dots, reps_inner), reps_outer)
-        weights = weights * np.tile(np.repeat(np.exp(-math.pi * norms2), reps_inner),
-                                    reps_outer)
+    # gamma[c, j] = xi_j . alpha_j for combination c, in extended precision;
+    # the first block varies slowest
+    dots = [pts.astype(np.longdouble) @ arr
+            for (pts, _), arr in zip(block_pts, alpha.block_arrays())]
+    gammas = np.stack([g.ravel() for g in np.meshgrid(*dots, indexing="ij")], axis=1)
+    weights = math.prod(np.meshgrid(*(w for _, w in block_pts), indexing="ij")).ravel()
+    combos = gammas.shape[0]
     ns = np.arange(1, n_range + 1, dtype=np.int64)
     powers = np.stack([ns.astype(np.longdouble) ** j
                        for j in range(1, len(lattice.blocks) + 1)], axis=1)
@@ -448,50 +418,6 @@ class GoodSet:
         return not self.members
 
 
-def approx_good_set_power(alpha: BlockVector, eps: float, n_range: int) -> GoodSet:
-    """All n <= N with |n^j alpha_j| within eps of Z^{d_j} for every block.
-
-    Runs in exact integer arithmetic whenever all entries of alpha are
-    rational; otherwise extended-precision floats, refused when a phase
-    n^j alpha_j is past _PHASE_LIMIT in size.  With entries p_i/q_i,
-    Q the lcm of a block's q_i, r_i = n^j p_i mod q_i and eps = a/b, the
-    block passes when b^2 sum (min(r_i, q_i - r_i) Q/q_i)^2 < a^2 Q^2.
-    """
-    if not (math.isfinite(eps) and eps > 0) or n_range < 1:
-        raise ValueError("need finite eps > 0 and N >= 1")
-    if alpha.is_rational:
-        a, b = Fraction(eps).as_integer_ratio()
-        blocks = []  # (j, [(p_i, q_i, Q/q_i)], a^2 Q^2) for each block
-        for j, block in enumerate(alpha.entries, start=1):
-            fracs = [Fraction(x) for x in block]
-            big_q = math.lcm(*(x.denominator for x in fracs))
-            terms = [(x.numerator, x.denominator, big_q // x.denominator) for x in fracs]
-            blocks.append((j, terms, (a * big_q) ** 2))
-        members = []
-        for n in range(1, n_range + 1):
-            for j, terms, limit in blocks:
-                total = 0
-                for p, q, w in terms:
-                    r = pow(n, j, q) * p % q
-                    total += (min(r, q - r) * w) ** 2
-                if total * b * b >= limit:
-                    break
-            else:
-                members.append(n)
-        return GoodSet(n_range, eps, tuple(members), exact=True)
-    arrays = alpha.block_arrays()
-    good = np.ones(n_range, dtype=bool)
-    for start in range(1, n_range + 1, _DILATE_CHUNK):
-        stop = min(start + _DILATE_CHUNK, n_range + 1)
-        keep = good[start - 1:stop - 1]
-        for val in _dilates(arrays, start, stop):
-            # nearest_integer_norm of each row, in the same long double steps
-            d = _phases(val, nearest=True)
-            keep &= ~(np.sqrt(np.sum(d * d, axis=1)).astype(float) >= eps)
-    members = (np.flatnonzero(good) + 1).tolist()
-    return GoodSet(n_range, eps, tuple(members), exact=False)
-
-
 def _residues(values: np.ndarray, p: int, q: int) -> np.ndarray:
     """v * p mod q for each exact value v: int64 while q^2 < 2^63, else
     Python integers."""
@@ -500,38 +426,78 @@ def _residues(values: np.ndarray, p: int, q: int) -> np.ndarray:
     return values.astype(object) % q * (p % q) % q
 
 
-def approx_good_set_family(family, thetas: Sequence, eps: float,
-                           n_range: int) -> GoodSet:
-    """All n <= N with |P_i(n) theta_r| < eps for every polynomial P_i and
-    every real theta_r.  Exact integer arithmetic when the thetas are
-    rational: with theta = p/q, r = v p mod q and eps = a/b, the entry
-    passes when min(r, q - r) < ceil(a q / b).  Otherwise the products
-    P_i(n) theta_r go to long double, and one past _PHASE_LIMIT in size
-    is refused."""
+def _good_set(conditions: Sequence[tuple[IntPolynomial, tuple]], eps: float,
+              n_range: int) -> GoodSet:
+    """All n <= N at which every condition (P, block) holds: the phases
+    P(n) x of the block's entries x lie within Euclidean distance eps of Z^d.
+
+    P(n) is an exact integer table, taken once per polynomial for each
+    _DILATE_CHUNK values of n.  When every entry is rational the test is
+    exact: with entries p_i/q_i, Q the lcm of the block's q_i,
+    r_i = P(n) p_i mod q_i and eps = a/b, the block holds when
+    sum (min(r_i, q_i - r_i) Q/q_i)^2 < ceil((aQ/b)^2), summed in int64
+    while d Q^2 < 2^63.  Otherwise the phases go to long double through
+    _phases, which refuses one past _PHASE_LIMIT in size.
+    """
     if not (math.isfinite(eps) and eps > 0) or n_range < 1:
         raise ValueError("need finite eps > 0 and N >= 1")
-    exact = all(_entry_is_rational(th) for th in thetas)
+    exact = all(_entry_is_rational(x) for _, block in conditions for x in block)
     if exact:
         a, b = Fraction(eps).as_integer_ratio()
-        ths = [(th.numerator, th.denominator, -(-a * th.denominator // b))
-               for th in map(Fraction, thetas)]
+        rules = []  # (P, [(p_i, q_i, Q/q_i)], dtype of the sum, ceil((aQ/b)^2))
+        for poly, block in conditions:
+            fracs = [Fraction(x) for x in block]
+            big_q = math.lcm(*(x.denominator for x in fracs))
+            terms = [(x.numerator, x.denominator, big_q // x.denominator) for x in fracs]
+            dtype = np.int64 if len(fracs) * big_q ** 2 < 2 ** 63 else object
+            rules.append((poly, terms, dtype, -(-(a * big_q) ** 2 // b ** 2)))
     else:
-        ths = np.asarray([float(th) for th in thetas], dtype=np.longdouble)
+        rules = [(poly, np.asarray([float(x) for x in block], dtype=np.longdouble))
+                 for poly, block in conditions]
     good = np.ones(n_range, dtype=bool)
     for start in range(1, n_range + 1, _DILATE_CHUNK):
         ns = np.arange(start, min(start + _DILATE_CHUNK, n_range + 1), dtype=np.int64)
         keep = good[start - 1:start - 1 + ns.size]
-        for poly in family:
-            vals = poly.values(ns)
+        tables = {}
+        for poly, *rule in rules:
+            if poly not in tables:
+                vals = poly.values(ns)
+                tables[poly] = vals if exact else vals.astype(np.longdouble)[:, None]
             if exact:
-                for p, q, limit in ths:
-                    r = _residues(vals, p, q)
-                    keep &= np.minimum(r, q - r) < limit
+                terms, dtype, limit = rule
+                total = 0
+                for p, q, w in terms:
+                    r = _residues(tables[poly], p, q)
+                    total = total + (np.minimum(r, q - r).astype(dtype) * w) ** 2
+                keep &= total < limit
             else:
-                prods = vals.astype(np.longdouble)[:, None] * ths
-                keep &= ~np.any(_phases(prods, nearest=True) >= eps, axis=1)
+                d = _phases(tables[poly] * rule[0], nearest=True)
+                keep &= np.sqrt(np.sum(d * d, axis=1)) < eps
     members = (np.flatnonzero(good) + 1).tolist()
     return GoodSet(n_range, eps, tuple(members), exact=exact)
+
+
+def approx_good_set_power(alpha: BlockVector, eps: float, n_range: int) -> GoodSet:
+    """All n <= N with |n^j alpha_j| within eps of Z^{d_j} for every block:
+    the conditions (n^j, alpha_j) of _good_set.
+
+    Exact integer arithmetic whenever all entries of alpha are rational;
+    otherwise long double, refused when a phase n^j alpha_j is past
+    _PHASE_LIMIT in size.
+    """
+    return _good_set([(IntPolynomial((0,) * (j - 1) + (1,)), block)
+                      for j, block in enumerate(alpha.entries, start=1)], eps, n_range)
+
+
+def approx_good_set_family(family, thetas: Sequence, eps: float,
+                           n_range: int) -> GoodSet:
+    """All n <= N with |P_i(n) theta_r| < eps for every polynomial P_i and
+    every real theta_r: the one-entry conditions (P_i, theta_r) of
+    _good_set.  Exact integer arithmetic when the thetas are rational
+    (with theta = p/q, r = P_i(n) p mod q and eps = a/b, the pair passes
+    when min(r, q - r)^2 < ceil((aq/b)^2)); otherwise long double, refused
+    when a phase P_i(n) theta_r is past _PHASE_LIMIT in size."""
+    return _good_set([(poly, (th,)) for poly in family for th in thetas], eps, n_range)
 
 
 @dataclass(frozen=True)

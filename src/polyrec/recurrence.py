@@ -223,8 +223,8 @@ def find_good_shifts(a: IntegerSet, family: PolynomialFamily, eps: float,
 
 def default_schedule(eps: float) -> Callable[[int], float]:
     """The experimental shrinking schedule eta(t) = eps / (4 pi (t + 1))."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError("need finite eps > 0")
     return lambda t: eps / (4.0 * math.pi * (t + 1))
 
 
@@ -262,8 +262,8 @@ def decompose(f: ZnFunction, eps: float,
     within ceil(eps^-2) rounds.  The schedule must stay positive and
     non-increasing at the visited marks.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError("need finite eps > 0")
     if lp_norm(f, 2) > 1.0 + tol.unit_norm_slack:
         raise ValueError("decompose expects lp_norm(f, 2) <= 1; caller normalizes")
     eta = schedule if schedule is not None else default_schedule(eps)

@@ -139,17 +139,6 @@ def test_value_on_the_shift_bound_is_admissible():
 
 
 @PROPERTY
-@given(blocks=st.lists(st.lists(rationals | st.integers(-3, 3), max_size=3),
-                       min_size=1, max_size=3),
-       eps=EPS, n_range=st.integers(1, 120))
-@example(blocks=[[], [Fraction(-1, 4), Fraction(1, 8)], []], eps=0.125, n_range=40)
-def test_rational_power_good_set_matches_fraction_scan(blocks, eps, n_range):
-    good = approx_good_set_power(BlockVector(tuple(map(tuple, blocks))), eps, n_range)
-    assert good.exact
-    assert list(good.members) == naive_good_set_power(blocks, eps, n_range)
-
-
-@PROPERTY
 @given(family=families, thetas=st.lists(rationals, min_size=1, max_size=3),
        eps=EPS, n_range=st.integers(1, 120))
 @example(family=PolynomialFamily((IntPolynomial((0, -1)),)),
@@ -172,6 +161,43 @@ big_coefficients = st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=1,
 big_families = st.lists(st.builds(IntPolynomial, big_coefficients), min_size=1,
                         max_size=2).map(lambda polys: PolynomialFamily(tuple(polys)))
 CHUNKS = st.sampled_from([1, 7, 1 << 16])
+
+
+@PROPERTY
+@given(blocks=st.lists(st.lists(rationals | big_rationals() | st.integers(-3, 3),
+                                max_size=3),
+                       min_size=1, max_size=3),
+       eps=EPS, n_range=st.integers(1, 120), chunk=CHUNKS)
+@example(blocks=[[], [Fraction(-1, 4), Fraction(1, 8)], []], eps=0.125, n_range=40,
+         chunk=1 << 16)
+@example(blocks=[[Fraction(1, 2 ** 31), Fraction(3, 2 ** 31 - 1)], [Fraction(2, 7)]],
+         eps=0.125, n_range=120, chunk=7)
+def test_rational_power_good_set_matches_fraction_scan(blocks, eps, n_range, chunk):
+    # q > 2^32, or a block with d Q^2 >= 2^63, sums Python integers; a chunk
+    # below N splits the scan
+    with mock.patch.object(lattice_dioph, "_DILATE_CHUNK", chunk):
+        good = approx_good_set_power(BlockVector(tuple(map(tuple, blocks))), eps, n_range)
+    assert good.exact
+    assert list(good.members) == naive_good_set_power(blocks, eps, n_range)
+
+
+@PROPERTY
+@given(alpha=st.lists(rationals, min_size=1, max_size=3)
+       | st.lists(st.floats(-3, 3), min_size=1, max_size=3),
+       eps=EPS, n_range=st.integers(1, 120), chunk=CHUNKS)
+def test_power_good_set_is_the_intersection_of_family_good_sets(alpha, eps, n_range,
+                                                                chunk):
+    # a one-entry block alpha_j is the family condition ({n^j}, [alpha_j])
+    members = set(range(1, n_range + 1))
+    with mock.patch.object(lattice_dioph, "_DILATE_CHUNK", chunk):
+        power = approx_good_set_power(BlockVector(tuple((x,) for x in alpha)), eps,
+                                      n_range)
+        for j, x in enumerate(alpha, start=1):
+            monomial = PolynomialFamily((IntPolynomial((0,) * (j - 1) + (1,)),))
+            part = approx_good_set_family(monomial, [x], eps, n_range)
+            assert part.exact == power.exact == isinstance(x, Fraction)
+            members &= set(part.members)
+    assert list(power.members) == sorted(members)
 
 
 @PROPERTY

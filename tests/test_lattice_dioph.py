@@ -48,6 +48,23 @@ def test_singular_basis_rejected():
         ProductLattice((np.array([[1.0, 1.0], [1.0, 1.0]]),))
 
 
+def test_dual_side_reduces_its_phases_like_the_direct_side():
+    lat = ProductLattice.integers([1])
+    far = 1e9 + 0.25
+    direct = theta(lat, 1.0, [far])
+    assert abs(theta(lat, 1.0, [far], side="dual") - direct) < 1e-12
+    assert abs(direct - theta(lat, 1.0, [0.25])) < 1e-12
+    for side in ("direct", "dual"):
+        with pytest.raises(ValueError, match="phase reduction"):
+            theta(lat, 1.0, [1e15 + 0.25], side=side)
+
+
+def test_phase_limit_message_shows_the_excess():
+    # the phase prints with the digits that put it past the limit
+    with pytest.raises(ValueError, match=r"phase 1000000000000\.3\d* too large"):
+        theta(ProductLattice.integers([1]), 1.0, [1e12 + 0.3])
+
+
 def test_nearest_integer_norm():
     assert abs(nearest_integer_norm(2.75) - 0.25) < 1e-15
     assert nearest_integer_norm(-3.0) == 0.0

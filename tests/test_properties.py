@@ -357,12 +357,31 @@ def test_cli_maps_exactness_errors_to_exit_1(monkeypatch, capsys):
     ["dioph", "--action", "goodset", "--poly", "1", "--theta", "1/3", "--eps", "inf"],
     ["ergodic", "--action", "measure", "--system", "rotation:10", "--subset", "random:1.5"],
     ["ergodic", "--action", "measure", "--system", "rotation:10", "--subset", "random:nan"],
+    ["decompose", "--N", "10", "--eps", "inf"],
+    ["decompose", "--N", "10", "--eps", "nan"],
 ])
 def test_refusals_exit_2_with_one_line(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
+@pytest.mark.filterwarnings("error")  # capsys does not see a numpy warning
+@pytest.mark.parametrize("lattice,alpha", [("scaled:nan:1", "0.3"),
+                                           ("scaled:inf:2", "0.3,0.1"),
+                                           ("file", "0.3")])
+def test_non_finite_lattice_basis_is_refused_in_one_line(lattice, alpha, tmp_path,
+                                                         capsys):
+    if lattice == "file":
+        path = tmp_path / "lattice.json"
+        path.write_text('[{"dim": 1, "basis": [[NaN]]}]')
+        lattice = f"file:{path}"
+    assert main(["dioph", "--action", "average", "--lattice", lattice,
+                 "--alpha", alpha]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: block basis must have finite entries\n"
 
 
 BIG = "1125899906842624.25"  # 2^50 + 1/4: n * BIG passes the phase limit at n = 1
