@@ -188,7 +188,10 @@ def _jsonify(obj):
 
 
 def _emit(report: dict, path: Optional[str]) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True, default=_jsonify)
+    """Write the report as strict JSON: a NaN or infinity in it raises
+    ValueError, since no answer may carry one."""
+    text = json.dumps(report, indent=2, sort_keys=True, default=_jsonify,
+                      allow_nan=False)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -643,7 +646,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     }
     if args.timing:
         report["wall_clock_seconds"] = time.monotonic() - started
-    _emit(report, args.output)
+    try:
+        _emit(report, args.output)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"internal check failed: report is not strict JSON: {exc}", file=sys.stderr)
+        return 1
     return 0 if report["all_checks_passed"] else 1
 
 

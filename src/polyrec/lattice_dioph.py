@@ -192,7 +192,11 @@ def nearest_integer_norm(x) -> float:
 
 def _tail_radius(t: float, sigma: float, d: int, tau: float) -> float:
     """Radius R with sum over lattice points beyond R of exp(-pi t r^2) < tau,
-    for any lattice whose shortest vector is at least sigma (packing bound)."""
+    for any lattice whose shortest vector is at least sigma (packing bound).
+
+    A term of the bound that overflows means the lattice's scale is out of
+    float range: that is refused, where growing R would never end.
+    """
     radius = max(1.0, math.sqrt(max(d, math.log(1.0 / tau)) / (math.pi * t)))
     while True:
         total = 0.0
@@ -201,7 +205,8 @@ def _tail_radius(t: float, sigma: float, d: int, tau: float) -> float:
             try:
                 term = ((2.0 * (s + 1.0) + sigma) / sigma) ** d * math.exp(-math.pi * t * s * s)
             except OverflowError:
-                term = math.inf
+                raise ValueError("Gaussian tail radius is not finite: "
+                                 "lattice scale out of range") from None
             total += term
             if term < tau * 1e-6:
                 break
@@ -217,19 +222,24 @@ def _lattice_points_within(basis: np.ndarray, radius: float
     Returns (integer coordinates, points).  The coordinate box is sized
     from the inverse basis, so nothing inside the ball is missed; a few
     points straddling the boundary may be kept, which only helps accuracy.
+    A box that is not finite (a basis or radius out of float range) or
+    holds more than _ENUM_BUDGET points is refused.
     """
     d = basis.shape[0]
     if d == 0:
         return np.zeros((1, 0), dtype=np.int64), np.zeros((1, 0))
     inv = np.linalg.inv(basis)
-    col_norms = np.linalg.norm(inv, axis=0)
-    bounds = np.floor(radius * col_norms).astype(np.int64) + 1
-    if math.prod(int(2 * b + 1) for b in bounds) > _ENUM_BUDGET:
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        box = np.floor(radius * np.linalg.norm(inv, axis=0)) + 1
+    if not np.isfinite(box).all():
+        raise ValueError("lattice enumeration box is not finite: "
+                         "lattice scale out of range")
+    if math.prod(2 * float(b) + 1 for b in box) > _ENUM_BUDGET:
         raise ValueError(
             "lattice enumeration budget exceeded (very dense block); "
             "use the dual-side evaluation instead"
         )
-    ranges = [np.arange(-b, b + 1, dtype=np.int64) for b in bounds]
+    ranges = [np.arange(-b, b + 1, dtype=np.int64) for b in box.astype(np.int64)]
     grid = np.meshgrid(*ranges, indexing="ij")
     offsets = np.stack([g.ravel() for g in grid], axis=1)
     pts = offsets.astype(float) @ basis
@@ -270,7 +280,8 @@ def _block_theta_direct(basis: np.ndarray, xs: np.ndarray, t: float,
     inv = np.linalg.inv(basis)
     c_real = xs @ inv.astype(np.longdouble)
     xs_red = np.asarray(_phases(c_real) @ basis.astype(np.longdouble), dtype=float)
-    cell_diam = float(np.sum(np.linalg.norm(basis, axis=1)))
+    with np.errstate(over="ignore"):  # an infinite cell makes an infinite box
+        cell_diam = float(np.sum(np.linalg.norm(basis, axis=1)))
     radius = _tail_radius(t, _sigma_min(basis), d, tail)
     _, pts = _lattice_points_within(basis, radius + cell_diam)
     diff = xs_red[:, None, :] - pts[None, :, :]
@@ -605,8 +616,8 @@ def schmidt_scan(lattice: ProductLattice, alpha: BlockVector, n: int,
     and beats_quality records whether it stays below
     quality * N^-j blockwise.
     """
-    if q_max < 1 or radius_max <= 0 or quality <= 0:
-        raise ValueError("need q_max >= 1, radius_max > 0, quality > 0")
+    if q_max < 1 or not (math.isfinite(radius_max) and radius_max > 0) or not quality > 0:
+        raise ValueError("need q_max >= 1, finite radius_max > 0, quality > 0")
     if alpha.dims != lattice.dims:
         raise ValueError("alpha blocks do not match lattice blocks")
     f_value = gaussian_average(lattice, alpha, n, tol=tol)
@@ -674,13 +685,16 @@ def weyl_denominator(thetas: Sequence, n: int, delta: float, q_max: int,
     """|S_N| for S_N = (1/N) sum_n e(n th_1 + ... + n^k th_k), plus the
     smallest q <= q_max with |q th_i| below the threshold for every i.
 
-    Thresholds default to delta^-C * N^-i.  This is the computational
-    face of the inverse principle: a large |S_N| should force such a q.
+    Thresholds default to delta^-C * N^-i, C = c_exponent, and must be
+    finite.  This is the computational face of the inverse principle: a
+    large |S_N| should force such a q.
     """
     if n < 1 or q_max < 1:
         raise ValueError("need N >= 1 and q_max >= 1")
     if not 0 < delta <= 0.5:
         raise ValueError("need 0 < delta <= 1/2")
+    if not math.isfinite(c_exponent):
+        raise ValueError("need finite c_exponent")
     k = len(thetas)
     if k < 1:
         raise ValueError("need at least one coordinate")
@@ -692,12 +706,17 @@ def weyl_denominator(thetas: Sequence, n: int, delta: float, q_max: int,
     s_val = np.exp(2j * math.pi * _phases(args).astype(float)).mean()
 
     if thresholds is None:
-        thresholds = [delta ** (-c_exponent) * float(n) ** (-i)
-                      for i in range(1, k + 1)]
+        try:
+            thresholds = [delta ** (-c_exponent) * float(n) ** (-i)
+                          for i in range(1, k + 1)]
+        except OverflowError:
+            raise ValueError("thresholds overflow: c_exponent too large") from None
     else:
         thresholds = [float(b) for b in thresholds]
         if len(thresholds) != k:
             raise ValueError("need one threshold per coordinate")
+        if not all(map(math.isfinite, thresholds)):
+            raise ValueError("thresholds must be finite")
     q_found = None
     dists_found: tuple[float, ...] = ()
     for start in range(1, q_max + 1, _DILATE_CHUNK):

@@ -20,7 +20,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .intset import IntegerSet
 from .polyfam import PolynomialFamily, ShiftRange, shift_range
-from .zn_fourier import (Spectrum, ZnFunction, _block_layout, balanced_function,
+from .zn_fourier import (Spectrum, ZnFunction, _block_layout, _frozen, balanced_function,
                          dft, ellp_norm, exact_correlation, inverse_dft, lp_norm)
 
 __all__ = [
@@ -230,14 +230,16 @@ def default_schedule(eps: float) -> Callable[[int], float]:
 
 @dataclass(frozen=True)
 class DecompositionResult:
-    """f = f1 + f2 + f3 split along the sorted spectrum.
+    """f = f1 + f2 + f3 split along the ranked spectrum.
 
     f1 holds the m largest coefficients (ties to the smaller frequency),
     f3 the next block up to the schedule's new mark, f2 everything after;
     sup |transform of f2| <= eta(m) and the L2 mass of f3 is below the
-    requested eps.  support is a read-only int64 array of f1's
-    frequencies in rank order; reconstruction_error is
-    max |f - (f1 + f2 + f3)|.
+    requested eps.  An empty part is the zero function.  support is a
+    read-only int64 array of f1's frequencies in rank order;
+    block_norms are the L2 masses of the visited blocks, each summed
+    over the block's own frequencies in ascending order (see
+    _block_mass); reconstruction_error is max |f - (f1 + f2 + f3)|.
     """
 
     m: int
@@ -251,29 +253,102 @@ class DecompositionResult:
     reconstruction_error: float
 
 
+def _head_order(mags: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k largest mags, largest first, ties to the smaller index.
+
+    This is the first k entries of np.argsort(-mags, kind="stable"),
+    found without sorting all of mags: every index above the k-th
+    largest value, then the indices tied at it in ascending order, and a
+    stable sort of that head.  k >= N sorts everything.
+    """
+    n = mags.size
+    if k >= n:
+        return np.argsort(-mags, kind="stable")
+    kth = np.partition(mags, n - k)[n - k]
+    above = np.flatnonzero(mags > kth)
+    tied = np.flatnonzero(mags == kth)[:k - above.size]
+    head = np.concatenate([above, tied])
+    return head[np.argsort(-mags[head], kind="stable")]
+
+
+def _extend_head(mags: np.ndarray, head: np.ndarray, k: int) -> np.ndarray:
+    """The first k ranks of mags, given its first head.size ranks.
+
+    The new ranks are the head of the frequencies off head, which stay
+    in ascending order, so ties still go to the smaller frequency.
+    """
+    if not head.size:
+        return _head_order(mags, k)
+    rest = np.ones(mags.size, dtype=bool)
+    rest[head] = False
+    rest = np.flatnonzero(rest)
+    return np.concatenate([head, rest[_head_order(mags[rest], k - head.size)]])
+
+
+def _block_mass(mags: np.ndarray, head: np.ndarray, lo: int, hi: int) -> float:
+    """Sum of mags^2 over the frequencies of ranks lo..hi-1, in ascending order.
+
+    head holds the first ranks, as in _rank_part.  The sum reads the
+    block alone: a difference of prefix sums or of a total would cancel,
+    and could leave an empty block with a positive mass.
+    """
+    n = mags.size
+    if hi < n:
+        return float(np.sum(mags[np.sort(head[lo:hi])] ** 2))
+    rest = np.ones(n, dtype=bool)
+    rest[head[:lo]] = False
+    return float(np.sum(mags[rest] ** 2))
+
+
+def _rank_part(coeffs: np.ndarray, head: np.ndarray, lo: int, hi: int) -> ZnFunction:
+    """Inverse transform of the coefficients of ranks lo..hi-1, zero elsewhere.
+
+    head holds the first ranks: at least hi of them, or lo when hi = N
+    (the part is then every frequency off head[:lo]).  An empty part is
+    the zero function and takes no transform.
+    """
+    n = coeffs.size
+    if lo == hi:
+        return ZnFunction(n, _frozen(np.zeros(n, dtype=np.complex128)))
+    if hi == n:
+        masked = coeffs.copy()
+        masked[head[:lo]] = 0
+    else:
+        masked = np.zeros(n, dtype=np.complex128)
+        sel = head[lo:hi]
+        masked[sel] = coeffs[sel]
+    return inverse_dft(Spectrum(n, _frozen(masked)))
+
+
 def decompose(f: ZnFunction, eps: float,
               schedule: Callable[[int], float] | None = None,
               tol: Tolerances = DEFAULT_TOLERANCES) -> DecompositionResult:
     """Split a unit-ball function along its spectrum by a shrinking schedule.
 
-    Frequencies are ranked by coefficient magnitude.  Marks grow by
-    m' = max(m + 1, ceil(eta(m)^-2)) capped at N; the first block
-    (m, m'] with L2 mass at most eps closes the search, which happens
-    within ceil(eps^-2) rounds.  The schedule must stay positive and
-    non-increasing at the visited marks.
+    Frequencies are ranked by coefficient magnitude, ties to the smaller
+    frequency.  Marks grow by m' = max(m + 1, ceil(eta(m)^-2)) capped at
+    N; the first block (m, m'] with L2 mass at most eps closes the
+    search, which happens within ceil(eps^-2) rounds.  The schedule must
+    stay positive and non-increasing at the visited marks, and every
+    value of f must be finite.
+
+    Only the head of the ranking that a round reads is ordered: ranks
+    below m' (below m when m' = N, since that block is every frequency
+    off the head), grown at least twofold when a round needs more, by
+    ranking only the frequencies off it.  All N frequencies are ranked
+    only when the last mark is N.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError("need finite eps > 0")
-    if lp_norm(f, 2) > 1.0 + tol.unit_norm_slack:
+    if not lp_norm(f, 2) <= 1.0 + tol.unit_norm_slack:  # NaN fails too
+        if not np.isfinite(f.values).all():
+            raise ValueError("decompose needs finite values")
         raise ValueError("decompose expects lp_norm(f, 2) <= 1; caller normalizes")
     eta = schedule if schedule is not None else default_schedule(eps)
     n = f.modulus
-    spec = dft(f)
-    coeffs = spec.coefficients
-    order = np.argsort(-np.abs(coeffs), kind="stable")
-
-    sorted_mags2 = np.abs(coeffs[order]) ** 2
-    suffix = np.concatenate([np.cumsum(sorted_mags2[::-1])[::-1], [0.0]])
+    coeffs = dft(f).coefficients
+    mags = np.abs(coeffs)
+    head = np.empty(0, dtype=np.intp)
 
     max_rounds = math.ceil(eps ** -2)
     m_mark = 1
@@ -290,31 +365,29 @@ def decompose(f: ZnFunction, eps: float,
             next_mark = n
         else:
             next_mark = min(n, max(m_mark + 1, math.ceil(eta_m ** -2)))
+        ranked = m_mark if next_mark == n else next_mark
+        if ranked > head.size:
+            head = _extend_head(mags, head, max(ranked, 2 * head.size))
         # L2 mass of ranks (m, next_mark] in probability normalization.
-        block = math.sqrt(max(suffix[m_mark] - suffix[next_mark], 0.0))
+        block = math.sqrt(_block_mass(mags, head, m_mark, next_mark))
         block_norms.append(block)
         if block <= eps:
-            sel1 = order[:m_mark]
-            sel3 = order[m_mark:next_mark]
-            sel2 = order[next_mark:]
-            out = []
-            for sel in (sel1, sel2, sel3):
-                masked = np.zeros(n, dtype=np.complex128)
-                masked[sel] = coeffs[sel]
-                out.append(inverse_dft(Spectrum(n, masked)))
+            f1 = _rank_part(coeffs, head, 0, m_mark)
+            f2 = _rank_part(coeffs, head, next_mark, n)
+            f3 = _rank_part(coeffs, head, m_mark, next_mark)
             # f - (f1 + f2 + f3) in one scratch array, in the order of the plain sum
-            resid = out[0].values + out[1].values
-            resid += out[2].values
+            resid = f1.values + f2.values
+            resid += f3.values
             np.subtract(f.values, resid, out=resid)
-            support = sel1.astype(np.int64)
+            support = head[:m_mark].astype(np.int64)
             support.setflags(write=False)
             return DecompositionResult(
                 m=m_mark,
                 rounds=round_no,
                 support=support,
-                f1=out[0],
-                f2=out[1],
-                f3=out[2],
+                f1=f1,
+                f2=f2,
+                f3=f3,
                 eta_of_m=eta_m,
                 block_norms=tuple(block_norms),
                 reconstruction_error=float(np.max(np.abs(resid))),

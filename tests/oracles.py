@@ -297,3 +297,34 @@ def closed_form_power_map(kind, m, a, shift):
     drift = a * (s * (s - 1) // 2)
     return tuple((x + s * a) % m * m + (y + s * x + drift) % m
                  for x in range(m) for y in range(m))
+
+
+def naive_decompose(values, eps, eta):
+    """The spectral split f = f1 + f2 + f3 ranked by one full stable argsort.
+
+    Coefficients are fft(values) / N, ranked by magnitude with ties to the
+    smaller frequency; marks grow by max(m + 1, ceil(eta(m)^-2)), capped
+    at N (also when eta(m) < N^-1/2), until a block of ranks (m, m'] has
+    L2 mass at most eps, the squares summed in ascending frequency order.  Returns (m, rounds, support, f1, f2, f3): f1 the
+    ranks below m, f3 the block, f2 the rest, each inverted as
+    ifft(masked) * N.
+    """
+    values = np.asarray(values, dtype=complex)
+    n = values.size
+    coeffs = np.fft.fft(values) / n
+    mags = np.abs(coeffs)
+    order = np.argsort(-mags, kind="stable")
+    m = 1
+    for rounds in range(1, math.ceil(eps ** -2) + 1):
+        eta_m = eta(m)
+        nxt = n if eta_m < 1.0 / math.sqrt(n) else min(n, max(m + 1, math.ceil(eta_m ** -2)))
+        block = np.sort(order[m:nxt])  # summed in ascending frequency order
+        if math.sqrt(float(np.sum(mags[block] ** 2))) <= eps:
+            parts = []
+            for sel in (order[:m], order[nxt:], order[m:nxt]):
+                masked = np.zeros(n, dtype=complex)
+                masked[sel] = coeffs[sel]
+                parts.append(np.fft.ifft(masked) * n)
+            return (m, rounds, order[:m], *parts)
+        m = nxt
+    raise AssertionError("no block closed within ceil(eps^-2) rounds")

@@ -384,6 +384,59 @@ def test_non_finite_lattice_basis_is_refused_in_one_line(lattice, alpha, tmp_pat
     assert captured.err == "error: block basis must have finite entries\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["dioph", "--action", "denominator", "--theta", "0.3", "--N", "100", "--q-max", "10",
+      "--c-exp", "nan"], "error: need finite c_exponent\n"),
+    (["dioph", "--action", "denominator", "--theta", "0.3", "--N", "100", "--q-max", "10",
+      "--c-exp", "inf"], "error: need finite c_exponent\n"),
+    (["dioph", "--action", "denominator", "--theta", "0.3", "--N", "100", "--q-max", "10",
+      "--c-exp", "1e6"], "error: thresholds overflow: c_exponent too large\n"),
+    (["dioph", "--action", "schmidt", "--lattice", "int:1,1", "--alpha", "0.3;0.4",
+      "--N", "200", "--q-max", "100", "--radius", "nan"],
+     "error: need q_max >= 1, finite radius_max > 0, quality > 0\n"),
+    (["dioph", "--action", "schmidt", "--lattice", "int:1,1", "--alpha", "0.3;0.4",
+      "--N", "200", "--q-max", "100", "--radius", "inf"],
+     "error: need q_max >= 1, finite radius_max > 0, quality > 0\n"),
+])
+def test_non_finite_dioph_parameters_exit_2_with_one_line(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
+@pytest.mark.filterwarnings("error")  # capsys does not see a numpy warning
+@pytest.mark.parametrize("lattice,message", [
+    ("scaled:1e200:1", "lattice enumeration box is not finite"),
+    ("scaled:1e-200:1", "lattice enumeration box is not finite"),
+    ("scaled:1e-100:1", "lattice enumeration budget exceeded"),
+    # (2e30 (s + 1))^10 overflows, where the tail radius search never ended
+    ("scaled:1e-30:10", "Gaussian tail radius is not finite"),
+])
+def test_extreme_lattice_scales_are_refused_in_one_line(lattice, message, capsys):
+    assert main(["dioph", "--action", "mass", "--lattice", lattice]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_report_that_is_not_strict_json_exits_1_in_one_line(bad, monkeypatch, capsys):
+    monkeypatch.setattr("polyrec.cli.gaussian_mass", lambda lattice, tol: bad)
+    assert main(["dioph", "--action", "mass", "--lattice", "int:1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("internal check failed: report is not strict JSON")
+
+
+def test_an_output_path_that_cannot_be_written_exits_2_in_one_line(tmp_path, capsys):
+    assert main(["--output", str(tmp_path / "missing" / "out.json"), "selftest"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
 BIG = "1125899906842624.25"  # 2^50 + 1/4: n * BIG passes the phase limit at n = 1
 
 

@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from polyrec import recurrence
 from polyrec.intset import IntegerSet, generate_set
 from polyrec.polyfam import IntPolynomial, PolynomialFamily, shift_range
 from polyrec.recurrence import (decompose, default_schedule, find_good_shifts,
@@ -12,7 +15,7 @@ from polyrec.recurrence import (decompose, default_schedule, find_good_shifts,
 from polyrec.zn_fourier import (ZnFunction, balanced_function, dft, ellp_norm,
                                 indicator, lp_norm)
 
-from oracles import naive_intersection_cyclic, naive_intersection_integer
+from oracles import naive_decompose, naive_intersection_cyclic, naive_intersection_integer
 
 
 def _random_family(rng):
@@ -157,6 +160,102 @@ def test_decompose_rejects_functions_outside_unit_ball():
     f = ZnFunction(8, 3.0 * np.ones(8))
     with pytest.raises(ValueError):
         decompose(f, 0.2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_decompose_refuses_non_finite_values(bad):
+    vals = np.full(64, 0.01, dtype=complex)
+    vals[3] = bad
+    with pytest.raises(ValueError, match="finite values"):
+        decompose(ZnFunction(64, vals), 0.3)
+
+
+#: eps values that block masses of few-level functions can meet exactly
+DECOMPOSE_EPS = [0.1, 0.15, 0.25, 0.3, 0.5]
+
+
+@st.composite
+def tied_functions(draw):
+    """Real f on Z_n, n <= 64, from a few levels, often periodic: many
+    coefficients tie, at zero and (often exactly) as |c(xi)| = |c(-xi)|."""
+    n = draw(st.integers(1, 64))
+    period = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    pattern = draw(st.lists(st.sampled_from([-0.5, -0.25, 0.0, 0.25, 0.5]),
+                            min_size=period, max_size=period))
+    return np.tile(np.asarray(pattern, dtype=complex), n // period)
+
+
+@st.composite
+def schedules(draw):
+    """Custom schedules: one jump to N, a constant (marks then grow by one),
+    or eta(t) = (t + step)^-1/2 (marks grow by step)."""
+    kind = draw(st.sampled_from(["jump", "constant", "step"]))
+    if kind == "jump":
+        return lambda t: 1e-9
+    if kind == "constant":
+        level = draw(st.sampled_from([0.9, 0.5, 0.3, 0.2]))
+        return lambda t: level
+    step = draw(st.integers(1, 9))
+    return lambda t: (t + step) ** -0.5
+
+
+def _same_bits(got, want):
+    """Bitwise equality, with -0.0 and 0.0 taken as the same zero."""
+    return np.array_equal((got + 0.0).view(np.uint64), (want + 0.0).view(np.uint64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(vals=tied_functions(), eps=st.sampled_from(DECOMPOSE_EPS),
+       schedule=st.none() | schedules())
+@example(vals=np.tile(np.array([0.5, 0.0, -0.25, 0.0], dtype=complex), 16), eps=0.1,
+         schedule=lambda t: 0.2)
+@example(vals=np.array([0.5, -0.5, 0.25] * 21, dtype=complex), eps=0.15,
+         schedule=lambda t: (t + 1) ** -0.5)
+@example(vals=np.array([0.25], dtype=complex), eps=0.3, schedule=None)
+def test_decompose_matches_the_full_argsort_oracle(vals, eps, schedule):
+    n = vals.size
+    out = decompose(ZnFunction(n, vals), eps, schedule)
+    eta = schedule if schedule is not None else default_schedule(eps)
+    m, rounds, support, f1, f2, f3 = naive_decompose(vals, eps, eta)
+    assert (out.m, out.rounds) == (m, rounds)
+    assert np.array_equal(out.support, support)
+    assert _same_bits(out.f1.values, f1)
+    assert _same_bits(out.f2.values, f2)
+    assert _same_bits(out.f3.values, f3)
+
+
+def _counting(monkeypatch, module, name):
+    """Wrap module.name so that each call records its first argument."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(arg, *args, **kwargs):
+        calls.append(arg)
+        return original(arg, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_decompose_ranks_only_the_head_and_skips_empty_parts(monkeypatch):
+    a = generate_set("random", 4096, density=0.3, seed=5)
+    f = balanced_function(a)
+    sorts = _counting(monkeypatch, np, "argsort")
+    inverses = _counting(monkeypatch, recurrence, "inverse_dft")
+    out = decompose(f, 0.25, schedule=lambda t: 0.2)
+    # marks 1 -> 25: the first block closes below N, and f2 is the rest
+    assert (out.m, out.rounds) == (1, 1)
+    assert all(np.size(keys) < f.modulus for keys in sorts)
+    assert len(inverses) == 3
+    sorts.clear()
+    inverses.clear()
+    evens = balanced_function(generate_set("evens", 4096))  # one coefficient, at N/2
+    out = decompose(evens, 0.25, schedule=lambda t: 1e-9)
+    # marks 1 -> N: f1 is the top coefficient, f3 the rest and f2 is empty
+    assert (out.m, out.rounds) == (1, 1) and out.support.tolist() == [2048]
+    assert all(np.size(keys) < evens.modulus for keys in sorts)
+    assert len(inverses) == 2
+    assert not out.f2.values.any()
 
 
 def test_decompose_rejects_bad_schedules():

@@ -89,3 +89,31 @@ def test_balanced_of_evens_has_single_nonzero_frequency():
 def test_modulus_mismatch_rejected():
     with pytest.raises(ValueError):
         ZnFunction(4, np.ones(3))
+
+
+def test_zn_function_copies_a_writable_array():
+    vals = np.arange(5, dtype=complex)
+    f = ZnFunction(5, vals)
+    vals[2] = 99.0
+    assert f.values[2] == 2.0
+    assert not f.values.flags.writeable
+
+
+def test_zn_function_copies_a_read_only_view_of_a_writable_array():
+    base = np.arange(6, dtype=complex)
+    view = base[:5]
+    view.setflags(write=False)
+    f = ZnFunction(5, view)
+    base[2] = 99.0
+    assert f.values[2] == 2.0
+
+
+def test_transforms_hand_over_one_read_only_array():
+    f = ZnFunction(8, np.arange(8, dtype=complex))
+    spec = dft(f)
+    back = inverse_dft(spec)
+    for arr in (spec.coefficients, back.values):
+        assert not arr.flags.writeable and arr.flags.owndata
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    assert np.allclose(back.values, f.values)
