@@ -20,7 +20,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .intset import IntegerSet
 from .polyfam import PolynomialFamily, ShiftRange, shift_range
-from .zn_fourier import (Spectrum, ZnFunction, _block_layout, _frozen, balanced_function,
+from .zn_fourier import (Spectrum, ZnFunction, _block_layout, _Fresh, balanced_function,
                          dft, ellp_norm, exact_correlation, inverse_dft, lp_norm)
 
 __all__ = [
@@ -309,7 +309,7 @@ def _rank_part(coeffs: np.ndarray, head: np.ndarray, lo: int, hi: int) -> ZnFunc
     """
     n = coeffs.size
     if lo == hi:
-        return ZnFunction(n, _frozen(np.zeros(n, dtype=np.complex128)))
+        return ZnFunction(n, _Fresh(np.zeros(n, dtype=np.complex128)))
     if hi == n:
         masked = coeffs.copy()
         masked[head[:lo]] = 0
@@ -317,7 +317,7 @@ def _rank_part(coeffs: np.ndarray, head: np.ndarray, lo: int, hi: int) -> ZnFunc
         masked = np.zeros(n, dtype=np.complex128)
         sel = head[lo:hi]
         masked[sel] = coeffs[sel]
-    return inverse_dft(Spectrum(n, _frozen(masked)))
+    return inverse_dft(Spectrum(n, _Fresh(masked)))
 
 
 def decompose(f: ZnFunction, eps: float,

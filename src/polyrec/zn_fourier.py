@@ -53,24 +53,28 @@ class ExactnessError(ArithmeticError):
     """A computation that must be exact could not be shown to be exact."""
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    """arr made read-only, for handing a fresh array over without a copy."""
-    arr.setflags(write=False)
-    return arr
+class _Fresh:
+    """A complex128 array made inside this package and referenced nowhere
+    else, handed to ZnFunction or Spectrum without a copy."""
+
+    __slots__ = ("arr",)
+
+    def __init__(self, arr: np.ndarray):
+        self.arr = arr
 
 
 def _frozen_complex(values) -> np.ndarray:
     """values as a read-only complex128 array of one dimension.
 
-    A read-only complex128 array that owns its memory is kept as it is:
-    no view can write it, so dft, inverse_dft and the constructors below
-    hand their fresh arrays over this way (see _frozen).  Anything a
-    caller could still write (a writable array, or a read-only view of
-    one) is copied.
+    A caller's values are always copied, so no array or view the caller
+    holds can change the result.  Only a _Fresh array (from dft,
+    inverse_dft, indicator, balanced_function or decompose's parts) is
+    taken over as it is.
     """
-    arr = np.asarray(values, dtype=np.complex128)
-    if arr.flags.writeable or not arr.flags.owndata:
-        arr = arr.copy()
+    if isinstance(values, _Fresh):
+        arr = values.arr
+    else:
+        arr = np.array(values, dtype=np.complex128)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("expected a nonempty one-dimensional array of values")
     arr.setflags(write=False)
@@ -112,12 +116,12 @@ class Spectrum:
 def dft(f: ZnFunction) -> Spectrum:
     """Transform with the 1/N-normalized kernel e(-x xi / N).
 
-    The FFT's output is scaled in place and handed over read-only, so
+    The FFT's output is scaled in place and taken over read-only, so
     each call makes one array.
     """
     coeffs = np.fft.fft(f.values)
     coeffs /= f.modulus
-    return Spectrum(f.modulus, _frozen(coeffs))
+    return Spectrum(f.modulus, _Fresh(coeffs))
 
 
 def inverse_dft(spectrum: Spectrum) -> ZnFunction:
@@ -125,7 +129,7 @@ def inverse_dft(spectrum: Spectrum) -> ZnFunction:
     as in dft."""
     vals = np.fft.ifft(spectrum.coefficients)
     vals *= spectrum.modulus
-    return ZnFunction(spectrum.modulus, _frozen(vals))
+    return ZnFunction(spectrum.modulus, _Fresh(vals))
 
 
 def _p_norm(arr: np.ndarray, p: float, weight: float) -> float:
@@ -151,14 +155,14 @@ def indicator(a: IntegerSet) -> ZnFunction:
     """0/1 indicator of A read modulo n (the element n lands on residue 0)."""
     vals = np.zeros(a.n, dtype=np.complex128)
     vals[a.array % a.n] = 1.0
-    return ZnFunction(a.n, _frozen(vals))
+    return ZnFunction(a.n, _Fresh(vals))
 
 
 def balanced_function(a: IntegerSet) -> ZnFunction:
     """Indicator of A minus its density; the transform vanishes at frequency 0."""
     vals = np.full(a.n, -float(a.density), dtype=np.complex128)
     vals[a.array % a.n] += 1.0  # residues are distinct, so each gets one 1
-    return ZnFunction(a.n, _frozen(vals))
+    return ZnFunction(a.n, _Fresh(vals))
 
 
 def _fast_length(n: int) -> int:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from polyrec.intset import IntegerSet
-from polyrec.zn_fourier import (ZnFunction, balanced_function, dft, ellp_norm,
+from polyrec.zn_fourier import (Spectrum, ZnFunction, balanced_function, dft, ellp_norm,
                                 indicator, inverse_dft, lp_norm)
 
 from oracles import naive_dft, naive_inverse_dft
@@ -106,6 +106,17 @@ def test_zn_function_copies_a_read_only_view_of_a_writable_array():
     f = ZnFunction(5, view)
     base[2] = 99.0
     assert f.values[2] == 2.0
+
+
+def test_zn_function_copies_a_frozen_array_with_a_writable_view():
+    # numpy does not pass write=False on to views taken before it was set
+    base = np.arange(5, dtype=complex)
+    view = base[:]
+    base.setflags(write=False)
+    f = ZnFunction(5, base)
+    spec = Spectrum(5, base)
+    view[2] = 99.0
+    assert f.values[2] == 2.0 and spec.coefficients[2] == 2.0
 
 
 def test_transforms_hand_over_one_read_only_array():

@@ -2,12 +2,15 @@
 pairs, and write the result as a BENCH_<pr>.json file.
 
     python3 tools/bench_pairs.py --pr 11 --parent-rev HEAD --seeds 1101-1110 \
-        --claim kernels:batch_s --what "..." [--workloads kernels,desk-mix] \
-        [--seconds 55] [--traced-seeds 1111,1112] [--layers a,b,...]
+        --claim kernels:peak_rss_mb --what "..." [--workloads kernels,desk-mix] \
+        [--traced-seeds 1111,1112] [--layers a,b,...]
 
 The parent side is `git archive` of --parent-rev (default HEAD: the
 last commit, against uncommitted changes), unpacked into a temporary
-directory; the change side is this checkout as it is on disk.
+directory; the change side is this checkout as it is on disk.  The
+revision is resolved to its commit hash, which the output records, and
+a run whose tracked files do not differ from that commit is refused.
+perfbench sets the run length.
 For each workload and seed, one `perfbench/run.py --trace 0` run per side
 makes a pair; the parent runs first on the 1st, 3rd, ... pair and second
 on the others.  Each end-to-end metric gets, per side, the median and
@@ -52,11 +55,10 @@ def _unpack(rev: str, dest: Path) -> None:
     archive.unlink()
 
 
-def _run(side: str, tree: Path, workload: str, seed: int, seconds: float,
-         trace: int) -> dict:
+def _run(side: str, tree: Path, workload: str, seed: int, trace: int) -> dict:
     """One perfbench run: its machine facts and its last (result) line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+           "--seed", str(seed), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
                           timeout=RUN_TIMEOUT_S)
     lines = proc.stdout.strip().splitlines()
@@ -79,14 +81,14 @@ def _summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def _pairs(trees: dict, workload: str, seeds: list[int], seconds: float,
+def _pairs(trees: dict, workload: str, seeds: list[int],
            metrics: list[dict]) -> tuple[dict, dict]:
     runs = {"parent": [], "change": []}
     machine = {}
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            run = _run(side, trees[side], workload, seed, seconds, 0)
+            run = _run(side, trees[side], workload, seed, 0)
             machine = run["machine"]
             runs[side].append(run)
     table = {}
@@ -120,10 +122,8 @@ def main(argv=None) -> int:
     parser.add_argument("--claim", required=True, help="workload:metric")
     parser.add_argument("--what", required=True)
     parser.add_argument("--workloads", default="kernels,desk-mix")
-    parser.add_argument("--seconds", type=float, default=55.0)
     parser.add_argument("--traced-seeds", type=_seeds, default=[])
     parser.add_argument("--layers", default=DEFAULT_LAYERS)
-    parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -134,11 +134,19 @@ def main(argv=None) -> int:
         parser.error(f"--claim names no end-to-end metric: {args.claim}")
     workload_names = args.workloads.split(",")
     layers = args.layers.split(",")
+    parent = subprocess.run(["git", "rev-parse", "--verify", f"{args.parent_rev}^{{commit}}"],
+                            cwd=ROOT, capture_output=True, text=True)
+    if parent.returncode != 0:
+        parser.error(f"--parent-rev names no commit: {args.parent_rev}")
+    parent = parent.stdout.strip()
+    if subprocess.run(["git", "diff", "--quiet", parent, "--"], cwd=ROOT).returncode == 0:
+        parser.error(f"the working tree does not differ from {parent}: "
+                     "it would be measured against itself")
     out = {
         "what": args.what,
         "how": (f"python3 tools/bench_pairs.py: python3 perfbench/run.py --workload W "
-                f"--seed S --seconds {args.seconds:g} --trace 0 in a `git archive` of "
-                f"{args.parent_rev} and in this checkout, one pair per seed and workload, "
+                f"--seed S --trace 0 in a `git archive` of commit {parent} "
+                "and in this checkout, one pair per seed and workload, "
                 "the parent first on the 1st, 3rd, ... pair; medians and inclusive "
                 "quartiles over the pairs.  Traced layers: --trace 1 runs."),
         "seeds": args.seeds,
@@ -149,22 +157,22 @@ def main(argv=None) -> int:
         "machine": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        _unpack(args.parent_rev, Path(tmp))
+        _unpack(parent, Path(tmp))
         trees = {"parent": Path(tmp) / "tree", "change": ROOT}
         for workload in workload_names:
             out["workloads"][workload], machine = _pairs(
-                trees, workload, args.seeds, args.seconds, metrics)
+                trees, workload, args.seeds, metrics)
             machine.pop("git_commit", None)
             out["machine"] = {**machine, "arch": platform.machine()}
         for workload in workload_names if args.traced_seeds else ():
             out["traced"][workload] = {side: [] for side in trees}
             for seed in args.traced_seeds:
                 for side, tree in trees.items():
-                    run = _run(side, tree, workload, seed, args.seconds, 1)
+                    run = _run(side, tree, workload, seed, 1)
                     out["traced"][workload][side].append(
                         {"seed": seed, "correct": run["correct"],
                          **{k: run["metrics"].get(k) for k in layers}})
-    path = args.out or ROOT / f"BENCH_{args.pr}.json"
+    path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     claimed = out["workloads"].get(claim_workload, {}).get("end_to_end", {}).get(claim_metric)
     if claimed:
