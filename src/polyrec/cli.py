@@ -245,7 +245,8 @@ def _cmd_decompose(args, config: ExperimentConfig):
     recon = out.reconstruction_error
     smallest = min(200, out.support.size)
     l2_f2 = lp_norm(out.f2, 2)
-    linf_f3_hat = ellp_norm(dft(out.f3), math.inf)
+    # f3 holds ranks [m, next mark), empty exactly when m = N
+    linf_f3_hat = 0.0 if out.m == args.N else ellp_norm(dft(out.f3), math.inf)
     results = {
         "N": args.N,
         "eps": args.eps,

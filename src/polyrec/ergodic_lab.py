@@ -217,8 +217,8 @@ def khintchine_search(system: FiniteMPSystem, subset, eps: float,
     rejected unless permissive=True, in which case exhaustion is a
     reported failure.
     """
-    if eps <= 0:
-        raise ValueError("need eps > 0")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError("need finite eps > 0")
     times = [int(v) for v in times]
     if len(set(times)) != len(times):
         raise ValueError("times must be distinct")
@@ -324,8 +324,8 @@ def griesmer_search(system: FiniteMPSystem, subset, eps: float,
     the guarantee needs, so running out of vertices is a reported
     failure, not an error.
     """
-    if eps <= 0:
-        raise ValueError("need eps > 0")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError("need finite eps > 0")
     constants = tuple(int(c) for c in constants)
     if not constants or any(c == 0 for c in constants):
         raise ValueError("constants must be nonzero")

@@ -36,11 +36,14 @@ __all__ = [
     "wrap_free",
 ]
 
-#: Dense signature-space estimate above which the shift-and-add convolution
-#: falls back to meet-in-the-middle enumeration.
+#: Box estimate prod_i (K (hi_i - lo_i + 1) + 1) past which an integer count
+#: groups its K-fold sums (meet-in-the-middle) instead of adding on a box.
 SIGNATURE_BUDGET = 5_000_000
-#: Enumeration cap for the meet-in-the-middle fallback (M^K tuples).
+#: Admission of grouping: at most this many K-tuples (M^K).
 MITM_BUDGET = 20_000_000
+#: Admission of shift-and-add, in element adds (a Python-integer add counts 50):
+#: about as long as a grouping at MITM_BUDGET (2-5 s) at 0.9-2.1e9 int64 adds/s.
+DENSE_BUDGET = 4_000_000_000
 
 
 @dataclass(frozen=True)
@@ -119,19 +122,14 @@ def _shift_add_square_sum(points: np.ndarray, mult: np.ndarray, k_order: int,
     adds one shifted copy of the previous layer per distinct point, so a
     layer costs O(D * size).  With a modulus the array is cyclic of that
     length (one dimension); otherwise it is a line or box that grows to
-    the K-fold sum range and no further.  int64 is exact while
-    M^(2K) <= 2^62 (M the total multiplicity); past that the array holds
-    Python integers.
+    the K-fold sum range and no further, in mult's dtype (int64 or object).
     """
-    total = int(mult.sum())
-    dtype = object if total ** (2 * k_order) > 2 ** 62 else np.int64
-    mult = mult.astype(dtype)
     extent = points.max(axis=0) + 1
-    layer = np.zeros((modulus,) if modulus else tuple(extent), dtype=dtype)
+    layer = np.zeros((modulus,) if modulus else tuple(extent), dtype=mult.dtype)
     layer[tuple(points.T)] = mult
     for fold in range(2, k_order + 1):
         shape = (modulus,) if modulus else tuple(fold * (extent - 1) + 1)
-        nxt = np.zeros(shape, dtype=dtype)
+        nxt = np.zeros(shape, dtype=mult.dtype)
         for point, count in zip(points, mult):
             copy = layer if count == 1 else layer * count
             if modulus:
@@ -145,7 +143,7 @@ def _shift_add_square_sum(points: np.ndarray, mult: np.ndarray, k_order: int,
     return int(np.dot(flat, flat))
 
 
-def _grouped_square_sum(columns: Sequence[Sequence[int]], k_order: int) -> int:
+def _grouped_square_sum(columns: Sequence[np.ndarray], k_order: int) -> int:
     """sum over classes of K-tuples with equal signature sums of class size^2.
 
     columns[i][n] is coordinate i of the signature of the n-th point; all
@@ -153,13 +151,10 @@ def _grouped_square_sum(columns: Sequence[Sequence[int]], k_order: int) -> int:
     their summed signatures.  A coordinate whose K-fold sums could pass
     int64 is summed in Python integers and replaced by its rank.
     """
-    m = len(columns[0])
-    if m ** k_order > MITM_BUDGET:
-        raise ValueError("budget exceeded with no fallback possible")
     keys = []
     for col in columns:
-        fits = k_order * max(abs(v) for v in col) < 2 ** 63
-        base = np.array(col, dtype=np.int64 if fits else object)
+        fits = k_order * max(-int(col.min()), int(col.max())) < 2 ** 63
+        base = col.astype(np.int64 if fits else object)
         sums = base
         for _ in range(k_order - 1):
             sums = (sums[:, None] + base[None, :]).ravel()
@@ -174,19 +169,57 @@ def _grouped_square_sum(columns: Sequence[Sequence[int]], k_order: int) -> int:
     return int(np.dot(sizes, sizes))
 
 
+def _equal_sums(polys: Sequence[IntPolynomial], k_order: int, m: int,
+                modulus: Optional[int] = None, method: str = "auto",
+                spans: Optional[Sequence[int]] = None) -> tuple[int, str]:
+    """sum_c r(c)^2 and its route, r(c) the number of K-tuples of n in [1, M]
+    whose value rows (P_1(n), ..., P_l(n)) sum to c, mod N with a modulus.
+
+    Counts mod N add on a cyclic array; integer counts go by the box estimate.
+    Grouping is admitted while M^K <= MITM_BUDGET, adding while its element
+    adds D sum_{f<K} |layer f| + |layer K|, D <= min(M, N) rows, stay within
+    DENSE_BUDGET.  Closed-form spans hi_i - lo_i settle both before the table.
+    """
+    def table():
+        cols = [p.values(np.arange(1, m + 1)) for p in polys]
+        return [c % modulus for c in cols] if modulus else cols
+
+    columns = table() if spans is None and not modulus else None
+    if modulus:
+        method, sizes = "convolution", [modulus] * k_order
+    else:
+        spans = spans or [int(c.max()) - int(c.min()) for c in columns]
+        box = math.prod(k_order * (s + 1) + 1 for s in spans)
+        if method == "auto":
+            method = "convolution" if box <= SIGNATURE_BUDGET else "mitm"
+        elif method == "convolution" and box > SIGNATURE_BUDGET:
+            raise ValueError("signature budget exceeded; use method='mitm'")
+        sizes = [math.prod(f * s + 1 for s in spans) for f in range(1, k_order + 1)]
+    if method == "mitm":
+        if m ** k_order > MITM_BUDGET:
+            raise ValueError(f"meet-in-the-middle budget exceeded: M^K > {MITM_BUDGET}")
+        return _grouped_square_sum(columns or table(), k_order), method
+    if method != "convolution":
+        raise ValueError(f"unknown method {method!r}")
+    dtype = np.int64 if m ** (2 * k_order) <= 2 ** 62 else object  # count <= M^(2K)
+    work = min(m, modulus or m) * sum(sizes[:-1]) + sizes[-1]
+    if (1 if dtype is np.int64 else 50) * work > DENSE_BUDGET:
+        raise ValueError(f"shift-and-add budget exceeded: weighted adds > {DENSE_BUDGET}")
+    offsets = np.stack([c - c.min() for c in columns or table()], axis=1)
+    rows, mult = np.unique(offsets.astype(np.int64), axis=0, return_counts=True)
+    return _shift_add_square_sum(rows, mult.astype(dtype), k_order, modulus), method
+
+
 def count_solutions_mod(poly: IntPolynomial, m: int, n_modulus: int,
                         k_order: int) -> int:
     """Exact number of 2K-tuples with sum_j P(n_j) = sum_j P(m_j) mod N.
 
     Shift-and-add of the residue distribution on a cyclic array of
-    length N, one layer per summand.
+    length N, one layer per summand, admitted as _equal_sums says.
     """
     if m < 1 or n_modulus < 1 or k_order < 1:
         raise ValueError("need M >= 1, N >= 1, K >= 1")
-    residues, mult = np.unique(
-        (poly.values(np.arange(1, m + 1)) % n_modulus).astype(np.int64),
-        return_counts=True)
-    return _shift_add_square_sum(residues[:, None], mult, k_order, modulus=n_modulus)
+    return _equal_sums((poly,), k_order, m, modulus=n_modulus)[0]
 
 
 @dataclass(frozen=True)
@@ -207,65 +240,31 @@ class TarryCount:
         return 2 * self.k_order - self.degree * (self.degree + 1) / 2
 
 
-def _tarry_convolution(k_order: int, degree: int, m: int) -> int:
-    # signature (n, n^2, ..., n^k) shifted so that n = 1 sits at the origin
-    ns = np.arange(1, m + 1, dtype=np.int64)
-    points = np.stack([ns ** i - 1 for i in range(1, degree + 1)], axis=1)
-    return _shift_add_square_sum(points, np.ones(m, dtype=np.int64), k_order)
-
-
-def _tarry_mitm(k_order: int, degree: int, m: int) -> int:
-    columns = [[n ** i for n in range(1, m + 1)] for i in range(1, degree + 1)]
-    return _grouped_square_sum(columns, k_order)
-
-
 def tarry_count(k_order: int, degree: int, m: int, method: str = "auto") -> TarryCount:
     """J(K, k, M): 2K-tuples over [1, M] with equal power sums up to degree k.
 
     Always at least M^K (diagonal tuples); exact over the integers.  The
-    shift-and-add convolution over the box of K-fold signature sums is
-    primary; when the dense signature-box estimate prod_i (K M^i + 1)
-    exceeds the budget, falls back to meet-in-the-middle grouping of the
-    M^K K-tuple signatures.
+    table is n, ..., n^k, whose spans M^i - 1 give the box estimate
+    prod_i (K M^i + 1): shift-and-add ("convolution") up to the signature
+    budget, grouping ("mitm") past it, both admitted before any table.
     """
     if k_order < 1 or degree < 1 or m < 1:
         raise ValueError("need K >= 1, k >= 1, M >= 1")
-    estimate = math.prod(k_order * m ** i + 1 for i in range(1, degree + 1))
-    if method == "auto":
-        method = "convolution" if estimate <= SIGNATURE_BUDGET else "mitm"
-    if method == "convolution":
-        if estimate > SIGNATURE_BUDGET:
-            raise ValueError("signature budget exceeded; use method='mitm'")
-        count = _tarry_convolution(k_order, degree, m)
-    elif method == "mitm":
-        count = _tarry_mitm(k_order, degree, m)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    monomials = [IntPolynomial((0,) * (i - 1) + (1,)) for i in range(1, degree + 1)]
+    count, method = _equal_sums(monomials, k_order, m, method=method,
+                                spans=[m ** i - 1 for i in range(1, degree + 1)])
     return TarryCount(k_order=k_order, m=m, count=count, method=method, degree=degree)
 
 
 def tarry_count_poly(poly: IntPolynomial, k_order: int, m: int) -> TarryCount:
     """Exact 2K-tuple count for the single equation sum P(n_j) = sum P(m_j) over Z.
 
-    Shift-and-add on a line spanning the K-fold value range; when that
-    line would pass the signature budget, meet-in-the-middle grouping of
-    the M^K value sums instead.
+    Routed and admitted as tarry_count, by the box estimate K (hi - lo + 1) + 1;
+    for P(n) = n it is tarry_count(K, 1, M), route and refusals included.
     """
     if k_order < 1 or m < 1:
         raise ValueError("need K >= 1 and M >= 1")
-    values = poly.values(np.arange(1, m + 1))
-    lo, hi = int(values.min()), int(values.max())
-    spread = hi - lo + 1
-    work = sum(min(m ** j, k_order * spread) * m for j in range(1, k_order))
-    if work > MITM_BUDGET:
-        raise ValueError("budget exceeded with no fallback possible")
-    if k_order * (spread - 1) + 1 <= SIGNATURE_BUDGET:
-        offsets, mult = np.unique((values - lo).astype(np.int64), return_counts=True)
-        count = _shift_add_square_sum(offsets[:, None], mult, k_order)
-        method = "convolution"
-    else:
-        count = _grouped_square_sum([values.tolist()], k_order)
-        method = "mitm"
+    count, method = _equal_sums((poly,), k_order, m)
     return TarryCount(k_order=k_order, m=m, count=count, method=method, poly=poly)
 
 

@@ -205,3 +205,27 @@ def test_search_refuses_non_finite_eps_and_c(capsys, flag, value):
     assert code == 2
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
+_PEAK = ("import resource, sys\n"
+         "from polyrec.cli import main\n"
+         "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+         "code = main(sys.argv[1:])\n"
+         "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+         "print(code, peak - base)\n")
+
+
+@pytest.mark.parametrize("m,message", [
+    # shift-and-add in Python integers: 5e11 weighted adds
+    ("100000", "error: shift-and-add budget exceeded"),
+    # grouping of 10^14 tuples, refused before a table of 10^7 values
+    ("10000000", "error: meet-in-the-middle budget exceeded"),
+])
+def test_tarry_past_its_budget_is_refused_before_the_work(m, message):
+    argv = ["tarry", "--K", "2", "--k", "1", "--M", m]
+    out = subprocess.run([sys.executable, "-c", _PEAK, *argv], capture_output=True,
+                         text=True, timeout=30)
+    code, grown_kb = map(int, out.stdout.split())
+    assert code == 2
+    assert out.stderr.count("\n") == 1 and out.stderr.startswith(message)
+    assert grown_kb < 20_000  # ru_maxrss is in KiB; a 10^7 table takes 80 MB or more

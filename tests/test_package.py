@@ -152,25 +152,27 @@ ROUNDING_FUNCTIONS = {"_phases", "_lattice_points_within"}
 MODULE = "<module>"
 
 
-def rounding_outside(source: str, allowed=ROUNDING_FUNCTIONS) -> list[str]:
-    """Each np.floor or np.rint that the module body or a top-level function
-    or method outside `allowed` names, with its line and owner (nested
-    functions count as their owner)."""
-    found = []
-
+def owned_nodes(source: str):
+    """Each node of the module with its owner: the top-level function or
+    method it lies in (nested functions count as their owner), or <module>."""
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and owner == MODULE:
-                visit(child, child.name)
+                yield from visit(child, child.name)
                 continue
-            if (isinstance(child, ast.Attribute) and child.attr in ("floor", "rint")
-                    and getattr(child.value, "id", None) == "np"
-                    and owner not in allowed):
-                found.append(f"line {child.lineno}: np.{child.attr} in {owner}")
-            visit(child, owner)
+            yield owner, child
+            yield from visit(child, owner)
 
-    visit(ast.parse(source), MODULE)
-    return found
+    return visit(ast.parse(source), MODULE)
+
+
+def rounding_outside(source: str, allowed=ROUNDING_FUNCTIONS) -> list[str]:
+    """Each np.floor or np.rint that the module body or a top-level function
+    or method outside `allowed` names, with its line and owner."""
+    return [f"line {node.lineno}: np.{node.attr} in {owner}"
+            for owner, node in owned_nodes(source)
+            if isinstance(node, ast.Attribute) and node.attr in ("floor", "rint")
+            and getattr(node.value, "id", None) == "np" and owner not in allowed]
 
 
 def test_rounding_check_flags_each_reduction_outside_the_allowed_functions():
@@ -187,3 +189,29 @@ def test_rounding_check_flags_each_reduction_outside_the_allowed_functions():
 
 def test_lattice_dioph_reduces_phases_in_one_place():
     assert rounding_outside((SRC / "lattice_dioph.py").read_text(encoding="utf-8")) == []
+
+
+def callers(source: str, names) -> dict[str, list[str]]:
+    """For each name, the owner (as in owned_nodes) of each call to it."""
+    found = {name: [] for name in names}
+    for owner, node in owned_nodes(source):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in found):
+            found[node.func.id].append(owner)
+    return found
+
+
+def test_callers_names_the_owner_of_each_call():
+    source = ("k()\n"
+              "def f():\n    def g():\n        return k(1)\n    return k(2) + h()\n"
+              "class C:\n    def m(self):\n        return h()\n")
+    assert callers(source, ("k", "h")) == {"k": ["<module>", "f", "f"], "h": ["f", "m"]}
+
+
+def test_weyl_tarry_counts_equal_sums_in_one_place():
+    source = (SRC / "weyl_tarry.py").read_text(encoding="utf-8")
+    assert callers(source, ("_shift_add_square_sum", "_grouped_square_sum")) == {
+        "_shift_add_square_sum": ["_equal_sums"], "_grouped_square_sum": ["_equal_sums"]}
+    defined = {node.name for node in ast.parse(source).body
+               if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"_tarry_convolution", "_tarry_mitm"}

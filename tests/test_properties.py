@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polyrec import recurrence, zn_fourier
+from polyrec import recurrence, weyl_tarry, zn_fourier
 from polyrec.cli import main
 from polyrec.intset import IntegerSet
 from polyrec.polyfam import IntPolynomial, PolynomialFamily, shift_range
@@ -275,8 +275,35 @@ def test_tarry_count_poly_matches_oracle(poly, k_order, m, scale):
     assert out.count == naive_count_solutions(poly, m, k_order)
     lo = min(poly.evaluate(x) for x in range(1, m + 1))
     hi = max(poly.evaluate(x) for x in range(1, m + 1))
-    line = k_order * (hi - lo) + 1
-    assert out.method == ("convolution" if line <= SIGNATURE_BUDGET else "mitm")
+    box = k_order * (hi - lo + 1) + 1
+    assert out.method == ("convolution" if box <= SIGNATURE_BUDGET else "mitm")
+
+
+def _count_or_refusal(count, *args):
+    try:
+        out = count(*args)
+    except ValueError as exc:
+        return str(exc)
+    return out.count, out.method
+
+
+@PROPERTY
+@given(k_order=st.integers(1, 4), m=st.integers(1, 40),
+       budgets=st.tuples(st.sampled_from([10, 100, SIGNATURE_BUDGET]),
+                         st.sampled_from([50, 2_000, weyl_tarry.MITM_BUDGET]),
+                         st.sampled_from([500, 50_000, weyl_tarry.DENSE_BUDGET])))
+@example(k_order=2, m=40, budgets=(10, 2_000, weyl_tarry.DENSE_BUDGET))   # grouping
+@example(k_order=2, m=40, budgets=(10, 50, weyl_tarry.DENSE_BUDGET))      # refused
+@example(k_order=3, m=40, budgets=(SIGNATURE_BUDGET, 50, 500))            # refused
+def test_tarry_entry_points_agree_on_route_count_and_refusal(k_order, m, budgets):
+    # small budgets put both routes and both refusals in reach of small M
+    signature, mitm, dense = budgets
+    with mock.patch.multiple(weyl_tarry, SIGNATURE_BUDGET=signature, MITM_BUDGET=mitm,
+                             DENSE_BUDGET=dense):
+        got = _count_or_refusal(tarry_count_poly, IntPolynomial((1,)), k_order, m)
+        assert got == _count_or_refusal(tarry_count, k_order, 1, m)
+    if not isinstance(got, str):
+        assert got[0] == grouped_tarry(k_order, 1, m)
 
 
 def _python_square_sum(values, k_order, modulus=None):
@@ -303,6 +330,18 @@ def test_object_dtype_paths_match_python_integers():
     assert tarry_count(32, 1, 2).count == math.comb(64, 32)
     # 2 * 3^40 passes int64: the grouping ranks that coordinate in Python integers
     assert tarry_count(2, 40, 3, method="mitm").count == naive_tarry(2, 40, 3)
+
+
+@pytest.mark.filterwarnings("error")  # an int64 overflow in the fit test warns
+@pytest.mark.parametrize("lead", [2 ** 61, -(2 ** 61)])
+def test_grouping_ranks_int64_values_whose_doubles_pass_int64(lead):
+    # the table is int64 (3 * 2^61 < 2^63) but 2 * 3 * 2^61 is not: the
+    # fit test must be taken in Python integers, not in int64
+    poly = IntPolynomial((lead,))
+    assert poly.values(np.arange(1, 4)).dtype == np.int64
+    out = tarry_count_poly(poly, 2, 3)
+    assert out.method == "mitm"
+    assert out.count == naive_count_solutions(poly, 3, 2)
 
 
 def test_exactness_guard_raises_on_huge_values():
@@ -359,6 +398,14 @@ def test_cli_maps_exactness_errors_to_exit_1(monkeypatch, capsys):
     ["ergodic", "--action", "measure", "--system", "rotation:10", "--subset", "random:nan"],
     ["decompose", "--N", "10", "--eps", "inf"],
     ["decompose", "--N", "10", "--eps", "nan"],
+    ["ergodic", "--action", "khintchine", "--system", "rotation:10", "--subset", "all",
+     "--eps", "inf"],
+    ["ergodic", "--action", "khintchine", "--system", "rotation:10", "--subset", "all",
+     "--eps", "nan"],
+    ["ergodic", "--action", "griesmer", "--system", "rotation:10", "--subset", "all",
+     "--eps", "inf"],
+    ["ergodic", "--action", "griesmer", "--system", "rotation:10", "--subset", "all",
+     "--eps", "nan"],
 ])
 def test_refusals_exit_2_with_one_line(argv, capsys):
     assert main(argv) == 2

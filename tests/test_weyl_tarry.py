@@ -150,6 +150,14 @@ def test_tarry_poly_reduces_to_plain_tarry():
         assert tarry_count_poly(poly, 2, m).count == tarry_count(2, 1, m).count
 
 
+def test_tarry_entry_points_agree_past_the_old_poly_work_bound():
+    # tarry_count_poly refused this with a work formula of its own
+    out = tarry_count_poly(IntPolynomial((1,)), 2, 5000)
+    want = tarry_count(2, 1, 5000)
+    assert (out.count, out.method) == (want.count, want.method)
+    assert out.count == (2 * 5000 ** 3 + 5000) // 3
+
+
 def test_tarry_poly_matches_brute_force():
     from itertools import product
     rng = random.Random(13)
