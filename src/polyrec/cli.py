@@ -26,9 +26,9 @@ from .config import (ConfigError, ExperimentConfig, load_config)
 from .intset import IntegerSet, bernoulli_mask, generate_set
 from .zn_fourier import (ExactnessError, ZnFunction, balanced_function, dft,
                          ellp_norm, inverse_dft, lp_norm)
-from .polyfam import (IntPolynomial, PolynomialFamily, check_difference_identity,
-                      check_lift_implication, coefficient_analysis,
-                      lift_construction)
+from .polyfam import (_LIFT_MAX_AMBIENT, IntPolynomial, PolynomialFamily,
+                      check_difference_identity, check_lift_implication,
+                      coefficient_analysis, lift_construction)
 from .weyl_tarry import (count_solutions_mod, growth_probe, moment_2k,
                          tarry_count, weyl_sum, wrap_free)
 from .recurrence import decompose, find_good_shifts, intersection_profile
@@ -425,6 +425,8 @@ def _cmd_ergodic(args, config: ExperimentConfig):
 
 
 def _cmd_lift(args, config: ExperimentConfig):
+    if args.N > _LIFT_MAX_AMBIENT:  # refused before a set of N points is built
+        raise ValueError(f"lift supports ambient n <= {_LIFT_MAX_AMBIENT} (desk scale)")
     a = _parse_set(args.set, args.N, config.seed)
     family = _parse_family(args.poly)
     lift = lift_construction(a, family, args.half_width)
@@ -513,9 +515,16 @@ def _cmd_selftest(args, config: ExperimentConfig):
 
 # ----------------------------------------------------------------- driver
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits 2 with one line, as every other refusal does."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polyrec",
         description="Desk-scale experiments on polynomial recurrence: Fourier "
                     "profiles, Weyl sums, lattice Gaussians, recurrence searches.",

@@ -172,10 +172,6 @@ class BlockVector:
     def dims(self) -> tuple[int, ...]:
         return tuple(len(e) for e in self.entries)
 
-    @property
-    def is_rational(self) -> bool:
-        return all(_entry_is_rational(x) for e in self.entries for x in e)
-
     def block_arrays(self) -> list[np.ndarray]:
         return [np.asarray([float(x) for x in e], dtype=np.longdouble)
                 for e in self.entries]

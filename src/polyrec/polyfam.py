@@ -329,41 +329,38 @@ class LiftResult:
 _STAGE_CORRELATION_BUDGET = 30_000_000
 
 
-def _argmax_offset(dist_vals: np.ndarray, dist_origin: np.ndarray,
-                   a: IntegerSet) -> tuple[tuple[int, ...], int]:
-    """Best shift s maximizing #{y : y + s in A^r}, given the y-distribution.
+def _best_offset(vals: np.ndarray, a: IntegerSet) -> tuple[tuple[int, ...], np.ndarray]:
+    """The offset s maximizing #{rows y of vals : y + s in A^r}, and those rows.
 
-    dist_vals is an r-dimensional count array whose [0,...]-corner sits at
-    dist_origin in value space.  Ties resolve to the first offset in C order.
+    vals is an int64 (rows, r) array.  The rows' distribution over their
+    bounding box is correlated with the indicator of A^r in one
+    exact_correlation call, which counts every offset at once; ties go to
+    the first maximum in C order, the lexicographically smallest offset.
+    The box is measured in Python integers and refused past the budget
+    before either array is built.  The kept rows are recounted from the
+    indicator, and a count that differs from the correlation's raises.
     """
-    r = dist_vals.ndim
-    ind = np.zeros((a.n,) * r, dtype=np.int64)
-    idx = a.array - 1
-    mesh = np.meshgrid(*([idx] * r), indexing="ij")
-    ind[tuple(mesh)] = 1
-    out_shape = tuple(d + i - 1 for d, i in zip(dist_vals.shape, ind.shape))
-    if math.prod(out_shape) > _STAGE_CORRELATION_BUDGET:
+    lo = [int(v) for v in vals.min(axis=0)]
+    hi = [int(v) for v in vals.max(axis=0)]
+    extent = [h - l + 1 for l, h in zip(lo, hi)]
+    if math.prod(e + a.n - 1 for e in extent) > _STAGE_CORRELATION_BUDGET:
         raise ValueError("stage correlation budget exceeded; shrink half_width")
-    # counts[p] = #{y : y + s in A^r} for the offset s that p encodes
-    counts = exact_correlation(dist_vals, ind)
-    flat = int(np.argmax(counts))
-    pos = np.unravel_index(flat, counts.shape)
-    # axis offset p corresponds to s = (1 - (origin + extent - 1)) + p
-    s = tuple(
-        1 - (int(dist_origin[ax]) + dist_vals.shape[ax] - 1) + int(pos[ax])
-        for ax in range(r)
-    )
-    return s, int(counts[pos])
-
-
-def _distribution(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dense count array over the bounding box of integer row vectors."""
-    lo = values.min(axis=0)
-    hi = values.max(axis=0)
-    shape = tuple(int(h - l + 1) for l, h in zip(lo, hi))
-    dist = np.zeros(shape, dtype=np.int64)
-    np.add.at(dist, tuple((values - lo).T), 1)
-    return dist, lo
+    rel = vals - np.array(lo, dtype=np.int64)    # each column from 0 to extent - 1
+    dist = np.zeros(extent, dtype=np.int64)
+    np.add.at(dist, tuple(rel.T), 1)
+    ind = np.zeros((a.n,) * len(extent), dtype=bool)
+    ind[np.ix_(*[a.array - 1] * len(extent))] = True
+    # counts[p] = #{y : y + s in A^r} for the offset s = p + 1 - hi
+    counts = exact_correlation(dist, ind)
+    pos = np.unravel_index(int(np.argmax(counts)), counts.shape)
+    # row y lands on index y - lo + p - (extent - 1) of the indicator
+    idx = rel + (np.array(pos) - np.array(extent) + 1)
+    inside = ((idx >= 0) & (idx < a.n)).all(axis=1)
+    kept = np.zeros(len(vals), dtype=bool)
+    kept[inside] = ind[tuple(idx[inside].T)]
+    if int(kept.sum()) != int(counts[pos]):
+        raise ExactnessError("best-offset count mismatch")
+    return tuple(int(p) + 1 - h for p, h in zip(pos, hi)), kept
 
 
 def lift_construction(a: IntegerSet, family: PolynomialFamily,
@@ -373,12 +370,12 @@ def lift_construction(a: IntegerSet, family: PolynomialFamily,
     Stage one scans the offset s for the independent coefficient rows R,
     maximizing #{b : R(b) in A^r - s} over all offsets (exhaustively, via
     integer-valued correlation).  Stage two scans t likewise for the
-    dependent rows restricted to stage-one winners.  The returned offset
-    interleaves s and t back into original row order, and every b in the
-    returned set satisfies P(b) in A^l - offset componentwise.
+    dependent rows restricted to stage-one winners.  Both stages are one
+    call of _best_offset.  The returned offset interleaves s and t back
+    into original row order, and every b in the returned set satisfies
+    P(b) in A^l - offset componentwise.
     """
     k = family.common_degree_bound
-    ell = family.size
     if k > _LIFT_MAX_DEGREE:
         raise ValueError(f"lift supports degree <= {_LIFT_MAX_DEGREE} (desk scale)")
     if a.n > _LIFT_MAX_AMBIENT:
@@ -397,71 +394,43 @@ def lift_construction(a: IntegerSet, family: PolynomialFamily,
         )
     if (2 * half_width + 1) ** k > _LIFT_BOX_BUDGET:
         raise ValueError("box enumeration budget exceeded; shrink half_width or degree")
+    # |row . b| <= sum_i |c_i| * half_width on the box, so no value wraps
+    if max(sum(abs(c) for c in row) for row in rows) * half_width >= 2 ** 63:
+        raise ValueError("lift values pass int64: need sum_i |c_i| * half_width < 2^63 "
+                         "for every row")
 
     axes = [np.arange(-half_width, half_width + 1, dtype=np.int64)] * k
     grid = np.meshgrid(*axes, indexing="ij")
     coords = np.stack([g.ravel() for g in grid], axis=1)  # (box, k)
-    row_matrix = np.array(rows, dtype=np.int64)           # (l, k)
-    values = coords @ row_matrix.T                        # (box, l)
+    values = coords @ np.array(rows, dtype=np.int64).T    # (box, l)
 
     ind_idx = list(analysis.independent_rows)
     dep_idx = list(analysis.dependent_rows)
-
-    r_vals = values[:, ind_idx]
-    dist, origin = _distribution(r_vals)
-    s, first_count = _argmax_offset(dist, origin, a)
-
-    in_a = np.zeros(a.n + 2, dtype=bool)
-    in_a[a.array] = True
-
-    def member_mask(vals: np.ndarray, offs: Sequence[int]) -> np.ndarray:
-        mask = np.ones(vals.shape[0], dtype=bool)
-        for col, off in enumerate(offs):
-            shifted = vals[:, col] + off
-            hit = np.zeros(vals.shape[0], dtype=bool)
-            ok = (shifted >= 1) & (shifted <= a.n)
-            hit[ok] = in_a[shifted[ok]]
-            mask &= hit
-        return mask
-
-    stage1 = member_mask(r_vals, s)
-    if int(stage1.sum()) != first_count:
-        raise ExactnessError("stage-one count mismatch")
-
+    s, kept = _best_offset(values[:, ind_idx], a)
+    first_count = int(kept.sum())
+    t = ()
     if dep_idx:
-        d_vals = values[:, dep_idx][stage1]
-        if d_vals.shape[0] == 0:
-            raise ValueError("stage one produced an empty slab; enlarge half_width")
-        dist2, origin2 = _distribution(d_vals)
-        t, second_count = _argmax_offset(dist2, origin2, a)
-        final_mask = stage1.copy()
-        final_mask[stage1] &= member_mask(d_vals, t)
-    else:
-        t = ()
-        final_mask = stage1
-        second_count = first_count
+        t, second = _best_offset(values[kept][:, dep_idx], a)
+        kept[kept] = second
 
-    offset = [0] * ell
-    for pos, row in enumerate(ind_idx):
-        offset[row] = int(s[pos])
-    for pos, row in enumerate(dep_idx):
-        offset[row] = int(t[pos])
-
-    pts = frozenset(map(tuple, coords[final_mask].tolist()))
-    # Exactness checkpoint: every surviving b satisfies the box condition.
-    if int(final_mask.sum()) != len(pts):
+    offset = [0] * family.size
+    for row, off in zip(ind_idx + dep_idx, s + t):
+        offset[row] = off
+    pts = frozenset(map(tuple, coords[kept].tolist()))
+    # Exactness checkpoint: the box points are distinct, so none merged.
+    if int(kept.sum()) != len(pts):
         raise ExactnessError("lifted points are not distinct")
     return LiftResult(
         half_width=half_width,
         ambient=a.n,
         offset=tuple(offset),
-        independent_offset=tuple(int(v) for v in s),
-        dependent_offset=tuple(int(v) for v in t),
+        independent_offset=s,
+        dependent_offset=t,
         points=pts,
         density=Fraction(len(pts), (2 * half_width + 1) ** k),
         required_multiple=required_multiple,
         first_stage_count=first_count,
-        second_stage_count=second_count,
+        second_stage_count=len(pts),
         analysis=analysis,
     )
 

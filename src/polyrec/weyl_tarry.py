@@ -44,6 +44,10 @@ MITM_BUDGET = 20_000_000
 #: Admission of shift-and-add, in element adds (a Python-integer add counts 50):
 #: about as long as a grouping at MITM_BUDGET (2-5 s) at 0.9-2.1e9 int64 adds/s.
 DENSE_BUDGET = 4_000_000_000
+#: Largest modulus N of a Weyl sum.  A `weyl` query grows by about 64 bytes
+#: per N (the point masses, their transform and its magnitudes), to a peak
+#: RSS of 641 MiB at this budget, about what a grouping at MITM_BUDGET takes.
+WEYL_N_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -83,6 +87,8 @@ def weyl_sum(poly: IntPolynomial, m: int, n_modulus: int,
     """
     if m < 1 or n_modulus < 1:
         raise ValueError("need M >= 1 and N >= 1")
+    if n_modulus > WEYL_N_BUDGET:
+        raise ValueError(f"Weyl sum budget exceeded: need N <= {WEYL_N_BUDGET}")
     w = _check_weights(weights, m)
     mass = np.zeros(n_modulus, dtype=np.int64)
     residues = (poly.values(np.arange(1, m + 1)) % n_modulus).astype(np.int64)

@@ -328,3 +328,20 @@ def naive_decompose(values, eps, eta):
             return (m, rounds, order[:m], *parts)
         m = nxt
     raise AssertionError("no block closed within ceil(eps^-2) rounds")
+
+
+def naive_best_offset(rows, elements, n):
+    """First offset s, in lexicographic order, maximizing the number of rows
+    y (integer r-tuples) with y + s in A^r, A = elements inside [1, n].
+
+    Scans the whole lag box, s_i from 1 - max_y y_i through n - min_y y_i,
+    outside which no row lands in A^r.  Returns (s, kept flags, count).
+    """
+    elems = set(elements)
+    ranges = [range(1 - max(col), n - min(col) + 1) for col in zip(*rows)]
+    best, best_kept = None, None
+    for s in product(*ranges):
+        kept = [all(y + o in elems for y, o in zip(row, s)) for row in rows]
+        if best is None or sum(kept) > sum(best_kept):
+            best, best_kept = s, kept
+    return best, best_kept, sum(best_kept)

@@ -229,3 +229,25 @@ def test_tarry_past_its_budget_is_refused_before_the_work(m, message):
     assert code == 2
     assert out.stderr.count("\n") == 1 and out.stderr.startswith(message)
     assert grown_kb < 20_000  # ru_maxrss is in KiB; a 10^7 table takes 80 MB or more
+
+
+#: Runs main on argv in a child whose address space is capped 256 MiB above
+#: its size after import: far below the 640 MB a Weyl sum at N = 10^7 takes.
+_CAPPED = ("import resource, sys\n"
+           "from polyrec.cli import main\n"
+           "with open('/proc/self/statm') as fh:\n"
+           "    size = int(fh.read().split()[0]) * resource.getpagesize()\n"
+           "cap = size + (256 << 20)\n"
+           "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+           "sys.exit(main(sys.argv[1:]))\n")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+@pytest.mark.parametrize("n", ["10000001", "1000000000000"])
+def test_weyl_past_its_n_budget_is_refused_before_any_allocation(n):
+    out = subprocess.run([sys.executable, "-c", _CAPPED, "weyl", "--poly", "1",
+                          "--M", "5", "--N", n], capture_output=True, text=True,
+                         timeout=60)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == "error: Weyl sum budget exceeded: need N <= 10000000\n"

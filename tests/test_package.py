@@ -215,3 +215,11 @@ def test_weyl_tarry_counts_equal_sums_in_one_place():
     defined = {node.name for node in ast.parse(source).body
                if isinstance(node, ast.FunctionDef)}
     assert not defined & {"_tarry_convolution", "_tarry_mitm"}
+
+
+def test_polyfam_finds_every_lift_offset_in_one_place():
+    source = (SRC / "polyfam.py").read_text(encoding="utf-8")
+    assert callers(source, ("exact_correlation",)) == {"exact_correlation": ["_best_offset"]}
+    defined = {node.name for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"_argmax_offset", "_distribution", "member_mask"}

@@ -7,11 +7,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polyrec import polyfam
+from polyrec.cli import main
 from polyrec.intset import IntegerSet, generate_set
-from polyrec.polyfam import (IntPolynomial, PolynomialFamily, _integer_root,
-                             check_difference_identity, check_lift_implication,
-                             coefficient_analysis, lift_construction,
-                             shift_range)
+from polyrec.polyfam import (IntPolynomial, PolynomialFamily, _best_offset,
+                             _integer_root, check_difference_identity,
+                             check_lift_implication, coefficient_analysis,
+                             lift_construction, shift_range)
+from polyrec.zn_fourier import ExactnessError
+
+from oracles import naive_best_offset
 
 
 def test_polynomial_parse_and_evaluate():
@@ -241,3 +246,60 @@ def test_lift_guards():
     big = IntegerSet(1000, (1,))
     with pytest.raises(ValueError):
         lift_construction(big, fam, 1000)  # ambient beyond desk scale
+
+
+@st.composite
+def stage_inputs(draw):
+    """Rows of r = 1-3 values in [-4, 4], drawn with repeats from a small
+    pool, and a set A inside [1, n], n <= 12: full, a singleton or random."""
+    r = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["full", "singleton", "random"]))
+    if kind == "full":
+        elements = range(1, n + 1)
+    elif kind == "singleton":
+        elements = [draw(st.integers(1, n))]
+    else:
+        elements = draw(st.sets(st.integers(1, n), min_size=1))
+    pool = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * r), min_size=1, max_size=5))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    return rows, IntegerSet(n, tuple(sorted(elements)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=stage_inputs())
+@example(case=([(0,), (0,), (3,)], IntegerSet(3, (1, 2, 3))))   # a tie: first offset wins
+@example(case=([(-4, 4, -4), (4, -4, 4)], IntegerSet(12, (12,))))
+def test_best_offset_matches_the_oracle(case):
+    rows, a = case
+    offset, kept = _best_offset(np.array(rows, dtype=np.int64), a)
+    want_offset, want_kept, want_count = naive_best_offset(rows, a.elements, a.n)
+    assert offset == want_offset
+    assert kept.tolist() == want_kept
+    assert int(kept.sum()) == want_count
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_a_best_offset_count_off_by_one_is_refused(stage, monkeypatch, capsys):
+    """Raising the top count of one stage's correlation by 1 must raise,
+    in stage two (the dependent row 2n) as in stage one."""
+    correlation = polyfam.exact_correlation
+    calls = []
+
+    def inflated(a, b):
+        out = correlation(a, b)
+        calls.append(1)
+        if len(calls) == stage:
+            out.flat[np.argmax(out)] += 1
+        return out
+
+    monkeypatch.setattr(polyfam, "exact_correlation", inflated)
+    with pytest.raises(ExactnessError, match="count mismatch"):
+        lift_construction(generate_set("evens", 10), PolynomialFamily.parse(["1", "2"]), 20)
+    calls.clear()
+    assert main(["lift", "--N", "10", "--set", "evens", "--poly", "1;2",
+                 "--half-width", "20"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("internal check failed: best-offset count mismatch")

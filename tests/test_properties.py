@@ -6,9 +6,13 @@ weyl_tarry (behind every solution count).  Each draw is small enough for
 the oracles' direct enumeration.
 """
 
+import contextlib
+import io
+import json
 import math
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -406,12 +410,71 @@ def test_cli_maps_exactness_errors_to_exit_1(monkeypatch, capsys):
      "--eps", "inf"],
     ["ergodic", "--action", "griesmer", "--system", "rotation:10", "--subset", "all",
      "--eps", "nan"],
+    # 10 * 10^18 passes int64: the second offset wrapped to 8446744073709551621
+    ["lift", "--N", "10", "--set", "ap:5:100", "--poly", "1;1000000000000000000",
+     "--half-width", "10"],
+    ["lift", "--N", "10", "--set", "evens", "--poly", "1;100000000000000000000",
+     "--half-width", "10"],
+    # a stage-two box of 2e12 cells, refused before it is allocated
+    ["lift", "--N", "10", "--set", "evens", "--poly", "1;99999999999",
+     "--half-width", "10"],
+    ["lift", "--N", "10", "--set", "evens", "--poly", "1;4611686018427387904",
+     "--half-width", "10"],
 ])
 def test_refusals_exit_2_with_one_line(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
+#: Coefficients of the lift fuzz: zero, units, and values whose products with
+#: a half width pass int64 (2^62, 2^63) or that do not fit it at all (10^20).
+LIFT_COEFFICIENTS = [0, 1, -1, 2, -3, 2 ** 62, 2 ** 63, 10 ** 20]
+LIFT_SETS = ["full", "evens", "ap:3:4", "ap:5:100", "random:0.6:7", "random:0.02:3"]
+
+
+@st.composite
+def lift_argv(draw):
+    """A lift invocation.  N and the half width are capped for run time only
+    (N <= 24 besides the refused 0, negatives, 201 and 10^12; half width
+    from -2 to 60 besides 10^7 and 10^30), which keeps each answered lift's
+    box at most 121^3 points."""
+    n = draw(st.integers(1, 24) | st.sampled_from([0, -1, -7, 201, 10 ** 12]))
+    literal = draw(st.sampled_from(LIFT_SETS))
+    literal = literal[:draw(st.integers(1, len(literal)))]  # truncated literals too
+    members = st.lists(st.sampled_from(LIFT_COEFFICIENTS), max_size=4)  # degree 4 too
+    family = ";".join(",".join(map(str, m)) for m in draw(st.lists(members, min_size=1,
+                                                                   max_size=3)))
+    half_width = draw(st.integers(-2, 60) | st.sampled_from([10 ** 7, 10 ** 30]))
+    return ["lift", "--N", str(n), "--set", literal, "--poly", family,
+            "--half-width", str(half_width)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=lift_argv())
+@example(argv=["lift", "--N", "10", "--set", "evens", "--poly", "1;-3",
+               "--half-width", "30"])
+@example(argv=["lift", "--N", "1", "--set", "full", "--poly", f"1;{2 ** 62}",
+               "--half-width", "1"])
+@example(argv=["lift", "--N", "12", "--set", "evens", "--poly", "1;0,1;1,1",
+               "--half-width", "24"])
+def test_lift_cli_fuzz_exits_0_1_or_2_with_strict_json(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning is a stray stderr line
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses before main's handlers
+            code = exc.code
+    stderr = err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stderr
+    if code == 2:
+        assert stderr.count("\n") == 1 and out.getvalue() == ""
+    if out.getvalue():
+        json.loads(out.getvalue(), parse_constant=lambda c: pytest.fail(f"non-strict {c}"))
 
 
 @pytest.mark.filterwarnings("error")  # capsys does not see a numpy warning
