@@ -29,15 +29,15 @@ from .zn_fourier import (ExactnessError, ZnFunction, balanced_function, dft,
 from .polyfam import (_LIFT_MAX_AMBIENT, IntPolynomial, PolynomialFamily,
                       check_difference_identity, check_lift_implication,
                       coefficient_analysis, lift_construction)
-from .weyl_tarry import (count_solutions_mod, growth_probe, moment_2k,
-                         tarry_count, weyl_sum, wrap_free)
+from .weyl_tarry import (WEYL_M_BUDGET, count_solutions_mod, growth_probe,
+                         moment_2k, tarry_count, weyl_sum, wrap_free)
 from .recurrence import decompose, find_good_shifts, intersection_profile
 from .lattice_dioph import (BlockVector, ProductLattice, approx_good_set_family,
                             approx_good_set_power, check_average_bounds,
                             gaussian_average, gaussian_mass, schmidt_scan,
                             theta, weyl_denominator)
-from .ergodic_lab import (FiniteMPSystem, griesmer_search, khintchine_search,
-                          recurrence_measure)
+from .ergodic_lab import (TIMES_BUDGET, FiniteMPSystem, griesmer_search,
+                          khintchine_search, recurrence_measure)
 
 SCHEMA_VERSION = 1
 
@@ -77,7 +77,10 @@ def _parse_subset(spec: str, m: int, default_seed: int):
     if kind == "range":
         if len(parts) != 3:
             raise ValueError("range literal is range:a:b (inclusive)")
-        return range(int(parts[1]), int(parts[2]) + 1)
+        a, b = int(parts[1]), int(parts[2])
+        if a <= b and (a < 0 or b >= m):  # refused before the points are listed
+            raise ValueError("subset contains points outside the space")
+        return range(a, b + 1)
     if kind == "list":
         if len(parts) != 2:
             raise ValueError("list literal is list:i,j,...")
@@ -97,8 +100,10 @@ def _parse_family(text: str) -> PolynomialFamily:
 def _parse_times(text: str) -> list[int]:
     """Time lists: 'a..b' for a range, else comma-separated integers."""
     if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
+        lo, hi = (int(t) for t in text.split(".."))
+        if hi - lo >= TIMES_BUDGET:
+            raise ValueError(f"time list budget exceeded: need at most {TIMES_BUDGET} times")
+        return list(range(lo, hi + 1))
     return [int(x) for x in text.split(",")]
 
 
@@ -273,6 +278,8 @@ def _cmd_weyl(args, config: ExperimentConfig):
     poly = IntPolynomial.parse(args.poly)
     weights = None
     if args.weights == "random":
+        if args.M > WEYL_M_BUDGET:  # refused before M weights are drawn
+            raise ValueError(f"Weyl sum budget exceeded: need M <= {WEYL_M_BUDGET}")
         rng = random.Random(config.seed)
         weights = [1 if rng.random() < 0.5 else -1 for _ in range(args.M)]
     s = weyl_sum(poly, args.M, args.N, weights)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,6 +31,14 @@ __all__ = [
     "khintchine_search",
     "griesmer_search",
 ]
+
+#: Most points of a rotation or skew product.  An `ergodic` query takes about
+#: 38 bytes a point (the permutation, three arrays of a power, the masks):
+#: 565-582 MB peak RSS at this budget.
+SYSTEM_BUDGET = 2 ** 24
+#: Most times of a Griesmer search (and of a CLI time range): its red matrix
+#: holds one byte per pair of times.
+TIMES_BUDGET = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,6 +73,8 @@ class FiniteMPSystem:
         """x -> x + a on Z_m."""
         if m < 1:
             raise ValueError("need m >= 1")
+        if m > SYSTEM_BUDGET:
+            raise ValueError(f"system budget exceeded: need at most {SYSTEM_BUDGET} points")
         return cls((np.arange(m, dtype=np.int64) + a % m) % m)
 
     @classmethod
@@ -72,6 +82,8 @@ class FiniteMPSystem:
         """(x, y) -> (x + a, y + x) on Z_m x Z_m, flattened as x*m + y."""
         if m < 1:
             raise ValueError("need m >= 1")
+        if m * m > SYSTEM_BUDGET:
+            raise ValueError(f"system budget exceeded: need at most {SYSTEM_BUDGET} points")
         xs = np.arange(m, dtype=np.int64)
         image = ((xs + a % m) % m * m)[:, None] + (xs[:, None] + xs) % m
         return cls(image.ravel())
@@ -191,6 +203,20 @@ def recurrence_measure(system: FiniteMPSystem, subset, shift: int) -> Fraction:
     return Fraction(int(hits), system.size)
 
 
+def _level(system: FiniteMPSystem, mask: np.ndarray, eps: float):
+    """The exact threshold mu(A)^2 - eps; the least hit count whose measure
+    reaches it, ceil(threshold * size); and hits(shift), the count of one
+    gather (see recurrence_measure), made once per shift."""
+    mu_a = Fraction(int(np.count_nonzero(mask)), system.size)
+    threshold = mu_a * mu_a - Fraction(eps)
+
+    @cache
+    def hits(shift: int) -> int:
+        return int(np.count_nonzero(mask & mask[system._power(shift)]))
+
+    return threshold, math.ceil(threshold * system.size), hits
+
+
 @dataclass(frozen=True)
 class KhintchineResult:
     found: bool
@@ -209,7 +235,7 @@ def khintchine_search(system: FiniteMPSystem, subset, eps: float,
 
     Scans pairs (j, k) with j < k in lexicographic order and returns the
     first with mu(A intersect T^-(v_k - v_j) A) >= mu(A)^2 - eps; all
-    comparisons are exact rational arithmetic.  When the time list has
+    comparisons are exact, of integer hit counts.  When the time list has
     at least ceil(1/eps) entries, a success is guaranteed to exist (the
     averaging argument: if every pair failed, the second moment of
     sum_j 1_{T^-v_j A} would fall below its Cauchy-Schwarz floor), and
@@ -222,7 +248,7 @@ def khintchine_search(system: FiniteMPSystem, subset, eps: float,
     times = [int(v) for v in times]
     if len(set(times)) != len(times):
         raise ValueError("times must be distinct")
-    needed = max(2, math.ceil(1.0 / eps))
+    needed = max(2, math.ceil(1 / Fraction(eps)))
     guaranteed = len(times) >= needed
     if not guaranteed and not permissive:
         raise ValueError(
@@ -230,21 +256,18 @@ def khintchine_search(system: FiniteMPSystem, subset, eps: float,
             f"(got {len(times)}); pass permissive=True to search anyway"
         )
     mask = system.validate_subset(subset)
-    mu_a = Fraction(int(np.count_nonzero(mask)), system.size)
-    threshold = mu_a * mu_a - Fraction(eps)
+    threshold, least, hits = _level(system, mask, eps)
     scanned = 0
-    cache: dict[int, Fraction] = {}
     for j in range(len(times)):
         for k in range(j + 1, len(times)):
             scanned += 1
             d = times[k] - times[j]
-            if d not in cache:
-                cache[d] = recurrence_measure(system, mask, d)
-            if cache[d] >= threshold:
+            if hits(d) >= least:
+                measure = Fraction(hits(d), system.size)
                 return KhintchineResult(
                     found=True, pair=(j + 1, k + 1), n=d,
-                    measure=cache[d], threshold=threshold,
-                    strict=cache[d] > threshold, pairs_scanned=scanned,
+                    measure=measure, threshold=threshold,
+                    strict=measure > threshold, pairs_scanned=scanned,
                 )
     if guaranteed:
         raise AssertionError("guaranteed pair not found; search is buggy")
@@ -283,7 +306,27 @@ def _pad_to_power_of_two(constants: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _greedy_red_clique(num: int, red) -> list[int]:
+def _red_matrix(times: list[int], half: tuple[int, ...], least: int,
+                hits) -> np.ndarray:
+    """red[i, j]: times i != j whose difference d has hits(c * d) >= least
+    for each c in half, filled a block of rows at a time (hits is read once
+    per distinct difference of a block); differences are taken from the
+    least time, in int64 when they fit."""
+    low = min(times)
+    v = np.array([t - low for t in times],
+                 dtype=np.int64 if max(times) - low < 2 ** 63 else object)
+    red = np.empty((v.size, v.size), dtype=bool)
+    step = (1 << 18) // v.size + 1  # rows whose differences are held at once
+    for lo in range(0, v.size, step):
+        diffs = np.abs(v[lo:lo + step, None] - v)
+        distinct, inverse = np.unique(diffs, return_inverse=True)
+        red_of = np.array([d != 0 and all(hits(c * d) >= least for c in half)
+                           for d in distinct.tolist()], dtype=bool)
+        red[lo:lo + step] = red_of[inverse].reshape(diffs.shape)
+    return red
+
+
+def _greedy_red_clique(red: np.ndarray) -> list[int]:
     """Indices of a red clique via majority-neighborhood peeling.
 
     Repeatedly take the lowest remaining vertex; keep whichever of its
@@ -291,18 +334,16 @@ def _greedy_red_clique(num: int, red) -> list[int]:
     only when the red side won.  Every admitted vertex is red-adjacent
     to all later survivors, so admitted vertices form a red clique.
     """
-    verts = list(range(num))
+    verts = np.arange(len(red))
     clique = []
-    while verts:
-        v = verts[0]
-        rest = verts[1:]
-        red_nbrs = [u for u in rest if red(v, u)]
-        blue_nbrs = [u for u in rest if not red(v, u)]
-        if len(red_nbrs) >= len(blue_nbrs):
-            clique.append(v)
-            verts = red_nbrs
+    while verts.size:
+        v, rest = verts[0], verts[1:]
+        nbrs = red[v, rest]
+        if 2 * np.count_nonzero(nbrs) >= rest.size:
+            clique.append(int(v))
+            verts = rest[nbrs]
         else:
-            verts = blue_nbrs
+            verts = rest[~nbrs]
     return clique
 
 
@@ -317,7 +358,7 @@ def griesmer_search(system: FiniteMPSystem, subset, eps: float,
     the complete graph on the current times red where the first half of
     the constants all satisfy the inequality for that difference, peels
     off a red clique greedily, and recurses on the clique with the
-    remaining constants; the base case is khintchine_search on T^c.
+    remaining constants; the base case is the first red pair for T^c.
     Any returned n is re-verified against all original constants from
     scratch, and a verification failure raises ExactnessError.  At desk
     scale the time list can be too short for the tower-size hypothesis
@@ -332,43 +373,33 @@ def griesmer_search(system: FiniteMPSystem, subset, eps: float,
     times = [int(v) for v in times]
     if len(set(times)) != len(times):
         raise ValueError("times must be distinct")
+    if len(times) > TIMES_BUDGET:
+        raise ValueError(f"time list budget exceeded: need at most {TIMES_BUDGET} times")
     mask = system.validate_subset(subset)
-    mu_a = Fraction(int(np.count_nonzero(mask)), system.size)
-    threshold = mu_a * mu_a - Fraction(eps)
+    threshold, least, hits = _level(system, mask, eps)
     padded = _pad_to_power_of_two(constants)
     levels: list[LevelInfo] = []
-    cache: dict[int, Fraction] = {}
-
-    def shifted_measure(shift: int) -> Fraction:
-        if shift not in cache:
-            cache[shift] = recurrence_measure(system, mask, shift)
-        return cache[shift]
-
-    def recurse(active: tuple[int, ...], verts: list[int]) -> Optional[int]:
-        if len(verts) < 2:
-            return None
-        if len(active) == 1:
-            c = active[0]
-            result = khintchine_search(system.power_system(c), mask, eps,
-                                       verts, permissive=True)
-            return result.n if result.found else None
-        half = active[:len(active) // 2]
-        rest = active[len(active) // 2:]
-
-        def red(i: int, j: int) -> bool:
-            d = abs(verts[j] - verts[i])
-            return all(shifted_measure(c * d) >= threshold for c in half)
-
+    active, verts, n = padded, times, None
+    while len(verts) >= 2:
+        half = active[:max(1, len(active) // 2)]
+        red = _red_matrix(verts, half, least, hits)
         num = len(verts)
-        red_count = sum(red(i, j) for i in range(num) for j in range(i + 1, num))
-        clique_idx = _greedy_red_clique(num, red)
+        if len(active) == 1:
+            upper = np.triu(red, 1).ravel()
+            first = int(np.argmax(upper))
+            if upper[first]:
+                j, k = divmod(first, num)
+                n = verts[k] - verts[j]
+            elif num >= math.ceil(1 / Fraction(eps)):
+                raise AssertionError("guaranteed pair not found; search is buggy")
+            break
+        clique_idx = _greedy_red_clique(red)
         levels.append(LevelInfo(
-            constants=half, num_vertices=num, red_edges=red_count,
+            constants=half, num_vertices=num,
+            red_edges=int(np.count_nonzero(red)) // 2,
             total_edges=num * (num - 1) // 2, clique_size=len(clique_idx),
         ))
-        return recurse(rest, [verts[i] for i in clique_idx])
-
-    n = recurse(padded, times)
+        active, verts = active[len(half):], [verts[i] for i in clique_idx]
     if n is None:
         return GriesmerResult(
             found=False, n=None, measures=(), threshold=threshold,

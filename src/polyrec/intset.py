@@ -18,13 +18,14 @@ _DRAW_BLOCK = 8192
 def _int64_array(values, message: str) -> np.ndarray:
     """A new 1-D int64 array of `values`: an integer array converted as a
     whole, any other iterable entry by entry through int().  An entry that
-    does not fit int64 is a ValueError with `message`."""
+    does not fit int64, or that int() cannot read (a list, None), and a
+    value that is not iterable are a ValueError with `message`."""
     if (isinstance(values, np.ndarray) and values.ndim == 1
             and np.can_cast(values.dtype, np.int64)):
         return values.astype(np.int64)
     try:
         return np.array([int(v) for v in values], dtype=np.int64)
-    except OverflowError:
+    except (OverflowError, TypeError):
         raise ValueError(message) from None
 
 

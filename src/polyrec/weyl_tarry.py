@@ -48,6 +48,10 @@ DENSE_BUDGET = 4_000_000_000
 #: per N (the point masses, their transform and its magnitudes), to a peak
 #: RSS of 641 MiB at this budget, about what a grouping at MITM_BUDGET takes.
 WEYL_N_BUDGET = 10_000_000
+#: Largest length M of a Weyl sum.  A `weyl` query takes about 31 bytes per M
+#: while P's values fit int64 and 210-340 in Python integers (degrees 5-20):
+#: at this budget its peak RSS is 93 MB for P(n) = n, 444-709 MB for those.
+WEYL_M_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -89,6 +93,8 @@ def weyl_sum(poly: IntPolynomial, m: int, n_modulus: int,
         raise ValueError("need M >= 1 and N >= 1")
     if n_modulus > WEYL_N_BUDGET:
         raise ValueError(f"Weyl sum budget exceeded: need N <= {WEYL_N_BUDGET}")
+    if m > WEYL_M_BUDGET:
+        raise ValueError(f"Weyl sum budget exceeded: need M <= {WEYL_M_BUDGET}")
     w = _check_weights(weights, m)
     mass = np.zeros(n_modulus, dtype=np.int64)
     residues = (poly.values(np.arange(1, m + 1)) % n_modulus).astype(np.int64)

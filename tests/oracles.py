@@ -345,3 +345,83 @@ def naive_best_offset(rows, elements, n):
         if best is None or sum(kept) > sum(best_kept):
             best, best_kept = s, kept
     return best, best_kept, sum(best_kept)
+
+
+def naive_khintchine(mapping, subset, eps, times, permissive=False):
+    """First pair (j, k), j < k, of times, in lexicographic order, whose
+    difference n has mu(A intersect T^-n A) >= mu(A)^2 - eps, comparing
+    Fractions pair by pair.
+
+    Shifts are reduced mod order(T) before the permutation is iterated.
+    Returns (found, pair, n, measure, threshold, strict, pairs_scanned);
+    a list shorter than 2 or 1/eps is a ValueError unless permissive.
+    """
+    order = naive_order(mapping)
+    mu = Fraction(len(set(subset)), len(mapping))
+    threshold = mu * mu - Fraction(eps)
+    if (len(times) < 2 or len(times) < 1 / Fraction(eps)) and not permissive:
+        raise ValueError("too few times for the guarantee")
+    scanned = 0
+    for j in range(len(times)):
+        for k in range(j + 1, len(times)):
+            scanned += 1
+            n = times[k] - times[j]
+            measure = naive_recurrence_measure(mapping, subset, n % order)
+            if measure >= threshold:
+                return True, (j + 1, k + 1), n, measure, threshold, measure > threshold, scanned
+    return False, None, None, None, threshold, None, scanned
+
+
+def naive_griesmer(mapping, subset, eps, constants, times):
+    """The Griesmer recursion, colouring pair by pair: pad the constants to a power
+    of two, colour each pair of the current times red (by Fractions) when
+    the first half of the constants all pass at their difference, peel a
+    red clique greedily, recurse on it with the other half, and end with
+    naive_khintchine on T^c for the last constant c.
+
+    Returns (found, n, measures, threshold, constants, padded, levels,
+    failure_reason), each level as (half, vertices, red edges, edges,
+    clique size).
+    """
+    order = naive_order(mapping)
+    mu = Fraction(len(set(subset)), len(mapping))
+    threshold = mu * mu - Fraction(eps)
+    padded = list(constants)
+    while len(padded) & (len(padded) - 1):
+        padded.append(padded[-1])
+    levels = []
+
+    def red(half, d):
+        return all(naive_recurrence_measure(mapping, subset, c * d % order) >= threshold
+                   for c in half)
+
+    def recurse(active, verts):
+        if len(verts) < 2:
+            return None
+        if len(active) == 1:
+            power = naive_power_map(mapping, active[0])
+            return naive_khintchine(power, subset, eps, verts, permissive=True)[2]
+        half, rest = active[:len(active) // 2], active[len(active) // 2:]
+        num = len(verts)
+        red_edges = sum(red(half, abs(verts[j] - verts[i]))
+                        for i in range(num) for j in range(i + 1, num))
+        alive, clique = list(range(num)), []
+        while alive:
+            v, others = alive[0], alive[1:]
+            reds = [u for u in others if red(half, abs(verts[u] - verts[v]))]
+            blues = [u for u in others if not red(half, abs(verts[u] - verts[v]))]
+            if len(reds) >= len(blues):
+                clique.append(v)
+                alive = reds
+            else:
+                alive = blues
+        levels.append((tuple(half), num, red_edges, num * (num - 1) // 2, len(clique)))
+        return recurse(rest, [verts[i] for i in clique])
+
+    n = recurse(tuple(padded), list(times))
+    if n is None:
+        return (False, None, (), threshold, tuple(constants), tuple(padded), tuple(levels),
+                "clique exhausted; time list too short")
+    measures = tuple(naive_recurrence_measure(mapping, subset, c * n % order)
+                     for c in constants)
+    return True, n, measures, threshold, tuple(constants), tuple(padded), tuple(levels), None

@@ -18,8 +18,7 @@ from hypothesis import strategies as st
 
 from polyrec import ergodic_lab
 from polyrec.cli import main
-from polyrec.ergodic_lab import (FiniteMPSystem, KhintchineResult, griesmer_search,
-                                 recurrence_measure)
+from polyrec.ergodic_lab import FiniteMPSystem, griesmer_search, recurrence_measure
 from polyrec.intset import IntegerSet, bernoulli_mask, generate_set
 from polyrec.recurrence import CYCLIC, _intersection_counts
 from polyrec.zn_fourier import ExactnessError, balanced_function, indicator
@@ -224,20 +223,27 @@ def test_indicator_and_balanced_function_match_residue_loops():
     assert np.array_equal(balanced_function(a).values, want)
 
 
-def _bad_base_case(system, subset, eps, times, permissive=False):
-    # a base case that claims the shift 1, which the re-verification refutes
-    return KhintchineResult(found=True, pair=(1, 2), n=1, measure=Fraction(1),
-                            threshold=Fraction(0), strict=True, pairs_scanned=1)
+def _patch_least_hits(monkeypatch, least):
+    """Make the searches' counter pass a shift when its hit count is >= least."""
+    level = ergodic_lab._level
+
+    def patched(*args):
+        threshold, _, hits = level(*args)
+        return threshold, least, hits
+
+    monkeypatch.setattr(ergodic_lab, "_level", patched)
 
 
 def test_griesmer_reverification_failure_raises(monkeypatch):
-    monkeypatch.setattr(ergodic_lab, "khintchine_search", _bad_base_case)
+    # every shift passes, so the search returns the shift 1, which the
+    # re-verification refutes
+    _patch_least_hits(monkeypatch, 0)
     with pytest.raises(ExactnessError, match="re-verification failed for n=1"):
         griesmer_search(FiniteMPSystem.rotation(8), {0}, 0.001, [1], [1, 2, 3])
 
 
 def test_cli_maps_griesmer_reverification_failure_to_exit_1(monkeypatch, capsys):
-    monkeypatch.setattr(ergodic_lab, "khintchine_search", _bad_base_case)
+    _patch_least_hits(monkeypatch, 0)
     argv = ["ergodic", "--action", "griesmer", "--system", "rotation:8",
             "--subset", "list:0", "--eps", "0.001", "--times", "1..3"]
     assert main(argv) == 1
@@ -245,6 +251,18 @@ def test_cli_maps_griesmer_reverification_failure_to_exit_1(monkeypatch, capsys)
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("internal check failed: re-verification failed")
+
+
+@pytest.mark.parametrize("action", ["khintchine", "griesmer"])
+def test_a_guaranteed_search_that_finds_no_pair_exits_1(action, monkeypatch, capsys):
+    # no shift of rotation:8 has 9 hits, but a list of ceil(1/eps) times must
+    # hold a good pair, so both searches report the contradiction
+    _patch_least_hits(monkeypatch, 9)
+    argv = ["ergodic", "--action", action, "--system", "rotation:8", "--subset", "all",
+            "--eps", "0.5", "--times", "1..3"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "internal check failed: guaranteed pair not found; search is buggy\n")
 
 
 @pytest.mark.parametrize("spec", ["all", "range:2:5", "list:0,3,3,7",

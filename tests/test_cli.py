@@ -251,3 +251,30 @@ def test_weyl_past_its_n_budget_is_refused_before_any_allocation(n):
     assert out.returncode == 2
     assert out.stdout == ""
     assert out.stderr == "error: Weyl sum budget exceeded: need N <= 10000000\n"
+
+
+_ERGODIC = ["ergodic", "--action", "measure", "--subset", "all"]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+@pytest.mark.parametrize("argv,message", [
+    (_ERGODIC + ["--system", "rotation:10000000000"], "system budget exceeded"),
+    (_ERGODIC + ["--system", "rotation:16777217"], "system budget exceeded"),
+    (_ERGODIC + ["--system", "skew:100000"], "system budget exceeded"),
+    (["ergodic", "--action", "khintchine", "--system", "rotation:10", "--subset", "all",
+      "--times", "1..10000000000"], "time list budget exceeded: need at most 4096 times"),
+    (["ergodic", "--action", "griesmer", "--system", "rotation:10", "--subset", "all",
+      "--times", "1..4097"], "time list budget exceeded: need at most 4096 times"),
+    (["ergodic", "--action", "measure", "--system", "rotation:10",
+      "--subset", "range:-100000000000:3"], "subset contains points outside the space"),
+    (["weyl", "--poly", "1", "--M", "1000000000000", "--N", "5"],
+     "Weyl sum budget exceeded: need M <= 2000000"),
+    (["weyl", "--poly", "1", "--M", "1000000000000", "--N", "5", "--weights", "random"],
+     "Weyl sum budget exceeded: need M <= 2000000"),
+])
+def test_inputs_past_a_budget_are_refused_before_any_allocation(argv, message):
+    out = subprocess.run([sys.executable, "-c", _CAPPED, *argv], capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.count("\n") == 1 and out.stderr.startswith(f"error: {message}")

@@ -1,13 +1,16 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from polyrec.ergodic_lab import (FiniteMPSystem, griesmer_search,
+from polyrec.ergodic_lab import (TIMES_BUDGET, FiniteMPSystem, griesmer_search,
                                  khintchine_search, recurrence_measure)
 
-from oracles import naive_recurrence_measure
+from oracles import naive_griesmer, naive_khintchine, naive_recurrence_measure
 
 
 def test_rotation_and_permutation_validation():
@@ -231,6 +234,11 @@ def test_griesmer_rejects_zero_constants():
         griesmer_search(sysm, {0, 1}, 0.1, [1, 0], [1, 2, 3])
 
 
+def test_griesmer_refuses_a_time_list_past_its_budget():
+    with pytest.raises(ValueError, match="time list budget exceeded"):
+        griesmer_search(FiniteMPSystem.rotation(10), {0}, 0.1, [1], range(TIMES_BUDGET + 1))
+
+
 def test_khintchine_medium_random_permutation_succeeds():
     rng = random.Random(500)
     perm = list(range(500))
@@ -255,3 +263,51 @@ def test_griesmer_medium_random_system_reverifies():
     for c in (2, 3):
         measure = naive_recurrence_measure(sysm.mapping, a, c * out.n)
         assert measure > 0.06
+
+
+#: Times and constants: small, and past int64 (their differences too).
+HUGE = st.sampled_from([10 ** 20, -10 ** 20, 10 ** 20 + 1, 2 ** 63, -2 ** 63])
+TIMES = st.lists(st.integers(-12, 12) | st.integers(-10 ** 20, 10 ** 20) | HUGE,
+                 unique=True, max_size=9)
+CONSTANTS = st.lists(st.integers(-5, 5).filter(bool) | HUGE, min_size=1, max_size=5)
+
+
+@st.composite
+def finite_searches(draw):
+    """A permutation of at most 30 points, any subset and eps in (0, 1]."""
+    perm = draw(st.permutations(range(draw(st.integers(1, 30)))))
+    subset = draw(st.sets(st.integers(0, len(perm) - 1)))
+    return perm, subset, draw(st.floats(0, 1, exclude_min=True))
+
+
+def _outcome(search, *args):
+    """The search's result, or the type of the ValueError it raised."""
+    try:
+        return search(*args)
+    except ValueError:
+        return ValueError
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=finite_searches(), times=TIMES, permissive=st.booleans())
+@example(case=([1, 2, 0], {0}, 5e-324), times=[1, 2], permissive=True)
+def test_khintchine_matches_the_oracle(case, times, permissive):
+    perm, subset, eps = case
+    got = _outcome(khintchine_search, FiniteMPSystem.from_permutation(perm), subset, eps,
+                   times, permissive)
+    want = _outcome(naive_khintchine, perm, subset, eps, times, permissive)
+    assert (got if got is ValueError else dataclasses.astuple(got)) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=finite_searches(), constants=CONSTANTS, times=TIMES)
+@example(case=([(x + 1) % 12 for x in range(12)], {0, 1, 2, 3}, 0.05), constants=[1, 5],
+         times=[3, -7, 10, 1, 22, 9])
+def test_griesmer_matches_the_oracle(case, constants, times):
+    perm, subset, eps = case
+    got = griesmer_search(FiniteMPSystem.from_permutation(perm), subset, eps, constants,
+                          times)
+    want = naive_griesmer(perm, subset, eps, constants, times)
+    assert (got.found, got.n, got.measures, got.threshold, got.constants,
+            got.padded_constants, tuple(dataclasses.astuple(lv) for lv in got.levels),
+            got.failure_reason) == want

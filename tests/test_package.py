@@ -223,3 +223,15 @@ def test_polyfam_finds_every_lift_offset_in_one_place():
     defined = {node.name for node in ast.walk(ast.parse(source))
                if isinstance(node, ast.FunctionDef)}
     assert not defined & {"_argmax_offset", "_distribution", "member_mask"}
+
+
+def test_ergodic_searches_share_one_counter():
+    # Griesmer's base case reads its own red matrix: it neither re-enters
+    # khintchine_search nor builds the system T^c
+    source = (SRC / "ergodic_lab.py").read_text(encoding="utf-8")
+    assert callers(source, ("khintchine_search",)) == {"khintchine_search": []}
+    assert [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "power_system"] == []
+    assert callers(source, ("_level",)) == {"_level": ["khintchine_search",
+                                                       "griesmer_search"]}

@@ -460,6 +460,12 @@ def lift_argv(draw):
 @example(argv=["lift", "--N", "12", "--set", "evens", "--poly", "1;0,1;1,1",
                "--half-width", "24"])
 def test_lift_cli_fuzz_exits_0_1_or_2_with_strict_json(argv):
+    assert_cli_contract(argv)
+
+
+def assert_cli_contract(argv):
+    """main(argv) exits 0, 1 or 2, prints no traceback and strict JSON only,
+    and exit 2 prints one line."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings():
@@ -475,6 +481,71 @@ def test_lift_cli_fuzz_exits_0_1_or_2_with_strict_json(argv):
         assert stderr.count("\n") == 1 and out.getvalue() == ""
     if out.getvalue():
         json.loads(out.getvalue(), parse_constant=lambda c: pytest.fail(f"non-strict {c}"))
+
+
+#: Integers of the ergodic fuzz: small ones, and ones past int64 or any budget.
+HUGE = [2 ** 63, -2 ** 63, 10 ** 20, -10 ** 20, 10 ** 30]
+#: Permutation files of the ergodic fuzz, valid or not.
+PERM_FILES = ["[1, 2, 0]", "[0, 0]", "[]", "[[1]]", "[null]", "[1.5, 0]", "5", '"ab"',
+              '{"a": 1}', "[1e400]", f"[{2 ** 64}]", "not json"]
+
+
+@st.composite
+def ergodic_argv(draw):
+    """An ergodic invocation, and the text of the permutation file that a
+    perm system reads.  Sizes are capped for run time only: m <= 40 (and
+    skew m <= 12) besides 0, negatives and sizes past the budget, ranges
+    of at most 30 times besides ranges past the budget."""
+    small = st.integers(-3, 40)
+    kind = draw(st.sampled_from(["rotation", "skew", "perm"]))
+    m = draw((st.integers(-2, 12) if kind == "skew" else small)
+             | st.sampled_from([4097, 2 ** 24 + 1, 10 ** 10, *HUGE]))
+    system = {"perm": "perm:{path}"}.get(kind, f"{kind}:{m}")
+    system += draw(st.sampled_from(["", ":3", ":-1", f":{10 ** 20}", ":x", ":1:2"]))
+    system = system[:draw(st.integers(1, len(system)))]  # truncated literals too
+    density = draw(st.sampled_from(["0.5", "0", "1", "nan", "inf", "-0.1", "2", "x"]))
+    subset = draw(st.sampled_from([
+        "all", "nope", "list:", f"random:{density}", f"random:{density}:7",
+        f"range:{draw(small | st.sampled_from(HUGE))}:{draw(small | st.sampled_from(HUGE))}",
+        "list:" + ",".join(map(str, draw(st.lists(small | st.sampled_from(HUGE),
+                                                  max_size=5)))),
+    ]))
+    start = draw(small | st.sampled_from(HUGE))
+    times = draw(st.sampled_from([
+        f"{start}..{start + draw(st.integers(-3, 30) | st.sampled_from([4096, *HUGE]))}",
+        ",".join(map(str, draw(st.lists(small | st.sampled_from(HUGE), max_size=8)))),
+        "1..2..3", "",
+    ]))
+    constants = ",".join(map(str, draw(st.lists(st.integers(-4, 4) | st.sampled_from(HUGE),
+                                                max_size=5))))
+    eps = draw(st.floats() | st.sampled_from([0.0, -0.0, 5e-324, 1e-300]))
+    argv = ["ergodic", "--action", draw(st.sampled_from(["measure", "khintchine", "griesmer"])),
+            "--system", system, "--subset", subset,
+            "--shift", str(draw(small | st.sampled_from(HUGE))), "--eps", repr(eps),
+            "--times", times, "--constants", constants]
+    if draw(st.booleans()):
+        argv.append("--permissive")
+    return argv, draw(st.sampled_from(PERM_FILES))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=ergodic_argv())
+@example(case=(["ergodic", "--action", "griesmer", "--system", "rotation:30", "--subset",
+                "random:0.5:7", "--eps", "0.1", "--times", "-3..9", "--constants",
+                f"1,{-10 ** 20},2"], "[]"))
+# 1/eps overflows a float: ceil(1/eps) was an OverflowError traceback
+@example(case=(["ergodic", "--action", "khintchine", "--system", "rotation:10", "--subset",
+                "list:0", "--eps", "5e-324", "--times", "1,2"], "[]"))
+@example(case=(["ergodic", "--action", "griesmer", "--system", "rotation:10", "--subset",
+                "list:0", "--eps", "5e-324", "--times", "1,2"], "[]"))
+# a permutation file of nested lists was a TypeError traceback
+@example(case=(["ergodic", "--action", "measure", "--system", "perm:{path}", "--subset",
+                "all"], "[[1]]"))
+def test_ergodic_cli_fuzz_exits_0_1_or_2_with_strict_json(case, tmp_path_factory):
+    argv, perm_file = case
+    path = tmp_path_factory.mktemp("perm") / "perm.json"
+    path.write_text(perm_file)
+    assert_cli_contract([arg.replace("{path}", str(path)) for arg in argv])
 
 
 @pytest.mark.filterwarnings("error")  # capsys does not see a numpy warning
