@@ -145,7 +145,12 @@ def _parse_lattice(spec: str) -> ProductLattice:
         if len(parts) < 2:
             raise ValueError("file literal is file:path")
         with open(spec.split(":", 1)[1]) as fh:  # the path may hold ':'
-            return ProductLattice.from_spec(json.load(fh))
+            data = json.load(fh)
+        try:
+            return ProductLattice.from_spec(data)
+        except (KeyError, TypeError):  # not a list of {"dim": d, "basis": ...}
+            raise ValueError("lattice file must hold a list of blocks "
+                             "{\"dim\": d, \"basis\": [[...], ...]}") from None
     raise ValueError(f"unknown lattice literal {spec!r}")
 
 

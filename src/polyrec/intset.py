@@ -15,16 +15,25 @@ __all__ = ["IntegerSet", "generate_set", "bernoulli_mask"]
 _DRAW_BLOCK = 8192
 
 
+def _integer(value) -> int:
+    """int(value) when that equals value (7 or 7.0, not 7.5 or '7')."""
+    out = int(value)
+    if out != value:
+        raise TypeError("not an integer")
+    return out
+
+
 def _int64_array(values, message: str) -> np.ndarray:
     """A new 1-D int64 array of `values`: an integer array converted as a
-    whole, any other iterable entry by entry through int().  An entry that
-    does not fit int64, or that int() cannot read (a list, None), and a
-    value that is not iterable are a ValueError with `message`."""
+    whole, any other iterable entry by entry through _integer.  An entry
+    that is not an integer in value (1.9, a string, a list, None) or does
+    not fit int64, and a value that is not iterable, are a ValueError
+    with `message`."""
     if (isinstance(values, np.ndarray) and values.ndim == 1
             and np.can_cast(values.dtype, np.int64)):
         return values.astype(np.int64)
     try:
-        return np.array([int(v) for v in values], dtype=np.int64)
+        return np.array([_integer(v) for v in values], dtype=np.int64)
     except (OverflowError, TypeError):
         raise ValueError(message) from None
 
@@ -47,9 +56,10 @@ class IntegerSet:
     """A subset of [1, n], held as a sorted, read-only int64 array.
     Element n plays the role of 0 when the set is read modulo n.
 
-    The constructor takes any iterable of integers (each passed through
-    int(), duplicates dropped) or an integer array.  `elements` is the
-    same set as a tuple of Python ints, built on first read.
+    The constructor takes any iterable of integers (an integral float
+    such as 7.0 counts, duplicates are dropped) or an integer array.
+    `elements` is the same set as a tuple of Python ints, built on first
+    read.
     """
 
     n: int

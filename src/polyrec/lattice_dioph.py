@@ -17,6 +17,7 @@ dual direction) when it does not.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -46,6 +47,7 @@ __all__ = [
 ]
 
 _ENUM_BUDGET = 2_000_000      # integer boxes enumerated per block
+_MAX_BLOCK_DIM = 13           # a 14-dimensional box holds >= 3^14 > _ENUM_BUDGET points
 _DUAL_COMBO_BUDGET = 200_000  # product dual points in the average's dual form
 _MAX_CONDITION = 1e8
 #: Largest |x| of a phase x (n^j * alpha_j, P(n) * theta or q * theta) that
@@ -54,6 +56,18 @@ _MAX_CONDITION = 1e8
 #: 1e9 where long double is a plain double).
 _PHASE_LIMIT = 10.0 ** (np.finfo(np.longdouble).precision - 6)
 _DILATE_CHUNK = 1 << 16       # values of n (or q) per block of a phase scan
+_ORBIT_BUDGET = 10_000_000    # longest orbit scan: N or q_max
+_PHASE_BLOCK = 2_000_000      # most phases one block of a scan reduces
+
+
+def _orbit(length: int, name: str = "N", width: int = 1):
+    """n = 1..N (or q = 1..q_max) in int64 blocks of _DILATE_CHUNK values, fewer
+    when each takes `width` phases.  A length past _ORBIT_BUDGET is refused at
+    the call, before the caller allocates (a generator runs at its next())."""
+    if length > _ORBIT_BUDGET:
+        raise ValueError(f"orbit scan budget exceeded: need {name} <= {_ORBIT_BUDGET}")
+    step = max(1, min(_DILATE_CHUNK, _PHASE_BLOCK // width))
+    return (np.arange(s, min(s + step, length + 1)) for s in range(1, length + 1, step))
 
 
 def _phases(x: np.ndarray, nearest: bool = False) -> np.ndarray:
@@ -71,6 +85,20 @@ def _phases(x: np.ndarray, nearest: bool = False) -> np.ndarray:
     frac = (np.rint if nearest else np.floor)(x, out=np.empty_like(x))
     np.subtract(x, frac, out=frac)
     return np.abs(frac, out=frac) if nearest else frac
+
+
+def _identity(d: int) -> np.ndarray:
+    """np.eye(d) for a block basis, refused unbuilt past _MAX_BLOCK_DIM."""
+    if d > _MAX_BLOCK_DIM:
+        raise ValueError(f"lattice enumeration budget exceeded: block dimension {d}")
+    return np.eye(d)
+
+
+def _abs_det(basis: np.ndarray) -> float:
+    """|det| of a block basis, inf without a warning when it is past float
+    range (the enumeration box of such a lattice is refused)."""
+    with np.errstate(over="ignore"):
+        return abs(float(np.linalg.det(basis)))
 
 
 def _frozen_matrix(mat) -> np.ndarray:
@@ -96,7 +124,7 @@ class ProductLattice:
         for b in blocks:
             if b.shape[0] == 0:
                 continue
-            if abs(np.linalg.det(b)) < 1e-300:
+            if _abs_det(b) < 1e-300:
                 raise ValueError("block basis is singular")
             if np.linalg.cond(b) > _MAX_CONDITION:
                 raise ValueError("block basis too ill-conditioned")
@@ -105,22 +133,22 @@ class ProductLattice:
     @classmethod
     def integers(cls, dims: Sequence[int]) -> "ProductLattice":
         """Z^{d_1} x ... x Z^{d_k}."""
-        return cls(tuple(np.eye(int(d)) for d in dims))
+        return cls(tuple(_identity(int(d)) for d in dims))
 
     @classmethod
     def scaled_integers(cls, scale: float, dims: Sequence[int]) -> "ProductLattice":
         with np.errstate(invalid="ignore"):  # 0 * inf: __post_init__ refuses it
-            return cls(tuple(float(scale) * np.eye(int(d)) for d in dims))
+            return cls(tuple(float(scale) * _identity(int(d)) for d in dims))
 
     @classmethod
     def from_spec(cls, spec: Sequence[dict]) -> "ProductLattice":
         """Build from [{'dim': d, 'basis': [[...], ...]}, ...] (row-major)."""
         blocks = []
         for i, entry in enumerate(spec):
-            d = int(entry["dim"])
+            d = operator.index(entry["dim"])
             if d < 0:
                 raise ValueError(f"block {i}: dim must be >= 0")
-            basis = np.array(entry.get("basis", np.eye(d)), dtype=float)
+            basis = np.array(entry["basis"] if "basis" in entry else _identity(d), dtype=float)
             if basis.shape != (d, d):
                 raise ValueError(f"block {i}: basis must be {d}x{d}")
             blocks.append(basis)
@@ -139,7 +167,7 @@ class ProductLattice:
         out = 1.0
         for b in self.blocks:
             if b.shape[0]:
-                out *= abs(np.linalg.det(b))
+                out *= _abs_det(b)
         return out
 
     def dual(self) -> "ProductLattice":
@@ -173,8 +201,20 @@ class BlockVector:
         return tuple(len(e) for e in self.entries)
 
     def block_arrays(self) -> list[np.ndarray]:
-        return [np.asarray([float(x) for x in e], dtype=np.longdouble)
-                for e in self.entries]
+        return [_long_doubles(e) for e in self.entries]
+
+
+def _long_doubles(values) -> np.ndarray:
+    """The entries as long doubles, through float().  An infinite entry, and
+    an exact fraction past float range (float() raises OverflowError), are
+    refused; a NaN is left to _phases, which refuses it."""
+    try:
+        out = np.asarray([float(x) for x in values], dtype=np.longdouble)
+        if not np.isinf(out).any():
+            return out
+    except OverflowError:
+        pass
+    raise ValueError("entry out of float range")
 
 
 def nearest_integer_norm(x) -> float:
@@ -349,12 +389,17 @@ def gaussian_mass(lattice: ProductLattice,
     return direct
 
 
-def _dilate_matrix(alpha: BlockVector, n_range: int) -> np.ndarray:
-    """Flat coordinates of n*alpha = (n a_1, n^2 a_2, ..., n^k a_k), one row
-    per n <= N, in long double."""
-    ns = np.arange(1, n_range + 1, dtype=np.int64).astype(np.longdouble)[:, None]
-    return np.concatenate([ns ** j * arr for j, arr in
-                           enumerate(alpha.block_arrays(), start=1)], axis=1)
+def _orbit_theta(lattice: ProductLattice, alpha: BlockVector, n_range: int,
+                 tail: float) -> np.ndarray:
+    """Theta(1, n*alpha) for n = 1..N: the dilates (n a_1, n^2 a_2, ...,
+    n^k a_k) are formed in long double a block of the scan at a time."""
+    arrays = alpha.block_arrays()
+    blocks, out = _orbit(n_range), np.empty(n_range)
+    for ns in blocks:
+        x = ns.astype(np.longdouble)[:, None]
+        xs = np.concatenate([x ** j * arr for j, arr in enumerate(arrays, start=1)], axis=1)
+        out[ns[0] - 1:ns[-1]] = _theta_direct_many(lattice, 1.0, xs, tail)
+    return out
 
 
 def gaussian_average(lattice: ProductLattice, alpha: BlockVector, n_range: int,
@@ -370,14 +415,14 @@ def gaussian_average(lattice: ProductLattice, alpha: BlockVector, n_range: int,
         raise ValueError("need N >= 1")
     if alpha.dims != lattice.dims:
         raise ValueError("alpha blocks do not match lattice blocks")
-    xs = _dilate_matrix(alpha, n_range)
-    direct = lattice.determinant * float(
-        np.mean(_theta_direct_many(lattice, 1.0, xs, tol.theta_tail)))
+    def direct_side() -> float:
+        return lattice.determinant * float(
+            np.mean(_orbit_theta(lattice, alpha, n_range, tol.theta_tail)))
     if not check_dual:
-        return direct
+        return direct_side()
 
-    # Dual side: product dual vectors xi with Gaussian weight, then the
-    # average over n of the resulting polynomial phases.
+    # Dual side (first: a phase it refuses costs no direct sum): product dual
+    # vectors xi with Gaussian weight, then the average over n of the phases.
     block_pts = [_dual_points(basis, 1.0, tol.theta_tail) for basis in lattice.blocks]
     if math.prod(pts.shape[0] for pts, _ in block_pts) > _DUAL_COMBO_BUDGET:
         raise ValueError("dual-side combination budget exceeded")
@@ -387,18 +432,15 @@ def gaussian_average(lattice: ProductLattice, alpha: BlockVector, n_range: int,
             for (pts, _), arr in zip(block_pts, alpha.block_arrays())]
     gammas = np.stack([g.ravel() for g in np.meshgrid(*dots, indexing="ij")], axis=1)
     weights = math.prod(np.meshgrid(*(w for _, w in block_pts), indexing="ij")).ravel()
-    combos = gammas.shape[0]
-    ns = np.arange(1, n_range + 1, dtype=np.int64)
-    powers = np.stack([ns.astype(np.longdouble) ** j
-                       for j in range(1, len(lattice.blocks) + 1)], axis=1)
-    acc = np.zeros(combos)
-    chunk = max(1, 2_000_000 // max(n_range, 1))
-    for start in range(0, combos, chunk):
-        g = gammas[start:start + chunk]
-        args = _phases(powers @ g.T)   # (N, chunk) in extended precision
-        mean_re = np.cos(2.0 * math.pi * args.astype(float)).mean(axis=0)
-        acc[start:start + chunk] = mean_re
-    dual = float(np.sum(weights * acc))
+    sums = np.zeros(gammas.shape[0])  # sum over n of cos(2 pi sum_j n^j gamma_j)
+    chunk = max(1, _PHASE_BLOCK // n_range)
+    for start in range(0, sums.size, chunk):
+        g = gammas[start:start + chunk].T
+        for ns in _orbit(n_range, width=g.shape[1]):
+            args = _phases(ns.astype(np.longdouble)[:, None] ** np.arange(1, len(g) + 1) @ g)
+            sums[start:start + chunk] += np.cos(2 * math.pi * args.astype(float)).sum(0)
+    dual = float(np.sum(weights * (sums / n_range)))
+    direct = direct_side()
     scale = max(abs(direct), abs(dual), 1e-300)
     if abs(direct - dual) > tol.average_agreement_rel * scale + 1e-12:
         raise AssertionError(
@@ -459,12 +501,10 @@ def _good_set(conditions: Sequence[tuple[IntPolynomial, tuple]], eps: float,
             dtype = np.int64 if len(fracs) * big_q ** 2 < 2 ** 63 else object
             rules.append((poly, terms, dtype, -(-(a * big_q) ** 2 // b ** 2)))
     else:
-        rules = [(poly, np.asarray([float(x) for x in block], dtype=np.longdouble))
-                 for poly, block in conditions]
-    good = np.ones(n_range, dtype=bool)
-    for start in range(1, n_range + 1, _DILATE_CHUNK):
-        ns = np.arange(start, min(start + _DILATE_CHUNK, n_range + 1), dtype=np.int64)
-        keep = good[start - 1:start - 1 + ns.size]
+        rules = [(poly, _long_doubles(block)) for poly, block in conditions]
+    blocks, good = _orbit(n_range), np.ones(n_range, dtype=bool)
+    for ns in blocks:
+        keep = good[ns[0] - 1:ns[-1]]
         tables = {}
         for poly, *rule in rules:
             if poly not in tables:
@@ -562,7 +602,7 @@ def check_average_bounds(lattice: ProductLattice, alpha: BlockVector, n: int,
         perturbation_eps = min(1.0 / max(lattice.dimension, 1), 0.5)
     # Theta(1, n*alpha) for n <= N: F(N), F(floor(cN)) and F(floor(N/q)) are
     # det times means of its leading entries, and it is the ratio's numerator
-    top = _theta_direct_many(lattice, 1.0, _dilate_matrix(alpha, n), tol.theta_tail)
+    top = _orbit_theta(lattice, alpha, n, tol.theta_tail)
     f_n, f_scaled, f_sub = (lattice.determinant * float(np.mean(top[:m]))
                             for m in (n, int(c * n), n // q))
 
@@ -573,9 +613,8 @@ def check_average_bounds(lattice: ProductLattice, alpha: BlockVector, n: int,
         tuple((1.0 + perturbation_eps) * float(x) for x in block)
         for block in beta.entries
     ))
-    xs_bot = _dilate_matrix(stretched, n)
-    bot = _theta_direct_many(scaled_lattice, 1.0, xs_bot, tol.theta_tail)
-    ratio = float(np.min(top / bot))
+    bot = _orbit_theta(scaled_lattice, stretched, n, tol.theta_tail)
+    ratio = float(np.min(np.divide(top, bot, out=bot)))
 
     return AverageBoundsReport(
         n=n, c=c, q=q,
@@ -638,18 +677,15 @@ def schmidt_scan(lattice: ProductLattice, alpha: BlockVector, n: int,
         raise ValueError("no primitive dual vectors within radius_max")
 
     best = None
-    for q in range(1, q_max + 1):
-        worst = 0.0
-        picks = []
-        dists = []
-        for j, cand, dots in block_data:
-            dist = _phases(q * dots, nearest=True).astype(float)
-            idx = int(np.argmin(dist))
-            picks.append(tuple(float(v) for v in cand[idx]))
-            dists.append(float(dist[idx]))
-            worst = max(worst, float(n) ** j * dist[idx])
-        if best is None or worst < best[0]:
-            best = (worst, q, tuple(picks), tuple(dists))
+    for qs in _orbit(q_max, "q_max", max(cand.shape[0] for _, cand, _ in block_data)):
+        dists = [(j, cand, _phases(dots * qs[:, None], nearest=True).astype(float))
+                 for j, cand, dots in block_data]
+        worst = np.max([float(n) ** j * d.min(axis=1) for j, _, d in dists], axis=0)
+        i = int(np.argmin(worst))  # the first q of least worst distance
+        if best is None or worst[i] < best[0]:
+            best = (float(worst[i]), int(qs[i]),
+                    tuple(tuple(map(float, cand[d[i].argmin()])) for _, cand, d in dists),
+                    tuple(float(d[i].min()) for _, _, d in dists))
     objective, q_best, picks, dists = best
     return SchmidtReport(
         alternative=2,
@@ -694,12 +730,12 @@ def weyl_denominator(thetas: Sequence, n: int, delta: float, q_max: int,
     k = len(thetas)
     if k < 1:
         raise ValueError("need at least one coordinate")
-    ths = np.asarray([float(t) for t in thetas], dtype=np.longdouble)
-    ns = np.arange(1, n + 1, dtype=np.int64).astype(np.longdouble)
-    args = np.zeros(n, dtype=np.longdouble)
-    for j in range(1, k + 1):
-        args += ns ** j * ths[j - 1]
-    s_val = np.exp(2j * math.pi * _phases(args).astype(float)).mean()
+    ths = _long_doubles(thetas)
+    blocks, terms = _orbit(n), np.empty(n, dtype=complex)
+    for ns in blocks:
+        args = sum(ns.astype(np.longdouble) ** j * th for j, th in enumerate(ths, start=1))
+        terms[ns[0] - 1:ns[-1]] = np.exp(2j * math.pi * _phases(args).astype(float))
+    s_val = terms.mean()
 
     if thresholds is None:
         try:
@@ -715,12 +751,11 @@ def weyl_denominator(thetas: Sequence, n: int, delta: float, q_max: int,
             raise ValueError("thresholds must be finite")
     q_found = None
     dists_found: tuple[float, ...] = ()
-    for start in range(1, q_max + 1, _DILATE_CHUNK):
-        qs = np.arange(start, min(start + _DILATE_CHUNK, q_max + 1), dtype=np.longdouble)
+    for qs in _orbit(q_max, "q_max", k):
         dist = _phases(qs[:, None] * ths, nearest=True).astype(float)
         hits = np.flatnonzero(np.all(dist < thresholds, axis=1))
         if hits.size:
-            q_found = start + int(hits[0])
+            q_found = int(qs[hits[0]])
             dists_found = tuple(float(d) for d in dist[hits[0]])
             break
     return WeylDenominatorReport(

@@ -118,6 +118,58 @@ def naive_theta_1d(spacing, t, x, terms=60):
                for m in range(-terms, terms + 1))
 
 
+def naive_weyl_mean(thetas, n_range):
+    """(1/N) sum_{n<=N} e(n th_1 + n^2 th_2 + ... + n^k th_k): per n, the
+    phase reduced modulo 1 in Fractions taken from the floats."""
+    ths = [Fraction(float(th)) for th in thetas]
+    total = 0j
+    for n in range(1, n_range + 1):
+        phase = sum(n ** j * th for j, th in enumerate(ths, start=1)) % 1
+        total += cmath.exp(2j * math.pi * float(phase))
+    return total / n_range
+
+
+def naive_dilate_theta(blocks, n, spacing=1.0):
+    """Theta(1, n*alpha) over spacing * Z^D: the product, over each entry a
+    of each block j (from 1), of naive_theta_1d at n^j a reduced modulo the
+    spacing in Fractions taken from the floats."""
+    s = Fraction(float(spacing))
+    out = 1.0
+    for j, block in enumerate(blocks, start=1):
+        for a in block:
+            out *= naive_theta_1d(float(s), 1.0, float(n ** j * Fraction(float(a)) % s))
+    return out
+
+
+def naive_gaussian_average(blocks, n_range, spacing=1.0):
+    """F(N) = det * (1/N) sum_{n<=N} Theta(1, n*alpha) over spacing * Z^D,
+    whose determinant is spacing^D."""
+    dim = sum(len(block) for block in blocks)
+    return float(spacing) ** dim * sum(naive_dilate_theta(blocks, n, spacing)
+                                       for n in range(1, n_range + 1)) / n_range
+
+
+def naive_schmidt_objectives(blocks, n, q_max, radius, spacing=1.0):
+    """For q = 1..q_max, max over the nonzero blocks j of n^j times the least
+    distance from q xi . alpha_j to Z, over the primitive dual vectors
+    xi = m / spacing of spacing * Z^d (m in Z^d, gcd 1, |xi| <= radius);
+    Fractions taken from the floats.  Blocks without such a vector are
+    skipped; an empty list means no block has one."""
+    s, r = Fraction(float(spacing)), Fraction(float(radius))
+    dots = []  # (j, [xi . alpha_j for each primitive xi])
+    for j, block in enumerate(blocks, start=1):
+        box = math.floor(r * s)
+        vals = [sum(Fraction(mi) / s * Fraction(float(a)) for mi, a in zip(m, block))
+                for m in product(range(-box, box + 1), repeat=len(block))
+                if any(m) and math.gcd(*m) == 1 and sum(mi * mi for mi in m) <= (r * s) ** 2]
+        if vals:
+            dots.append((j, vals))
+    if not dots:
+        return []
+    return [max(n ** j * min(float(_distance_to_z(q * x)) for x in vals) for j, vals in dots)
+            for q in range(1, q_max + 1)]
+
+
 def naive_good_residues(step_q, eps):
     """Residues r mod q with |r/q| within eps of an integer."""
     out = []

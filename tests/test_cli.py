@@ -254,6 +254,7 @@ def test_weyl_past_its_n_budget_is_refused_before_any_allocation(n):
 
 
 _ERGODIC = ["ergodic", "--action", "measure", "--subset", "all"]
+_AVERAGE = ["dioph", "--action", "average", "--lattice", "int:1", "--alpha", "0.3"]
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
@@ -271,6 +272,18 @@ _ERGODIC = ["ergodic", "--action", "measure", "--subset", "all"]
      "Weyl sum budget exceeded: need M <= 2000000"),
     (["weyl", "--poly", "1", "--M", "1000000000000", "--N", "5", "--weights", "random"],
      "Weyl sum budget exceeded: need M <= 2000000"),
+    (_AVERAGE + ["--N", "100000000"], "orbit scan budget exceeded: need N <= 10000000"),
+    (_AVERAGE + ["--N", "1000000000000"], "orbit scan budget exceeded: need N <= 10000000"),
+    (["dioph", "--action", "denominator", "--theta", "0.3", "--N", "100000000"],
+     "orbit scan budget exceeded: need N <= 10000000"),
+    (["dioph", "--action", "denominator", "--theta", "0.3", "--q-max", "1000000000000"],
+     "orbit scan budget exceeded: need q_max <= 10000000"),
+    (["dioph", "--action", "goodset", "--alpha", "1/3", "--N", "1000000000000"],
+     "orbit scan budget exceeded: need N <= 10000000"),
+    # F(4) < 1/2 here, so the scan over q is reached
+    (["dioph", "--action", "schmidt", "--lattice", "scaled:6:1,1", "--alpha", "2.5;1.7",
+      "--N", "4", "--radius", "0.9", "--q-max", "1000000000000"],
+     "orbit scan budget exceeded: need q_max <= 10000000"),
 ])
 def test_inputs_past_a_budget_are_refused_before_any_allocation(argv, message):
     out = subprocess.run([sys.executable, "-c", _CAPPED, *argv], capture_output=True,
@@ -278,3 +291,13 @@ def test_inputs_past_a_budget_are_refused_before_any_allocation(argv, message):
     assert out.returncode == 2
     assert out.stdout == ""
     assert out.stderr.count("\n") == 1 and out.stderr.startswith(f"error: {message}")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+def test_an_average_over_a_million_n_answers_in_a_capped_child():
+    # theta values are kept as one float64 per n, the dilates only per block
+    # of the orbit scan: whole-N tables took about 330 bytes per n
+    out = subprocess.run([sys.executable, "-c", _CAPPED, *_AVERAGE, "--N", "1000000"],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["results"]["N"] == 1000000

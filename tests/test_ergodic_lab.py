@@ -21,6 +21,11 @@ def test_rotation_and_permutation_validation():
         FiniteMPSystem((0, 0, 1))
     with pytest.raises(ValueError):
         FiniteMPSystem(())
+    # entries are integers in value: 1.9 and 0.2 were read as the swap [1, 0]
+    for bad in ([1.9, 0.2], ["1", "0"]):
+        with pytest.raises(ValueError, match="mapping is not a permutation"):
+            FiniteMPSystem.from_permutation(bad)
+    assert FiniteMPSystem.from_permutation([1.0, 0]).mapping == (1, 0)
 
 
 def test_skew_product_is_a_bijection():

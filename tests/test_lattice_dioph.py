@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyrec import lattice_dioph
+from polyrec.config import DEFAULT_TOLERANCES
 from polyrec.lattice_dioph import (_PHASE_LIMIT, BlockVector, ProductLattice,
-                                   _dilate_matrix,
+                                   _orbit_theta,
                                    approx_good_set_family,
                                    approx_good_set_power,
                                    check_average_bounds, gaussian_average,
@@ -16,7 +19,8 @@ from polyrec.lattice_dioph import (_PHASE_LIMIT, BlockVector, ProductLattice,
                                    schmidt_scan, theta, weyl_denominator)
 from polyrec.polyfam import PolynomialFamily
 
-from oracles import naive_good_residues, naive_theta_1d
+from oracles import (naive_dilate_theta, naive_gaussian_average, naive_good_residues,
+                     naive_schmidt_objectives, naive_theta_1d, naive_weyl_mean)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -234,8 +238,11 @@ def test_vectorized_dilates_match_per_n_loop(alpha, eps, n_range):
     arrays = alpha.block_arrays()
     rows = [[np.longdouble(n) ** j * arr for j, arr in enumerate(arrays, start=1)]
             for n in range(1, n_range + 1)]
-    flat = np.stack([np.concatenate(row) for row in rows])
-    assert np.array_equal(_dilate_matrix(alpha, n_range), flat)
+    # the orbit scan's theta values are those of the per-n dilates
+    lattice = ProductLattice.integers(alpha.dims)
+    per_n = [theta(lattice, 1.0, np.concatenate(row)) for row in rows]
+    tail = DEFAULT_TOLERANCES.theta_tail
+    assert np.array_equal(_orbit_theta(lattice, alpha, n_range, tail), per_n)
     members = [n for n, row in enumerate(rows, start=1)
                if all(nearest_integer_norm(val) < eps for val in row)]
     assert list(approx_good_set_power(alpha, eps, n_range).members) == members
@@ -363,3 +370,99 @@ def test_weyl_denominator_guards():
         weyl_denominator([0.5], 10, 0.8, 5)       # delta too large
     with pytest.raises(ValueError):
         weyl_denominator([0.1] * 4, 10 ** 4, 0.25, 5)  # N^k too large
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's result as its repr (every float bit shows), or the ValueError
+    it raised."""
+    try:
+        return repr(fn(*args, **kwargs))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@st.composite
+def orbit_cases(draw):
+    """Blocks of a spacing * Z^D lattice (D <= 3, spacing 1 or 2: each
+    theta value stays far above the truncation tail) and an alpha for them,
+    N > 20 for the bounds, a coarser spacing and a small N for the Schmidt
+    scan (so that F(N) < 1/2 often), thetas and delta for the denominator,
+    and q_max."""
+    dims = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3).filter(
+        lambda d: sum(d) <= 3))
+    reals = st.floats(-3, 3, allow_nan=False)
+    blocks = [tuple(draw(st.lists(reals, min_size=d, max_size=d))) for d in dims]
+    return dict(blocks=blocks, spacing=draw(st.sampled_from([1.0, 2.0])),
+                coarse=draw(st.sampled_from([2.0, 4.0])),
+                n=draw(st.integers(21, 40)), n_small=draw(st.integers(1, 9)),
+                c=draw(st.floats(0.15, 0.9)), q=draw(st.integers(1, 10)),
+                thetas=draw(st.lists(reals, min_size=1, max_size=3)),
+                delta=draw(st.floats(0.05, 0.5)), q_max=draw(st.integers(1, 30)),
+                radius=draw(st.sampled_from([0.9, 1.5, 2.5])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=orbit_cases())
+def test_orbit_scans_are_bit_identical_across_block_sizes_and_match_the_oracles(case):
+    blocks, spacing, n = case["blocks"], case["spacing"], case["n"]
+    lattice = ProductLattice.scaled_integers(spacing, [len(b) for b in blocks])
+    coarse = ProductLattice.scaled_integers(case["coarse"], [len(b) for b in blocks])
+    alpha = BlockVector(tuple(blocks))
+    runs = []
+    for chunk in (1, 7, 1 << 16):
+        with mock.patch.object(lattice_dioph, "_DILATE_CHUNK", chunk):
+            runs.append([
+                _outcome(gaussian_average, lattice, alpha, n),
+                _outcome(gaussian_average, lattice, alpha, n, check_dual=True),
+                _outcome(check_average_bounds, lattice, alpha, n, case["c"], case["q"]),
+                _outcome(weyl_denominator, case["thetas"], n, case["delta"], case["q_max"]),
+                _outcome(schmidt_scan, coarse, alpha, case["n_small"], case["q_max"],
+                         case["radius"], 1.0),
+            ])
+    assert runs[0] == runs[1] == runs[2]
+
+    assert gaussian_average(lattice, alpha, n) == pytest.approx(
+        naive_gaussian_average(blocks, n, spacing), abs=1e-9)
+    rep = check_average_bounds(lattice, alpha, n, case["c"], case["q"])
+    assert (rep.f_n, rep.f_scaled, rep.f_subsampled) == pytest.approx(
+        [naive_gaussian_average(blocks, m, spacing)
+         for m in (n, int(case["c"] * n), n // case["q"])], abs=1e-9)
+    # beta moves the first entry of block j by eps N^-j; the ratio's lattice
+    # and beta are both dilated by 1 + eps
+    eps = rep.perturbation_eps
+    stretched = [tuple((1.0 + eps) * (x + (eps * float(n) ** -j if i == 0 else 0.0))
+                       for i, x in enumerate(block))
+                 for j, block in enumerate(blocks, start=1)]
+    ratio = min(naive_dilate_theta(blocks, m, spacing)
+                / naive_dilate_theta(stretched, m, (1.0 + eps) * spacing)
+                for m in range(1, n + 1))
+    assert rep.perturbation_ratio == pytest.approx(ratio, rel=1e-9)
+
+    den = weyl_denominator(case["thetas"], n, case["delta"], case["q_max"])
+    assert den.s_abs == pytest.approx(abs(naive_weyl_mean(case["thetas"], n)), abs=1e-9)
+
+    objectives = naive_schmidt_objectives(blocks, case["n_small"], case["q_max"],
+                                          case["radius"], case["coarse"])
+    try:
+        sch = schmidt_scan(coarse, alpha, case["n_small"], case["q_max"], case["radius"], 1.0)
+    except ValueError as exc:  # F(N) < 1/2 and no block has a primitive dual vector
+        assert str(exc) == "no primitive dual vectors within radius_max"
+        assert objectives == []
+        return
+    assert sch.f_value == pytest.approx(
+        naive_gaussian_average(blocks, case["n_small"], case["coarse"]), abs=1e-9)
+    if sch.alternative == 2:
+        least = min(objectives)
+        assert sch.objective == pytest.approx(least, abs=1e-9)
+        assert objectives[sch.q - 1] == pytest.approx(least, abs=1e-9)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+def test_schmidt_scan_keeps_the_first_least_q_across_blocks(chunk):
+    # the objective is exactly 0 at q = 8, 16 and 24 (q = 8 opens the second
+    # block of 7): the first one is kept
+    lattice = ProductLattice.scaled_integers(2.0, [1, 1])
+    alpha = BlockVector(((1.0,), (0.25,)))
+    with mock.patch.object(lattice_dioph, "_DILATE_CHUNK", chunk):
+        rep = schmidt_scan(lattice, alpha, 2, 30, 1.5, 1.0)
+    assert (rep.alternative, rep.q, rep.objective) == (2, 8, 0.0)

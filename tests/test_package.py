@@ -235,3 +235,24 @@ def test_ergodic_searches_share_one_counter():
             and node.func.attr == "power_system"] == []
     assert callers(source, ("_level",)) == {"_level": ["khintchine_search",
                                                        "griesmer_search"]}
+
+
+def test_lattice_dioph_reads_every_n_and_q_through_one_scan():
+    # _orbit alone reads the block size and holds the budget; the theta
+    # table, the dual side, the good set, S_N and the two q scans all take
+    # their n or q from it, and neither q scan walks a range of its own
+    source = (SRC / "lattice_dioph.py").read_text(encoding="utf-8")
+    readers = [owner for owner, node in owned_nodes(source) if isinstance(node, ast.Name)
+               and node.id == "_DILATE_CHUNK" and isinstance(node.ctx, ast.Load)]
+    assert readers == ["_orbit"]
+    assert callers(source, ("_orbit", "_orbit_theta")) == {
+        "_orbit": ["_orbit_theta", "gaussian_average", "_good_set", "schmidt_scan",
+                   "weyl_denominator", "weyl_denominator"],
+        "_orbit_theta": ["gaussian_average", "check_average_bounds", "check_average_bounds"]}
+    defined = {node.name for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.FunctionDef)}
+    assert "_dilate_matrix" not in defined
+    range_loops = {owner for owner, node in owned_nodes(source)
+                   if isinstance(node, ast.For) and isinstance(node.iter, ast.Call)
+                   and getattr(node.iter.func, "id", None) == "range"}
+    assert not range_loops & {"schmidt_scan", "weyl_denominator"}

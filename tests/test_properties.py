@@ -541,6 +541,9 @@ def ergodic_argv(draw):
 # a permutation file of nested lists was a TypeError traceback
 @example(case=(["ergodic", "--action", "measure", "--system", "perm:{path}", "--subset",
                 "all"], "[[1]]"))
+# a permutation file of non-integers was truncated to [1, 0] and answered
+@example(case=(["ergodic", "--action", "measure", "--system", "perm:{path}", "--subset",
+                "list:0", "--shift", "1"], "[1.9, 0.2]"))
 def test_ergodic_cli_fuzz_exits_0_1_or_2_with_strict_json(case, tmp_path_factory):
     argv, perm_file = case
     path = tmp_path_factory.mktemp("perm") / "perm.json"
@@ -633,3 +636,88 @@ def test_phases_past_the_limit_exit_2_with_one_line(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "phase reduction" in captured.err
+
+
+#: Orbit lengths of the dioph fuzz past every check: the scan budget + 1, 10^12.
+ORBIT_PAST = [10_000_001, 10 ** 12]
+#: Reals of the dioph fuzz: non-finite, zero, negative, subnormal and huge.
+ODD_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, -0.5, 5e-324, 1e300]
+#: Odd entries of alpha and theta: a zero denominator, fractions past int64
+#: and past float range, huge, infinite and NaN values, and text that is no
+#: number; the other entries are floats in [-4, 4] and small fractions.
+ODD_ENTRIES = ["1/0", f"{2 ** 70 + 1}/2", "1" + "0" * 400 + "/3", "1e20", "1e300", "1e400",
+               "nan", "-inf", "x", ""]
+#: Lattice files of the dioph fuzz, valid or not.
+LATTICE_FILES = ['[{"dim": 1}]', '[{"dim": 2, "basis": [[1, 0.5], [0, 2]]}, {"dim": 0}]',
+                 "[]", "[{}]", '[{"dim": -1}]', '[{"dim": 1.5}]',
+                 '[{"dim": 1, "basis": [[0]]}]',
+                 '[{"dim": 1, "basis": "ab"}]', "[1]", '{"dim": 1}', "null",
+                 '[{"dim": 1, "basis": [[NaN]]}]', '[{"dim": 1, "basis": [[1e400]]}]',
+                 '[{"dim": 1000000}]', "not json"]
+
+
+def mostly(usual, odd):
+    """Draws from `usual` seven times in eight, else from `odd`."""
+    return st.integers(0, 7).flatmap(lambda k: usual if k else odd)
+
+
+@st.composite
+def dioph_argv(draw):
+    """A dioph invocation, and the text of the lattice file that a file:
+    lattice reads.  Sizes are capped for run time only: N <= 60, q_max <=
+    60, up to 3 blocks of dimension <= 2 and reals in [-4, 4], besides the
+    odd values above, 0, negatives, huge dimensions and lengths past the
+    budget.  Each value is a usual one seven times in eight, and alpha then
+    has one block per lattice block."""
+    dims = draw(st.lists(mostly(st.integers(0, 2), st.sampled_from([-1, 14, 1000, 10 ** 6])),
+                         min_size=1, max_size=3))
+    dim_text = ",".join(map(str, dims))
+    scale = draw(mostly(st.sampled_from(["0.5", "1", "6"]),
+                        st.sampled_from(["nan", "inf", "0", "-1", "1e-30", "1e200"])))
+    lattice = draw(st.sampled_from([f"int:{dim_text}", f"scaled:{scale}:{dim_text}",
+                                    "file:{path}"]))
+    if not draw(st.integers(0, 7)):
+        lattice = lattice[:draw(st.integers(1, len(lattice)))]  # truncated literals
+    usual = st.floats(-4, 4).map(repr) | st.fractions(-4, 4, max_denominator=12).map(str)
+    entry = mostly(usual, st.sampled_from(ODD_ENTRIES))
+    sizes = draw(mostly(st.just([max(0, min(d, 2)) for d in dims]),
+                        st.lists(st.integers(0, 3), min_size=1, max_size=3)))
+    alpha = ";".join(",".join(draw(st.lists(entry, min_size=d, max_size=d))) for d in sizes)
+    reals = mostly(st.floats(-4, 4), st.sampled_from(ODD_FLOATS))
+    length = mostly(st.integers(-2, 60), st.sampled_from(ORBIT_PAST))
+    argv = ["dioph", "--action", draw(st.sampled_from(["mass", "average", "bounds",
+                                                       "schmidt", "goodset", "denominator"]))]
+    options = {"--lattice": lattice, "--alpha": alpha,
+               "--theta": ",".join(draw(st.lists(entry, min_size=1, max_size=3))),
+               "--poly": draw(st.sampled_from(["0,1", "1;0,1", "0,0,1;1", "", "x"])),
+               "--N": draw(length), "--q-max": draw(length), "--q": draw(st.integers(-1, 30)),
+               "--eps": draw(reals), "--c": draw(reals), "--radius": draw(reals),
+               "--delta": draw(reals), "--c-exp": draw(reals)}
+    for flag, value in options.items():
+        if draw(mostly(st.just(True), st.booleans())):
+            argv.append(f"{flag}={value}")  # '=' keeps a leading '-' a value
+    if draw(st.booleans()):
+        argv.append("--check-dual")
+    return argv, draw(st.sampled_from(LATTICE_FILES))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=dioph_argv())
+@example(case=(["dioph", "--action", "schmidt", "--lattice=scaled:6:1,1",
+                "--alpha=2.5;1.7", "--N=4", "--radius=0.9", "--q-max=10000001"], "[]"))
+@example(case=(["dioph", "--action", "denominator", "--theta=0.3", "--N=10000001"], "[]"))
+# each was a traceback or a RuntimeWarning line on stderr: a fraction past
+# float range, lattice files that are no list of blocks, an identity basis
+# of 10^6 dimensions, a determinant past float range, an infinite entry
+@example(case=(["dioph", "--action", "average", "--lattice=int:1",
+                "--alpha=1" + "0" * 400 + "/3"], "[]"))
+@example(case=(["dioph", "--action", "mass", "--lattice=file:{path}"], "[{}]"))
+@example(case=(["dioph", "--action", "mass", "--lattice=file:{path}"], '{"dim": 1}'))
+@example(case=(["dioph", "--action", "mass", "--lattice=int:1000000"], "[]"))
+@example(case=(["dioph", "--action", "mass", "--lattice=scaled:1e200:2"], "[]"))
+@example(case=(["dioph", "--action", "schmidt", "--lattice=int:2", "--alpha=1e400,1.9"], "[]"))
+def test_dioph_cli_fuzz_exits_0_1_or_2_with_strict_json(case, tmp_path_factory):
+    argv, lattice_file = case
+    path = tmp_path_factory.mktemp("lattice") / "lattice.json"
+    path.write_text(lattice_file)
+    assert_cli_contract([arg.replace("{path}", str(path)) for arg in argv])
