@@ -372,16 +372,13 @@ def gaussian_mass(lattice: ProductLattice,
                   tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """det(Lambda) * sum_m exp(-pi |m|^2); equals the same sum over the dual.
 
-    Both sides are computed and must agree to tol.poisson_rel; the
+    Both sides are det * theta(lattice, 1, 0), once on the direct side and
+    once on the dual side, and must agree to tol.poisson_rel; the
     direct-side value is returned.
     """
-    zero = np.zeros((1, lattice.dimension), dtype=np.longdouble)
-    direct = lattice.determinant * float(
-        _theta_direct_many(lattice, 1.0, zero, tol.theta_tail)[0])
-    dual_lat = lattice.dual()
-    dual = float(_theta_direct_many(
-        dual_lat, 1.0, np.zeros((1, dual_lat.dimension), dtype=np.longdouble),
-        tol.theta_tail)[0])
+    zero = [0.0] * lattice.dimension
+    direct = lattice.determinant * theta(lattice, 1.0, zero, "direct", tol)
+    dual = lattice.determinant * theta(lattice, 1.0, zero, "dual", tol)
     if abs(direct - dual) > tol.poisson_rel * max(abs(direct), abs(dual)):
         raise AssertionError(
             f"two-sided evaluations disagree: {direct!r} vs {dual!r}"

@@ -9,6 +9,7 @@ whose difference set controls all polynomials of the family at once.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .intset import IntegerSet
-from .zn_fourier import ExactnessError, exact_correlation
+from .zn_fourier import INTEGER, ExactnessError, _intersection_counts, exact_correlation
 
 __all__ = [
     "IntPolynomial",
@@ -450,40 +451,34 @@ def check_lift_implication(lift: LiftResult, a: IntegerSet,
                            family: PolynomialFamily) -> ImplicationReport:
     """Verify: (n, n^2, ..., n^k) in B - B implies every P_i(n) in A - A.
 
-    Scans every nonzero n whose power vector can fit inside the difference
-    box.  This holds by construction; the report exists to check it from
-    the returned data alone.
+    The candidates are every nonzero n with |n| <= (2 * half_width)^(1/k),
+    whose power vectors fit inside the difference box.  Both memberships
+    are intersection counts at a lag, taken in one integer-mode count
+    each.  A point b of B is coded as 1 + sum_j (b_j + hw) S^(j-1) with
+    S = 4 hw + 1, and v(n) as the lag sum_j n^j S^(j-1): a difference of
+    codes equals that lag exactly when b' - b = v(n), since every digit
+    of the difference of the two sides stays below S in size.  So n is a
+    hit when the count of the codes at its lag is positive, and P_i(n) is
+    in A - A when the count of A at lag P_i(n) is.  This holds by
+    construction; the report exists to check it from the returned data
+    alone.
     """
     k = family.common_degree_bound
     hw = lift.half_width
-    width = 2 * hw
-    limit = _integer_root(Fraction(width), k)
-    diff_a = {x - y for x in a.elements for y in a.elements}
     if not lift.points:
         return ImplicationReport((), (), ())
-    # Integer-encode box points for vectorized difference-set membership.
-    stride = 2 * hw + 1
-    b_arr = np.array(sorted(lift.points), dtype=np.int64)
-    weights = stride ** np.arange(k, dtype=np.int64)
-    codes = np.sort((b_arr + hw) @ weights)
-    candidates, hits, violations = [], [], []
-    for n in range(-limit, limit + 1):
-        if n == 0:
-            continue
-        vec = np.array([n ** j for j in range(1, k + 1)], dtype=np.int64)
-        if np.any(np.abs(vec) > width):
-            continue
-        candidates.append(n)
-        shifted = b_arr + vec
-        valid = np.all(np.abs(shifted) <= hw, axis=1)
-        if not valid.any():
-            continue
-        probe = (shifted[valid] + hw) @ weights
-        pos = np.searchsorted(codes, probe)
-        pos[pos == codes.size] = 0
-        if not np.any(codes[pos] == probe):
-            continue
-        hits.append(n)
-        if any(p.evaluate(n) not in diff_a for p in family):
-            violations.append(n)
-    return ImplicationReport(tuple(candidates), tuple(hits), tuple(violations))
+    pts = np.fromiter(itertools.chain.from_iterable(lift.points), dtype=np.int64,
+                      count=k * len(lift.points)).reshape(-1, k)
+    if np.abs(pts).max() > hw:
+        raise ValueError("lifted points must lie in the box [-half_width, half_width]^k")
+    limit = _integer_root(Fraction(2 * hw), k)
+    ns = np.arange(-limit, limit + 1, dtype=np.int64)
+    ns = ns[ns != 0]
+    weights = (4 * hw + 1) ** np.arange(k, dtype=np.int64)
+    codes = IntegerSet(2 * hw * int(weights.sum()) + 1, (pts + hw) @ weights + 1)
+    lags = (ns[:, None] ** np.arange(1, k + 1)) @ weights
+    hits = ns[_intersection_counts(codes, lags, INTEGER) > 0]
+    values = np.concatenate([p.values(hits) for p in family])
+    missed = _intersection_counts(a, values, INTEGER).reshape(family.size, -1) == 0
+    return ImplicationReport(tuple(ns.tolist()), tuple(hits.tolist()),
+                             tuple(hits[missed.any(axis=0)].tolist()))

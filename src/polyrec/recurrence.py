@@ -20,8 +20,8 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .intset import IntegerSet
 from .polyfam import PolynomialFamily, ShiftRange, shift_range
-from .zn_fourier import (Spectrum, ZnFunction, _block_layout, _Fresh, balanced_function,
-                         dft, ellp_norm, exact_correlation, inverse_dft, lp_norm)
+from .zn_fourier import (CYCLIC, INTEGER, Spectrum, ZnFunction, _Fresh, _intersection_counts,
+                         balanced_function, dft, ellp_norm, inverse_dft, lp_norm)
 
 __all__ = [
     "INTEGER",
@@ -35,100 +35,6 @@ __all__ = [
     "decompose",
     "uniform_certificate",
 ]
-
-INTEGER = "integer"
-CYCLIC = "cyclic"
-
-
-#: Cost rule between the two exact routes of _intersection_counts: count
-#: D distinct lags directly (D passes over W = ceil(N/64) packed words)
-#: when D * (W + _DIRECT_LAG_COST) < _FFT_COST * rows * S * log2(S), rows
-#: and S the block count and transform length of the blocked FFT.
-#: _DIRECT_LAG_COST is the fixed per-lag overhead in words.  Both
-#: constants are a least-squares fit to timings of the two routes at
-#: N = 2e5-1e6 with largest lags 100-30000 (x86_64, numpy 2.4): about
-#: 3.0 ns per word and lag, 1.6-3.0 ns per unit of rows * S * log2(S),
-#: median 1.8; near a tie the FFT keeps the call.
-_DIRECT_LAG_COST = 3000
-_FFT_COST = 0.6
-
-
-def _count_directly(lags: int, n: int, top: int) -> bool:
-    """Whether `lags` direct passes beat the blocked FFT for lags <= top."""
-    words = -(-n // 64)
-    _, rows, size = _block_layout(n, top)
-    return lags * (words + _DIRECT_LAG_COST) < _FFT_COST * rows * size * math.log2(size)
-
-
-def _packed_counts(ind: np.ndarray, second: np.ndarray, lags: np.ndarray) -> np.ndarray:
-    """#{y : ind[y] and second[y + s]} for each lag 0 <= s < N, by AND-popcount.
-
-    Both operands are packed into little-endian 64-bit words; the second
-    is followed by zeros, so the word window at bit offset s holds
-    second[y + s] for every y < N.  Integer arithmetic throughout, hence
-    exact.
-    """
-    n = ind.size
-    words = -(-n // 64)
-    x = np.zeros(words, dtype="<u8")
-    x.view(np.uint8)[:-(-n // 8)] = np.packbits(ind, bitorder="little")
-    y = np.zeros(2 * words, dtype="<u8")
-    y.view(np.uint8)[:-(-second.size // 8)] = np.packbits(second, bitorder="little")
-    win = np.empty(words, dtype="<u8")
-    high = np.empty(words, dtype="<u8")
-    out = np.empty(lags.size, dtype=np.int64)
-    for i, s in enumerate(lags.tolist()):
-        q, r = divmod(s, 64)
-        # Results go to the scratch buffers: at r == 0 the slice is a view
-        # of y, and an AND into it would corrupt y for every later lag.
-        if r:
-            np.right_shift(y[q:q + words], r, out=win)
-            np.left_shift(y[q + 1:q + 1 + words], 64 - r, out=high)
-            win |= high
-            win &= x
-        else:
-            np.bitwise_and(y[q:q + words], x, out=win)
-        out[i] = np.bitwise_count(win).sum()
-    return out
-
-
-def _intersection_counts(a: IntegerSet, shifts, mode: str) -> np.ndarray:
-    """|A ∩ (A + s)| for each shift, exactly (integer or cyclic convention).
-
-    shifts is an int64 or object array (any other sequence is read as
-    Python integers).  Every count is a correlation of the indicator with
-    a second operand for lags 0 <= s <= top: the indicator itself in
-    integer mode, where the count depends on |s| only and vanishes once
-    |s| >= N; the indicator followed by its first top points in cyclic
-    mode, where a lag s mod N is folded to min(s, N - s), exact because
-    an autocorrelation has c(s) = c(N - s).  Two exact routes, picked by
-    _count_directly: a direct AND-popcount of the packed operands per
-    distinct lag, or one blocked FFT for every lag at once.
-    """
-    n = a.n
-    if not isinstance(shifts, np.ndarray):
-        shifts = np.array(shifts, dtype=object)
-    ind = np.zeros(n, dtype=bool)
-    if mode == INTEGER:
-        lags = np.minimum(np.abs(shifts), n).astype(np.int64)  # N stands for any |s| >= N
-        ind[a.array - 1] = True
-    elif mode == CYCLIC:
-        lags = (shifts % n).astype(np.int64)
-        lags = np.minimum(lags, n - lags)
-        ind[a.array % n] = True
-    else:
-        raise ValueError(f"unknown mode {mode!r} (want {INTEGER!r} or {CYCLIC!r})")
-    distinct, where = np.unique(lags, return_inverse=True)
-    inside = distinct[distinct < n]
-    top = int(inside.max(initial=0))
-    second = ind if mode == INTEGER else np.concatenate([ind, ind[:top]])
-    if _count_directly(inside.size, n, top):
-        counts = _packed_counts(ind, second, inside)
-    else:
-        counts = exact_correlation(ind, second, max_lag=top)[inside]
-    # a lag of N (integer mode only) meets nothing
-    return np.append(counts, np.zeros(distinct.size - inside.size, np.int64))[where]
-
 
 def _count_table(a: IntegerSet, family: PolynomialFamily, m: int, mode: str,
                  validated: Optional[ShiftRange]) -> np.ndarray:

@@ -399,6 +399,29 @@ def naive_best_offset(rows, elements, n):
     return best, best_kept, sum(best_kept)
 
 
+def naive_lift_implication(points, half_width, elements, polys):
+    """(candidates, hits, violations) of the lift implication, by enumeration.
+
+    The candidates are every nonzero n with |n^j| <= 2 half_width for each
+    j <= k, k the largest degree; the hits are those with (n, ..., n^k) in
+    B - B, B the set of points; the violations are the hits with some P(n)
+    outside A - A.  No points give no candidates.
+    """
+    if not points:
+        return (), (), ()
+    k = max(len(p.coefficients) for p in polys)
+    width = 2 * half_width
+    pts = set(points)
+    diffs = {x - y for x in elements for y in elements}
+    candidates = [n for n in range(-width, width + 1)
+                  if n and all(abs(n ** j) <= width for j in range(1, k + 1))]
+    hits = [n for n in candidates
+            if any(tuple(b_j + n ** j for j, b_j in enumerate(b, start=1)) in pts
+                   for b in pts)]
+    violations = [n for n in hits if any(_value(p, n) not in diffs for p in polys)]
+    return tuple(candidates), tuple(hits), tuple(violations)
+
+
 def naive_khintchine(mapping, subset, eps, times, permissive=False):
     """First pair (j, k), j < k, of times, in lexicographic order, whose
     difference n has mu(A intersect T^-n A) >= mu(A)^2 - eps, comparing

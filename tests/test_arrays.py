@@ -20,8 +20,8 @@ from polyrec import ergodic_lab
 from polyrec.cli import main
 from polyrec.ergodic_lab import FiniteMPSystem, griesmer_search, recurrence_measure
 from polyrec.intset import IntegerSet, bernoulli_mask, generate_set
-from polyrec.recurrence import CYCLIC, _intersection_counts
-from polyrec.zn_fourier import ExactnessError, balanced_function, indicator
+from polyrec.zn_fourier import (CYCLIC, ExactnessError, _intersection_counts, balanced_function,
+                                indicator)
 
 from oracles import (closed_form_power_map, naive_bernoulli, naive_cycles,
                      naive_intersection_cyclic, naive_order, naive_power_map,

@@ -145,6 +145,17 @@ def test_lift_subcommand(capsys):
     assert report["results"]["size"] > 0
 
 
+def test_a_wide_lift_checks_its_implication_in_a_child():
+    # 120000 candidates n: the check is two lag counts, not a loop over n
+    out = subprocess.run([sys.executable, "-m", "polyrec.cli", "lift", "--N", "10",
+                          "--set", "evens", "--poly", "1", "--half-width", "30000"],
+                         capture_output=True, text=True, timeout=20)
+    assert out.returncode == 0, out.stderr
+    results = json.loads(out.stdout)["results"]
+    assert len(results["implication_candidates"]) == 120000
+    assert results["implication_hits"] == [-8, -6, -4, -2, 2, 4, 6, 8]
+
+
 def test_invalid_literals_exit_2(capsys):
     assert main(["search", "--N", "100", "--set", "primes", "--poly", "0,1",
                  "--eps", "0.1"]) == 2

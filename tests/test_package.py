@@ -256,3 +256,36 @@ def test_lattice_dioph_reads_every_n_and_q_through_one_scan():
                    if isinstance(node, ast.For) and isinstance(node.iter, ast.Call)
                    and getattr(node.iter.func, "id", None) == "range"}
     assert not range_loops & {"schmidt_scan", "weyl_denominator"}
+
+
+def test_one_lag_counter_serves_the_profiles_and_the_lift_check():
+    # the counter lives beside the blocked FFT whose layout its route rule
+    # prices; recurrence and polyfam only call it, and the lift's check is
+    # two calls of it, with no loop over n
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    counter = {"_intersection_counts", "_packed_counts", "_count_directly"}
+    homes = sorted((node.name, module) for module, source in sources.items()
+                   for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.FunctionDef) and node.name in counter)
+    assert homes == sorted((name, "zn_fourier") for name in counter)
+    owners = sorted(owner for source in sources.values()
+                    for owner in callers(source, ("_intersection_counts",))
+                    ["_intersection_counts"])
+    assert owners == ["_count_table", "check_lift_implication", "check_lift_implication"]
+    imported = {alias.name for node in ast.walk(ast.parse(sources["recurrence"]))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "_block_layout" not in imported
+    loops = [owner for owner, node in owned_nodes(sources["polyfam"])
+             if isinstance(node, (ast.For, ast.While))]
+    assert "check_lift_implication" not in loops
+
+
+def test_gaussian_mass_reads_the_dual_side_of_theta():
+    # both sides are theta at 0, once direct and once dual, so the dual
+    # side reads _dual_points and no dual lattice is enumerated directly
+    source = (SRC / "lattice_dioph.py").read_text(encoding="utf-8")
+    dual_calls = [owner for owner, node in owned_nodes(source)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "dual"]
+    assert "gaussian_mass" not in dual_calls
+    assert callers(source, ("theta",))["theta"].count("gaussian_mass") == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -16,7 +17,7 @@ from polyrec.polyfam import (IntPolynomial, PolynomialFamily, _best_offset,
                              lift_construction, shift_range)
 from polyrec.zn_fourier import ExactnessError
 
-from oracles import naive_best_offset
+from oracles import naive_best_offset, naive_lift_implication
 
 
 def test_polynomial_parse_and_evaluate():
@@ -236,6 +237,63 @@ def test_lift_implication_randomized():
         lift = lift_construction(a, fam, n)
         report = check_lift_implication(lift, a, fam)
         assert report.ok, f"implication failed at trial {trial}"
+
+
+@st.composite
+def implication_cases(draw):
+    """A real lift of degree k = 1-3, or one tampered with: 1-8 points of
+    its box added to its points or put in their place.  A lies in [1, n]
+    and the coefficients in [-c, c], with (n, c) = (12, 3), (6, 2) or
+    (3, 1) by degree, and the half width is n times the largest row sum
+    |c_1| + ... + |c_k|, plus 0-3: small enough for the oracle to try every
+    point against every candidate."""
+    k = draw(st.integers(1, 3))
+    n, c = ((12, 3), (6, 2), (3, 1))[k - 1]
+    n = draw(st.integers(1, n))
+    a = IntegerSet(n, tuple(draw(st.sets(st.integers(1, n), min_size=1))))
+    coeffs = st.integers(-c, c)
+    degrees = [k] + draw(st.lists(st.integers(1, k), max_size=2))
+    polys = [IntPolynomial(tuple(draw(st.lists(coeffs, min_size=d - 1, max_size=d - 1)))
+                           + (draw(coeffs.filter(bool)),)) for d in degrees]
+    family = PolynomialFamily(tuple(polys))
+    hw = n * max(sum(map(abs, p.coefficients)) for p in polys) + draw(st.integers(0, 3))
+    lift = lift_construction(a, family, hw)
+    if draw(st.booleans()):
+        box = st.sets(st.tuples(*[st.integers(-hw, hw)] * k), min_size=1, max_size=8)
+        points = draw(box) | (lift.points if draw(st.booleans()) else frozenset())
+        lift = dataclasses.replace(lift, points=points)
+    return lift, a, family
+
+
+def _tampered_lift():
+    """The lift of A = {1} along P(n) = n, its points swapped for -3 and 2:
+    5 is in B - B and not in A - A = {0}."""
+    a, family = IntegerSet(3, (1,)), PolynomialFamily.parse(["1"])
+    lift = lift_construction(a, family, 3)
+    return dataclasses.replace(lift, points=frozenset({(-3,), (2,)})), a, family
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=implication_cases())
+@example(case=_tampered_lift())
+def test_lift_implication_matches_the_oracle(case):
+    lift, a, family = case
+    report = check_lift_implication(lift, a, family)
+    assert (report.candidates, report.hits, report.violations) == naive_lift_implication(
+        lift.points, lift.half_width, a.elements, family.members)
+
+
+def test_a_tampered_lift_reports_its_violations():
+    report = check_lift_implication(*_tampered_lift())
+    assert report.candidates == (-6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6)
+    assert report.hits == report.violations == (-5, 5)
+    assert not report.ok
+
+
+def test_lift_implication_refuses_points_outside_the_box():
+    lift, a, family = _tampered_lift()
+    with pytest.raises(ValueError, match="box"):
+        check_lift_implication(dataclasses.replace(lift, points=frozenset({(4,)})), a, family)
 
 
 def test_lift_guards():

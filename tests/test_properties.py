@@ -1,7 +1,7 @@
 """Property tests of the exact counting kernels against tests/oracles.py.
 
-The kernels are the FFT correlation in zn_fourier (behind every
-intersection count) and the shift-and-add and grouping kernels in
+The kernels are the FFT correlation and the lag counter in zn_fourier
+(behind every intersection count) and the shift-and-add and grouping kernels in
 weyl_tarry (behind every solution count).  Each draw is small enough for
 the oracles' direct enumeration.
 """
@@ -21,14 +21,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polyrec import recurrence, weyl_tarry, zn_fourier
+from polyrec import weyl_tarry, zn_fourier
 from polyrec.cli import main
 from polyrec.intset import IntegerSet
 from polyrec.polyfam import IntPolynomial, PolynomialFamily, shift_range
-from polyrec.recurrence import CYCLIC, INTEGER, _intersection_counts, intersection_profile
+from polyrec.recurrence import CYCLIC, INTEGER, intersection_profile
 from polyrec.weyl_tarry import (SIGNATURE_BUDGET, count_solutions_mod, tarry_count,
                                 tarry_count_poly)
-from polyrec.zn_fourier import ExactnessError, exact_correlation
+from polyrec.zn_fourier import ExactnessError, _intersection_counts, exact_correlation
 
 from oracles import (grouped_tarry, naive_count_solutions, naive_count_solutions_mod,
                      naive_cross_correlation, naive_intersection_cyclic,
@@ -95,15 +95,15 @@ def test_both_routes_match_oracles(case, mode, direct):
     a, shifts = case
     naive = naive_intersection_integer if mode == INTEGER else naive_intersection_cyclic
     want = [naive(a.elements, a.n, s) for s in shifts]
-    with mock.patch.object(recurrence, "_count_directly", lambda *args: direct):
+    with mock.patch.object(zn_fourier, "_count_directly", lambda *args: direct):
         assert _intersection_counts(a, shifts, mode).tolist() == want
 
 
 def _route(n, shifts, mode):
     """The route _intersection_counts takes for these shifts at modulus n."""
-    rule = recurrence._count_directly
+    rule = zn_fourier._count_directly
     taken = []
-    with mock.patch.object(recurrence, "_count_directly",
+    with mock.patch.object(zn_fourier, "_count_directly",
                            lambda *args: taken.append(rule(*args)) or taken[-1]):
         _intersection_counts(IntegerSet(n, np.arange(1, n + 1, 3)), shifts, mode)
     return "direct" if taken == [True] else "fft"
@@ -226,7 +226,7 @@ def test_cyclic_fold_matches_oracle(case, block):
     a, shifts = case
     want = [naive_intersection_cyclic(a.elements, a.n, s) for s in shifts]
     with mock.patch.object(zn_fourier, "_block_length", lambda n, lag: block), \
-            mock.patch.object(recurrence, "_count_directly", lambda *args: False):
+            mock.patch.object(zn_fourier, "_count_directly", lambda *args: False):
         assert _intersection_counts(a, shifts, CYCLIC).tolist() == want
 
 
@@ -362,7 +362,7 @@ def test_exactness_guard_checks_the_observed_residual(monkeypatch):
 
 def test_exactness_guard_survives_python_dash_o():
     code = ("import numpy as np\n"
-            "from polyrec.zn_fourier import ExactnessError, exact_correlation\n"
+            "from polyrec.zn_fourier import ExactnessError, _intersection_counts, exact_correlation\n"
             "try:\n"
             "    assert False\n"
             "except AssertionError:\n"
