@@ -48,7 +48,6 @@ __all__ = [
 
 _ENUM_BUDGET = 2_000_000      # integer boxes enumerated per block
 _MAX_BLOCK_DIM = 13           # a 14-dimensional box holds >= 3^14 > _ENUM_BUDGET points
-_DUAL_COMBO_BUDGET = 200_000  # product dual points in the average's dual form
 _MAX_CONDITION = 1e8
 #: Largest |x| of a phase x (n^j * alpha_j, P(n) * theta or q * theta) that
 #: is reduced modulo 1 in long double: the integer part then leaves 6 of the
@@ -57,12 +56,12 @@ _MAX_CONDITION = 1e8
 _PHASE_LIMIT = 10.0 ** (np.finfo(np.longdouble).precision - 6)
 _DILATE_CHUNK = 1 << 16       # values of n (or q) per block of a phase scan
 _ORBIT_BUDGET = 10_000_000    # longest orbit scan: N or q_max
-_PHASE_BLOCK = 2_000_000      # most phases one block of a scan reduces
+_PHASE_BLOCK = 2_000_000      # most terms (phases or theta points) per block of a scan
 
 
 def _orbit(length: int, name: str = "N", width: int = 1):
     """n = 1..N (or q = 1..q_max) in int64 blocks of _DILATE_CHUNK values, fewer
-    when each takes `width` phases.  A length past _ORBIT_BUDGET is refused at
+    when each takes `width` terms.  A length past _ORBIT_BUDGET is refused at
     the call, before the caller allocates (a generator runs at its next())."""
     if length > _ORBIT_BUDGET:
         raise ValueError(f"orbit scan budget exceeded: need {name} <= {_ORBIT_BUDGET}")
@@ -74,6 +73,10 @@ def _phases(x: np.ndarray, nearest: bool = False) -> np.ndarray:
     """The long-double phases x modulo 1: x - floor(x), or the distance
     |x - rint(x)| to the nearest integer with nearest=True.
 
+    Both start from r = x - rint(x), which is exact; x - floor(x) is then
+    r + 1 where r < 0, one rounding of the same real, so it has the same
+    bits (and long-double floor costs about 20 times rint).
+
     Refuses x holding NaN or an entry past _PHASE_LIMIT in size; the
     message prints that entry with every digit it needs, so a phase just
     past the limit reads as past it."""
@@ -81,10 +84,12 @@ def _phases(x: np.ndarray, nearest: bool = False) -> np.ndarray:
     if not top <= _PHASE_LIMIT:  # NaN fails the comparison
         raise ValueError(f"phase {top!s} too large for reliable phase "
                          f"reduction (limit {_PHASE_LIMIT:g})")
-    # one scratch array: the dual side of an average reduces 2e6 phases at once
-    frac = (np.rint if nearest else np.floor)(x, out=np.empty_like(x))
+    # one scratch array: a block of a scan reduces up to _PHASE_BLOCK phases
+    frac = np.rint(x, out=np.empty_like(x))
     np.subtract(x, frac, out=frac)
-    return np.abs(frac, out=frac) if nearest else frac
+    if nearest:
+        return np.abs(frac, out=frac)
+    return np.add(frac, 1, out=frac, where=frac < 0)
 
 
 def _identity(d: int) -> np.ndarray:
@@ -301,39 +306,52 @@ def _dual_points(basis: np.ndarray, t: float, tail: float
     return pts, np.exp(-math.pi / t * np.einsum("ij,ij->i", pts, pts))
 
 
-def _block_theta_direct(basis: np.ndarray, xs: np.ndarray, t: float,
-                        tail: float) -> np.ndarray:
-    """sum_m exp(-pi t |x - m|^2) for each row x of xs (one lattice block).
-
-    Offsets are first reduced into the fundamental cell (in extended
-    precision, through _phases), then a fixed point cloud around the cell
-    covers every term above the tail.
-    """
-    num = xs.shape[0]
+def _block_terms(basis: np.ndarray, t: float, side: str, tail: float
+                 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """The points one block's factor of Theta(t, x) sums over, with their
+    weights, enumerated once for every x: on the direct side the lattice
+    points covering every term above the tail around the fundamental cell
+    (no weights), on the dual side _dual_points.  A zero-dimensional block
+    has the one point () on either side."""
     d = basis.shape[0]
-    if d == 0:
-        return np.ones(num)
-    inv = np.linalg.inv(basis)
-    c_real = xs @ inv.astype(np.longdouble)
-    xs_red = np.asarray(_phases(c_real) @ basis.astype(np.longdouble), dtype=float)
+    if side == "dual" or d == 0:
+        return _dual_points(basis, t, tail)
     with np.errstate(over="ignore"):  # an infinite cell makes an infinite box
         cell_diam = float(np.sum(np.linalg.norm(basis, axis=1)))
     radius = _tail_radius(t, _sigma_min(basis), d, tail)
-    _, pts = _lattice_points_within(basis, radius + cell_diam)
-    diff = xs_red[:, None, :] - pts[None, :, :]
-    d2 = np.einsum("abj,abj->ab", diff, diff)
-    return np.exp(-math.pi * t * d2).sum(axis=1)
+    return _lattice_points_within(basis, radius + cell_diam)[1], None
 
 
-def _theta_direct_many(lattice: ProductLattice, t: float, xs_flat: np.ndarray,
-                       tail: float) -> np.ndarray:
-    """Theta(t, x) for many x at once (rows of xs_flat), direct side."""
-    out = np.ones(xs_flat.shape[0])
+def _theta_values(lattice: ProductLattice, terms: Sequence[tuple], xs: np.ndarray,
+                  t: float, side: str) -> np.ndarray:
+    """Theta(t, x) for each row x of the long-double array xs: the product
+    over blocks of each block's sum over its terms (_block_terms), one
+    normalisation for the whole product.
+
+    Direct: sum_m exp(-pi t |x - m|^2), with x first reduced into the
+    fundamental cell.  Dual: sum_xi w(xi) cos(2 pi xi . x), real because
+    the dual points come in +- pairs, over t^(D/2) det.  Both reduce their
+    phases (x in lattice coordinates, xi . x) in long double through
+    _phases.
+    """
+    out = np.ones(xs.shape[0])
     pos = 0
-    for basis in lattice.blocks:
+    for basis, (pts, weights) in zip(lattice.blocks, terms):
         d = basis.shape[0]
-        out *= _block_theta_direct(basis, xs_flat[:, pos:pos + d], t, tail)
-        pos += d
+        x, pos = xs[:, pos:pos + d], pos + d
+        if d == 0:
+            continue
+        if side == "direct":
+            cell = _phases(x @ np.linalg.inv(basis).astype(np.longdouble))
+            red = np.asarray(cell @ basis.astype(np.longdouble), dtype=float)
+            diff = red[:, None, :] - pts
+            out *= np.exp(-math.pi * t * np.einsum("abj,abj->ab", diff, diff)).sum(axis=1)
+        else:
+            arg = _phases(x @ pts.T.astype(np.longdouble)).astype(float)
+            arg *= 2 * math.pi
+            out *= np.cos(arg, out=arg) @ weights
+    if side == "dual":
+        out /= t ** (lattice.dimension / 2.0) * lattice.determinant
     return out
 
 
@@ -353,19 +371,10 @@ def theta(lattice: ProductLattice, t: float, x: Sequence[float],
     xs = np.asarray(x, dtype=np.longdouble)[None, :]
     if xs.shape[1] != lattice.dimension:
         raise ValueError(f"point must have {lattice.dimension} coordinates")
-    if side == "direct":
-        return float(_theta_direct_many(lattice, t, xs, tol.theta_tail)[0])
-    if side != "dual":
+    if side not in ("direct", "dual"):
         raise ValueError(f"side must be 'direct' or 'dual', got {side!r}")
-    value = 1.0 + 0.0j
-    pos = 0
-    for basis in lattice.blocks:
-        d = basis.shape[0]
-        pts, weights = _dual_points(basis, t, tol.theta_tail)
-        phases = _phases(pts.astype(np.longdouble) @ xs[0, pos:pos + d]).astype(float)
-        pos += d
-        value *= (weights * np.exp(2j * math.pi * phases)).sum()
-    return float(value.real) / (t ** (lattice.dimension / 2.0) * lattice.determinant)
+    terms = [_block_terms(basis, t, side, tol.theta_tail) for basis in lattice.blocks]
+    return float(_theta_values(lattice, terms, xs, t, side)[0])
 
 
 def gaussian_mass(lattice: ProductLattice,
@@ -387,15 +396,19 @@ def gaussian_mass(lattice: ProductLattice,
 
 
 def _orbit_theta(lattice: ProductLattice, alpha: BlockVector, n_range: int,
-                 tail: float) -> np.ndarray:
-    """Theta(1, n*alpha) for n = 1..N: the dilates (n a_1, n^2 a_2, ...,
-    n^k a_k) are formed in long double a block of the scan at a time."""
+                 tail: float, side: str = "direct") -> np.ndarray:
+    """Theta(1, n*alpha) for n = 1..N on one side: each block's terms are
+    enumerated once, and the dilates (n a_1, n^2 a_2, ..., n^k a_k) are
+    formed in long double a block of the scan at a time, as many n as keep
+    the terms of a block within _PHASE_BLOCK."""
+    terms = [_block_terms(basis, 1.0, side, tail) for basis in lattice.blocks]
     arrays = alpha.block_arrays()
-    blocks, out = _orbit(n_range), np.empty(n_range)
+    blocks = _orbit(n_range, width=sum(len(pts) for pts, _ in terms))
+    out = np.empty(n_range)  # allocated once _orbit has admitted N
     for ns in blocks:
         x = ns.astype(np.longdouble)[:, None]
         xs = np.concatenate([x ** j * arr for j, arr in enumerate(arrays, start=1)], axis=1)
-        out[ns[0] - 1:ns[-1]] = _theta_direct_many(lattice, 1.0, xs, tail)
+        out[ns[0] - 1:ns[-1]] = _theta_values(lattice, terms, xs, 1.0, side)
     return out
 
 
@@ -412,32 +425,13 @@ def gaussian_average(lattice: ProductLattice, alpha: BlockVector, n_range: int,
         raise ValueError("need N >= 1")
     if alpha.dims != lattice.dims:
         raise ValueError("alpha blocks do not match lattice blocks")
-    def direct_side() -> float:
+    def average(side: str) -> float:
         return lattice.determinant * float(
-            np.mean(_orbit_theta(lattice, alpha, n_range, tol.theta_tail)))
+            np.mean(_orbit_theta(lattice, alpha, n_range, tol.theta_tail, side)))
     if not check_dual:
-        return direct_side()
-
-    # Dual side (first: a phase it refuses costs no direct sum): product dual
-    # vectors xi with Gaussian weight, then the average over n of the phases.
-    block_pts = [_dual_points(basis, 1.0, tol.theta_tail) for basis in lattice.blocks]
-    if math.prod(pts.shape[0] for pts, _ in block_pts) > _DUAL_COMBO_BUDGET:
-        raise ValueError("dual-side combination budget exceeded")
-    # gamma[c, j] = xi_j . alpha_j for combination c, in extended precision;
-    # the first block varies slowest
-    dots = [pts.astype(np.longdouble) @ arr
-            for (pts, _), arr in zip(block_pts, alpha.block_arrays())]
-    gammas = np.stack([g.ravel() for g in np.meshgrid(*dots, indexing="ij")], axis=1)
-    weights = math.prod(np.meshgrid(*(w for _, w in block_pts), indexing="ij")).ravel()
-    sums = np.zeros(gammas.shape[0])  # sum over n of cos(2 pi sum_j n^j gamma_j)
-    chunk = max(1, _PHASE_BLOCK // n_range)
-    for start in range(0, sums.size, chunk):
-        g = gammas[start:start + chunk].T
-        for ns in _orbit(n_range, width=g.shape[1]):
-            args = _phases(ns.astype(np.longdouble)[:, None] ** np.arange(1, len(g) + 1) @ g)
-            sums[start:start + chunk] += np.cos(2 * math.pi * args.astype(float)).sum(0)
-    dual = float(np.sum(weights * (sums / n_range)))
-    direct = direct_side()
+        return average("direct")
+    dual = average("dual")  # first: a phase it refuses costs no direct sum
+    direct = average("direct")
     scale = max(abs(direct), abs(dual), 1e-300)
     if abs(direct - dual) > tol.average_agreement_rel * scale + 1e-12:
         raise AssertionError(

@@ -123,6 +123,19 @@ def test_dioph_mass_and_bounds(capsys):
     assert report["checks"]["subsampling_bound"]
 
 
+def test_dioph_average_checks_the_dual_side_of_three_3d_blocks(capsys):
+    # the dual side of int:3,3,3 sums its blocks' dual points, not every
+    # combination of them across blocks (once refused, exit 2)
+    argv = ["dioph", "--action", "average", "--lattice", "int:3,3,3",
+            "--alpha", "0.3,0.2,0.1;0.7,0.5,0.4;0.11,0.13,0.17", "--N", "50"]
+    code, checked = run_cli(capsys, *argv, "--check-dual")
+    assert code == 0
+    assert checked["checks"]["dual_agreement"]
+    code, report = run_cli(capsys, *argv)
+    assert code == 0
+    assert checked["results"]["average"] == report["results"]["average"]
+
+
 def test_ergodic_measure_subcommand(capsys):
     code, report = run_cli(capsys, "ergodic", "--action", "measure",
                            "--system", "rotation:10", "--subset", "range:0:4",
@@ -312,3 +325,15 @@ def test_an_average_over_a_million_n_answers_in_a_capped_child():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["results"]["N"] == 1000000
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+def test_an_average_over_a_fine_lattice_answers_in_a_capped_child():
+    # an orbit block holds as many n as keep the 18,293 points of this
+    # block's cloud within _PHASE_BLOCK terms; all 1000 n at once took 293 MB
+    argv = ["dioph", "--action", "average", "--lattice", "scaled:0.05:2",
+            "--alpha", "0.3,0.7", "--N", "1000"]
+    out = subprocess.run([sys.executable, "-c", _CAPPED, *argv],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["results"]["average"] == 1.0000000000000002

@@ -63,6 +63,26 @@ def test_dual_side_reduces_its_phases_like_the_direct_side():
             theta(lat, 1.0, [1e15 + 0.25], side=side)
 
 
+phase_values = st.one_of(
+    st.floats(-_PHASE_LIMIT, _PHASE_LIMIT),
+    st.integers(-int(_PHASE_LIMIT), int(_PHASE_LIMIT) - 1).map(lambda k: k + 0.5),
+    st.sampled_from([-0.0, 0.0, -_PHASE_LIMIT, _PHASE_LIMIT]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(phase_values, min_size=1, max_size=40),
+       low=st.lists(st.floats(-1, 1), min_size=1, max_size=40))
+def test_phases_are_x_minus_floor_bit_for_bit(values, low):
+    # long-double bits below those of a double, kept within the limit
+    x = np.asarray(values, dtype=np.longdouble)
+    x += np.resize(np.asarray(low, dtype=np.longdouble), x.shape) * np.longdouble(2.0) ** -60
+    x = np.clip(x, -_PHASE_LIMIT, _PHASE_LIMIT)
+    x = np.concatenate([x, -x])
+    got, want = lattice_dioph._phases(x), x - np.floor(x)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_phase_limit_message_shows_the_excess():
     # the phase prints with the digits that put it past the limit
     with pytest.raises(ValueError, match=r"phase 1000000000000\.3\d* too large"):
@@ -175,6 +195,17 @@ def test_gaussian_average_dual_side_agreement():
         n_range = int(rng.integers(5, 60))
         value = gaussian_average(lat, alpha, n_range, check_dual=True)
         assert value > 0.0
+
+
+def test_a_dual_check_costs_the_sum_of_its_blocks_not_their_product():
+    # one n costs sum_j P_j dual terms; the P_1 P_2 P_3 combinations of the
+    # three blocks' dual points were once expanded, and refused past 200,000
+    lattice = ProductLattice.integers([3, 3, 3])
+    blocks = [(0.3, 0.2, 0.1), (0.7, 0.5, 0.4), (0.11, 0.13, 0.17)]
+    alpha = BlockVector(tuple(blocks))
+    value = gaussian_average(lattice, alpha, 50, check_dual=True)
+    assert value == gaussian_average(lattice, alpha, 50)
+    assert value == pytest.approx(naive_gaussian_average(blocks, 50), abs=1e-9)
 
 
 def test_rational_good_set_reproduces_exact_periodicity():
@@ -421,8 +452,10 @@ def test_orbit_scans_are_bit_identical_across_block_sizes_and_match_the_oracles(
             ])
     assert runs[0] == runs[1] == runs[2]
 
-    assert gaussian_average(lattice, alpha, n) == pytest.approx(
-        naive_gaussian_average(blocks, n, spacing), abs=1e-9)
+    want = naive_gaussian_average(blocks, n, spacing)
+    assert gaussian_average(lattice, alpha, n) == pytest.approx(want, abs=1e-9)
+    dual = _orbit_theta(lattice, alpha, n, DEFAULT_TOLERANCES.theta_tail, "dual")
+    assert lattice.determinant * float(np.mean(dual)) == pytest.approx(want, abs=1e-9)
     rep = check_average_bounds(lattice, alpha, n, case["c"], case["q"])
     assert (rep.f_n, rep.f_scaled, rep.f_subsampled) == pytest.approx(
         [naive_gaussian_average(blocks, m, spacing)

@@ -239,14 +239,14 @@ def test_ergodic_searches_share_one_counter():
 
 def test_lattice_dioph_reads_every_n_and_q_through_one_scan():
     # _orbit alone reads the block size and holds the budget; the theta
-    # table, the dual side, the good set, S_N and the two q scans all take
+    # table of either side, the good set, S_N and the two q scans all take
     # their n or q from it, and neither q scan walks a range of its own
     source = (SRC / "lattice_dioph.py").read_text(encoding="utf-8")
     readers = [owner for owner, node in owned_nodes(source) if isinstance(node, ast.Name)
                and node.id == "_DILATE_CHUNK" and isinstance(node.ctx, ast.Load)]
     assert readers == ["_orbit"]
     assert callers(source, ("_orbit", "_orbit_theta")) == {
-        "_orbit": ["_orbit_theta", "gaussian_average", "_good_set", "schmidt_scan",
+        "_orbit": ["_orbit_theta", "_good_set", "schmidt_scan",
                    "weyl_denominator", "weyl_denominator"],
         "_orbit_theta": ["gaussian_average", "check_average_bounds", "check_average_bounds"]}
     defined = {node.name for node in ast.walk(ast.parse(source))
@@ -289,3 +289,20 @@ def test_gaussian_mass_reads_the_dual_side_of_theta():
                   and node.func.attr == "dual"]
     assert "gaussian_mass" not in dual_calls
     assert callers(source, ("theta",))["theta"].count("gaussian_mass") == 2
+
+
+def test_both_sides_of_theta_are_one_block_product():
+    # theta, the mass, the bounds and both sides of an average read one
+    # evaluator; the dual points are enumerated in one place, and the
+    # average expands no combinations of them across blocks
+    source = (SRC / "lattice_dioph.py").read_text(encoding="utf-8")
+    assert callers(source, ("_dual_points", "_theta_values")) == {
+        "_dual_points": ["_block_terms"], "_theta_values": ["theta", "_orbit_theta"]}
+    assert [owner for owner, node in owned_nodes(source)
+            if isinstance(node, ast.Attribute) and node.attr == "meshgrid"
+            and owner == "gaussian_average"] == []
+    defined = {node.name if isinstance(node, ast.FunctionDef) else node.targets[0].id
+               for node in ast.parse(source).body
+               if isinstance(node, ast.FunctionDef)
+               or isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)}
+    assert not defined & {"_DUAL_COMBO_BUDGET", "_theta_direct_many"}
