@@ -23,21 +23,20 @@ from typing import Optional
 import numpy as np
 
 from .config import (ConfigError, ExperimentConfig, load_config)
-from .intset import IntegerSet, bernoulli_mask, generate_set
+from .intset import AMBIENT_BUDGET, IntegerSet, bernoulli_mask, generate_set
 from .zn_fourier import (ExactnessError, ZnFunction, balanced_function, dft,
                          ellp_norm, inverse_dft, lp_norm)
-from .polyfam import (_LIFT_MAX_AMBIENT, IntPolynomial, PolynomialFamily,
-                      check_difference_identity, check_lift_implication,
-                      coefficient_analysis, lift_construction)
-from .weyl_tarry import (WEYL_M_BUDGET, count_solutions_mod, growth_probe,
+from .polyfam import (IntPolynomial, PolynomialFamily, check_difference_identity,
+                      check_lift_implication, coefficient_analysis, lift_construction)
+from .weyl_tarry import (count_mod_admitted, count_solutions_mod, growth_probe,
                          moment_2k, tarry_count, weyl_sum, wrap_free)
 from .recurrence import decompose, find_good_shifts, intersection_profile
 from .lattice_dioph import (BlockVector, ProductLattice, approx_good_set_family,
                             approx_good_set_power, check_average_bounds,
                             gaussian_average, gaussian_mass, schmidt_scan,
                             theta, weyl_denominator)
-from .ergodic_lab import (TIMES_BUDGET, FiniteMPSystem, griesmer_search,
-                          khintchine_search, recurrence_measure)
+from .ergodic_lab import (FiniteMPSystem, griesmer_search, khintchine_search,
+                          recurrence_measure)
 
 SCHEMA_VERSION = 1
 
@@ -97,13 +96,11 @@ def _parse_family(text: str) -> PolynomialFamily:
     return PolynomialFamily.parse([t for t in text.split(";") if t.strip()])
 
 
-def _parse_times(text: str) -> list[int]:
+def _parse_times(text: str):
     """Time lists: 'a..b' for a range, else comma-separated integers."""
     if ".." in text:
         lo, hi = (int(t) for t in text.split(".."))
-        if hi - lo >= TIMES_BUDGET:
-            raise ValueError(f"time list budget exceeded: need at most {TIMES_BUDGET} times")
-        return list(range(lo, hi + 1))
+        return range(lo, hi + 1)
     return [int(x) for x in text.split(",")]
 
 
@@ -247,6 +244,8 @@ def _cmd_decompose(args, config: ExperimentConfig):
     if args.set is not None:
         a = _parse_set(args.set, args.N, config.seed)
         f = balanced_function(a)
+    elif args.N > AMBIENT_BUDGET:  # refused before N values are drawn
+        raise ValueError(f"ambient budget exceeded: need N <= {AMBIENT_BUDGET}")
     else:
         rng = np.random.default_rng(config.seed)
         vals = rng.standard_normal(args.N) + 1j * rng.standard_normal(args.N)
@@ -272,7 +271,7 @@ def _cmd_decompose(args, config: ExperimentConfig):
     }
     checks = {
         "parts_sum_to_f": recon < config.tolerances.decomposition_sum,
-        "round_bound": out.rounds <= math.ceil(args.eps ** -2),
+        "round_bound": out.rounds <= math.ceil(Fraction(args.eps) ** -2),
         "f2_small": l2_f2 <= args.eps + 1e-12,
         "f3_uniform": linf_f3_hat <= out.eta_of_m + 1e-12,
     }
@@ -282,11 +281,9 @@ def _cmd_decompose(args, config: ExperimentConfig):
 def _cmd_weyl(args, config: ExperimentConfig):
     poly = IntPolynomial.parse(args.poly)
     weights = None
-    if args.weights == "random":
-        if args.M > WEYL_M_BUDGET:  # refused before M weights are drawn
-            raise ValueError(f"Weyl sum budget exceeded: need M <= {WEYL_M_BUDGET}")
+    if args.weights == "random":  # drawn only once weyl_sum admits M
         rng = random.Random(config.seed)
-        weights = [1 if rng.random() < 0.5 else -1 for _ in range(args.M)]
+        weights = (1 if rng.random() < 0.5 else -1 for _ in range(args.M))
     s = weyl_sum(poly, args.M, args.N, weights)
     moment = moment_2k(s, args.K)
     mags = np.abs(s.values)
@@ -302,7 +299,7 @@ def _cmd_weyl(args, config: ExperimentConfig):
         "wrap_free": wrap_free(poly, args.M, args.N, args.K),
     }
     checks = {}
-    if args.M ** (2 * args.K) <= 10_000_000:
+    if count_mod_admitted(args.M, args.N, args.K):
         count = count_solutions_mod(poly, args.M, args.N, args.K)
         results["count_solutions_mod"] = count
         predicted = args.N * count
@@ -437,8 +434,6 @@ def _cmd_ergodic(args, config: ExperimentConfig):
 
 
 def _cmd_lift(args, config: ExperimentConfig):
-    if args.N > _LIFT_MAX_AMBIENT:  # refused before a set of N points is built
-        raise ValueError(f"lift supports ambient n <= {_LIFT_MAX_AMBIENT} (desk scale)")
     a = _parse_set(args.set, args.N, config.seed)
     family = _parse_family(args.poly)
     lift = lift_construction(a, family, args.half_width)

@@ -11,11 +11,12 @@ shift constants at once through a Ramsey edge-coloring recursion.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -36,8 +37,8 @@ __all__ = [
 #: 38 bytes a point (the permutation, three arrays of a power, the masks):
 #: 565-582 MB peak RSS at this budget.
 SYSTEM_BUDGET = 2 ** 24
-#: Most times of a Griesmer search (and of a CLI time range): its red matrix
-#: holds one byte per pair of times.
+#: Most times of a search: a Griesmer red matrix holds one byte per pair of
+#: times, and a Khintchine scan may read every pair.
 TIMES_BUDGET = 4096
 
 
@@ -203,6 +204,19 @@ def recurrence_measure(system: FiniteMPSystem, subset, shift: int) -> Fraction:
     return Fraction(int(hits), system.size)
 
 
+def _times(times: Iterable[int], eps: float) -> list[int]:
+    """The times of a search as distinct ints, once eps is finite and positive;
+    a list or range past TIMES_BUDGET is refused after one time past it."""
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError("need finite eps > 0")
+    times = [int(v) for v in itertools.islice(times, TIMES_BUDGET + 1)]
+    if len(times) > TIMES_BUDGET:
+        raise ValueError(f"time list budget exceeded: need at most {TIMES_BUDGET} times")
+    if len(set(times)) != len(times):
+        raise ValueError("times must be distinct")
+    return times
+
+
 def _level(system: FiniteMPSystem, mask: np.ndarray, eps: float):
     """The exact threshold mu(A)^2 - eps; the least hit count whose measure
     reaches it, ceil(threshold * size); and hits(shift), the count of one
@@ -229,7 +243,7 @@ class KhintchineResult:
 
 
 def khintchine_search(system: FiniteMPSystem, subset, eps: float,
-                      times: Sequence[int],
+                      times: Iterable[int],
                       permissive: bool = False) -> KhintchineResult:
     """First pair of times whose difference nearly attains mu(A)^2.
 
@@ -241,13 +255,9 @@ def khintchine_search(system: FiniteMPSystem, subset, eps: float,
     sum_j 1_{T^-v_j A} would fall below its Cauchy-Schwarz floor), and
     exhausting the scan raises AssertionError.  Shorter lists are
     rejected unless permissive=True, in which case exhaustion is a
-    reported failure.
+    reported failure; lists past TIMES_BUDGET are refused.
     """
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError("need finite eps > 0")
-    times = [int(v) for v in times]
-    if len(set(times)) != len(times):
-        raise ValueError("times must be distinct")
+    times = _times(times, eps)
     needed = max(2, math.ceil(1 / Fraction(eps)))
     guaranteed = len(times) >= needed
     if not guaranteed and not permissive:
@@ -349,7 +359,7 @@ def _greedy_red_clique(red: np.ndarray) -> list[int]:
 
 def griesmer_search(system: FiniteMPSystem, subset, eps: float,
                     constants: Sequence[int],
-                    times: Sequence[int]) -> GriesmerResult:
+                    times: Iterable[int]) -> GriesmerResult:
     """Search for n in (B - B) \\ {0} with mu(A intersect T^-(c_i n) A)
     >= mu(A)^2 - eps for every constant c_i simultaneously.
 
@@ -365,16 +375,10 @@ def griesmer_search(system: FiniteMPSystem, subset, eps: float,
     the guarantee needs, so running out of vertices is a reported
     failure, not an error.
     """
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError("need finite eps > 0")
+    times = _times(times, eps)
     constants = tuple(int(c) for c in constants)
     if not constants or any(c == 0 for c in constants):
         raise ValueError("constants must be nonzero")
-    times = [int(v) for v in times]
-    if len(set(times)) != len(times):
-        raise ValueError("times must be distinct")
-    if len(times) > TIMES_BUDGET:
-        raise ValueError(f"time list budget exceeded: need at most {TIMES_BUDGET} times")
     mask = system.validate_subset(subset)
     threshold, least, hits = _level(system, mask, eps)
     padded = _pad_to_power_of_two(constants)

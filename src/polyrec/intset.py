@@ -11,6 +11,10 @@ import numpy as np
 
 __all__ = ["IntegerSet", "generate_set", "bernoulli_mask"]
 
+#: Largest ambient n of a set.  A `decompose` query takes about 160 bytes per
+#: point (260 at a prime n, whose transform pads): peak RSS 283-350 MB at this
+#: budget (470-554 MB at a prime n); a `search` takes 105 MB.
+AMBIENT_BUDGET = 2_000_000
 #: Draws per block in bernoulli_mask (64 KiB of float64 scratch).
 _DRAW_BLOCK = 8192
 
@@ -145,10 +149,13 @@ def generate_set(kind: str, n: int, *, start: int = 1, step: int = 1,
     kind 'full' is all of [1, n]; 'evens' the even numbers; 'ap' the
     arithmetic progression start, start+step, ... capped at n; 'random'
     keeps each element independently with the given density, drawn from
-    the Mersenne Twister seeded with `seed` (see bernoulli_mask).
+    the Mersenne Twister seeded with `seed` (see bernoulli_mask).  An n
+    past AMBIENT_BUDGET is refused before anything is built.
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if n > AMBIENT_BUDGET:
+        raise ValueError(f"ambient budget exceeded: need N <= {AMBIENT_BUDGET}")
     if kind == "full":
         elems = np.arange(1, n + 1, dtype=np.int64)
     elif kind == "evens":

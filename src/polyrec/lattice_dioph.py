@@ -57,6 +57,9 @@ _PHASE_LIMIT = 10.0 ** (np.finfo(np.longdouble).precision - 6)
 _DILATE_CHUNK = 1 << 16       # values of n (or q) per block of a phase scan
 _ORBIT_BUDGET = 10_000_000    # longest orbit scan: N or q_max
 _PHASE_BLOCK = 2_000_000      # most terms (phases or theta points) per block of a scan
+#: Most phases q * xi . alpha of a Schmidt scan, q_max times the candidates xi
+#: of all blocks: about 50 ns each, so 5 s at this budget.
+_SCHMIDT_BUDGET = 100_000_000
 
 
 def _orbit(length: int, name: str = "N", width: int = 1):
@@ -640,7 +643,8 @@ def schmidt_scan(lattice: ProductLattice, alpha: BlockVector, n: int,
     (|xi_j| <= radius_max) minimizing |q xi_j . alpha_j| near integers;
     the returned q minimizes the objective max_j N^j |q xi_j . alpha_j|,
     and beats_quality records whether it stays below
-    quality * N^-j blockwise.
+    quality * N^-j blockwise.  q_max times the candidates of all blocks
+    past _SCHMIDT_BUDGET is refused before the scan.
     """
     if q_max < 1 or not (math.isfinite(radius_max) and radius_max > 0) or not quality > 0:
         raise ValueError("need q_max >= 1, finite radius_max > 0, quality > 0")
@@ -667,8 +671,12 @@ def schmidt_scan(lattice: ProductLattice, alpha: BlockVector, n: int,
     if not block_data:
         raise ValueError("no primitive dual vectors within radius_max")
 
+    widths = [cand.shape[0] for _, cand, _ in block_data]
+    scan = _orbit(q_max, "q_max", max(widths))  # its own budget on q_max first
+    if q_max * sum(widths) > _SCHMIDT_BUDGET:
+        raise ValueError(f"Schmidt scan budget exceeded: q_max * candidates > {_SCHMIDT_BUDGET}")
     best = None
-    for qs in _orbit(q_max, "q_max", max(cand.shape[0] for _, cand, _ in block_data)):
+    for qs in scan:
         dists = [(j, cand, _phases(dots * qs[:, None], nearest=True).astype(float))
                  for j, cand, dots in block_data]
         worst = np.max([float(n) ** j * d.min(axis=1) for j, _, d in dists], axis=0)

@@ -41,6 +41,10 @@ _LIFT_MAX_AMBIENT = 200
 _LIFT_BOX_BUDGET = 20_000_000
 #: Length of the first block of values a shift range check reads.
 _SCAN_START = 1024
+#: Most entries l * m of a search's count table (l polynomials, m shifts):
+#: with the value table and the reported counts a `search` takes about 80
+#: bytes each, peak RSS 346 MB at this budget (l = 1, N = 10).
+SHIFT_BUDGET = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -179,7 +183,8 @@ def shift_range(family: PolynomialFamily, n: int, eps: float, c: float = 1.0) ->
     happened.  The values are integers, so |P_i(j)| > eps*n exactly when
     |P_i(j)| > floor(eps*n).  The check reads the value table in blocks
     whose end doubles from _SCAN_START, so it evaluates at most
-    max(_SCAN_START, 2j) points when j is the first inadmissible shift.
+    max(_SCAN_START, 2j) points when j is the first inadmissible shift,
+    and it stops one shift past SHIFT_BUDGET, which refuses l * m past it.
     Raises when even m = 1 is inadmissible, naming the minimal ambient n
     that would work.
     """
@@ -206,9 +211,10 @@ def shift_range(family: PolynomialFamily, n: int, eps: float, c: float = 1.0) ->
             "smallest admissible n is %d" % (n, eps, max(need_nominal, need_value))
         )
 
+    top = min(m_nominal, SHIFT_BUDGET // family.size + 1)  # one shift past the budget
     m, max_seen, start, end = m_nominal, 0, 1, _SCAN_START
-    while start <= m_nominal:
-        ns = np.arange(start, min(end, m_nominal) + 1, dtype=np.int64)
+    while start <= top:
+        ns = np.arange(start, min(end, top) + 1, dtype=np.int64)
         worst = np.max([np.abs(p.values(ns)) for p in family], axis=0)
         over = np.flatnonzero(worst > limit)
         cut = int(over[0]) if over.size else ns.size
@@ -217,6 +223,8 @@ def shift_range(family: PolynomialFamily, n: int, eps: float, c: float = 1.0) ->
             m = start + cut - 1
             break
         start, end = end + 1, 2 * end
+    if m * family.size > SHIFT_BUDGET:
+        raise ValueError(f"shift budget exceeded: need l * m <= {SHIFT_BUDGET}")
     return ShiftRange(
         m=m,
         m_nominal=m_nominal,

@@ -256,7 +256,7 @@ def decompose(f: ZnFunction, eps: float,
     mags = np.abs(coeffs)
     head = np.empty(0, dtype=np.intp)
 
-    max_rounds = math.ceil(eps ** -2)
+    max_rounds = math.ceil(Fraction(eps) ** -2)  # eps ** -2 overflows below 2^-512
     m_mark = 1
     eta_prev = None
     block_norms: list[float] = []

@@ -29,6 +29,7 @@ __all__ = [
     "weyl_sum",
     "moment_2k",
     "count_solutions_mod",
+    "count_mod_admitted",
     "tarry_count",
     "tarry_count_poly",
     "growth_probe",
@@ -104,11 +105,15 @@ def weyl_sum(poly: IntPolynomial, m: int, n_modulus: int,
 
 
 def moment_2k(s: WeylSum, k_order: int) -> float:
-    """The even moment sum_xi |S(xi)|^(2K)."""
+    """The even moment sum_xi |S(xi)|^(2K), refused past float range."""
     if k_order < 1:
         raise ValueError("moment order K must be >= 1")
     power = np.abs(s.values) ** 2
-    return float(np.sum(power ** k_order))
+    with np.errstate(over="ignore"):
+        moment = float(np.sum(power ** k_order))
+    if not math.isfinite(moment):
+        raise ValueError(f"moment past float range: K = {k_order} is too large")
+    return moment
 
 
 def value_range(poly: IntPolynomial, m: int) -> tuple[int, int]:
@@ -181,6 +186,16 @@ def _grouped_square_sum(columns: Sequence[np.ndarray], k_order: int) -> int:
     return int(np.dot(sizes, sizes))
 
 
+def _dense_work(m: int, k_order: int, sizes: Sequence[int], rows: int) -> int:
+    """Weighted adds of a shift-and-add on layers of `sizes` (see _equal_sums)."""
+    return (1 if m ** (2 * k_order) <= 2 ** 62 else 50) * (rows * sum(sizes[:-1]) + sizes[-1])
+
+
+def count_mod_admitted(m: int, n_modulus: int, k_order: int) -> bool:
+    """Whether count_solutions_mod answers (M, N, K) rather than refuse it."""
+    return _dense_work(m, k_order, [n_modulus] * k_order, min(m, n_modulus)) <= DENSE_BUDGET
+
+
 def _equal_sums(polys: Sequence[IntPolynomial], k_order: int, m: int,
                 modulus: Optional[int] = None, method: str = "auto",
                 spans: Optional[Sequence[int]] = None) -> tuple[int, str]:
@@ -198,7 +213,7 @@ def _equal_sums(polys: Sequence[IntPolynomial], k_order: int, m: int,
 
     columns = table() if spans is None and not modulus else None
     if modulus:
-        method, sizes = "convolution", [modulus] * k_order
+        method, admitted = "convolution", count_mod_admitted(m, modulus, k_order)
     else:
         spans = spans or [int(c.max()) - int(c.min()) for c in columns]
         box = math.prod(k_order * (s + 1) + 1 for s in spans)
@@ -207,16 +222,16 @@ def _equal_sums(polys: Sequence[IntPolynomial], k_order: int, m: int,
         elif method == "convolution" and box > SIGNATURE_BUDGET:
             raise ValueError("signature budget exceeded; use method='mitm'")
         sizes = [math.prod(f * s + 1 for s in spans) for f in range(1, k_order + 1)]
+        admitted = _dense_work(m, k_order, sizes, m) <= DENSE_BUDGET
     if method == "mitm":
         if m ** k_order > MITM_BUDGET:
             raise ValueError(f"meet-in-the-middle budget exceeded: M^K > {MITM_BUDGET}")
         return _grouped_square_sum(columns or table(), k_order), method
     if method != "convolution":
         raise ValueError(f"unknown method {method!r}")
-    dtype = np.int64 if m ** (2 * k_order) <= 2 ** 62 else object  # count <= M^(2K)
-    work = min(m, modulus or m) * sum(sizes[:-1]) + sizes[-1]
-    if (1 if dtype is np.int64 else 50) * work > DENSE_BUDGET:
+    if not admitted:
         raise ValueError(f"shift-and-add budget exceeded: weighted adds > {DENSE_BUDGET}")
+    dtype = np.int64 if m ** (2 * k_order) <= 2 ** 62 else object  # count <= M^(2K)
     offsets = np.stack([c - c.min() for c in columns or table()], axis=1)
     rows, mult = np.unique(offsets.astype(np.int64), axis=0, return_counts=True)
     return _shift_add_square_sum(rows, mult.astype(dtype), k_order, modulus), method

@@ -239,6 +239,24 @@ _PEAK = ("import resource, sys\n"
          "print(code, peak - base)\n")
 
 
+def test_weyl_reports_the_count_whenever_the_counter_admits_it(capsys):
+    # M^(2K) = 10^8 was past the CLI's own gate of 10^7, which left out the
+    # count; the counter admits it at about 2*10^6 adds
+    code, report = run_cli(capsys, "weyl", "--poly", "0,1", "--M", "100", "--N", "20011",
+                           "--K", "2")
+    assert code == 0
+    assert report["results"]["count_solutions_mod"] == 33632
+    assert report["checks"] == {"moment_identity": True}
+
+
+def test_weyl_leaves_out_a_count_the_counter_refuses(capsys):
+    # 10^5 rows on cyclic layers of 10^5: 10^10 adds, past DENSE_BUDGET
+    code, report = run_cli(capsys, "weyl", "--poly", "1", "--M", "100000", "--N", "100000")
+    assert code == 0
+    assert "count_solutions_mod" not in report["results"]
+    assert report["checks"] == {}
+
+
 @pytest.mark.parametrize("m,message", [
     # shift-and-add in Python integers: 5e11 weighted adds
     ("100000", "error: shift-and-add budget exceeded"),
@@ -279,6 +297,10 @@ def test_weyl_past_its_n_budget_is_refused_before_any_allocation(n):
 
 _ERGODIC = ["ergodic", "--action", "measure", "--subset", "all"]
 _AVERAGE = ["dioph", "--action", "average", "--lattice", "int:1", "--alpha", "0.3"]
+_AMBIENT = "ambient budget exceeded: need N <= 2000000"
+_TIMES = "time list budget exceeded: need at most 4096 times"
+_SEARCHES = [["ergodic", "--action", action, "--system", "rotation:10", "--subset", "all"]
+             for action in ("khintchine", "griesmer")]
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
@@ -308,6 +330,26 @@ _AVERAGE = ["dioph", "--action", "average", "--lattice", "int:1", "--alpha", "0.
     (["dioph", "--action", "schmidt", "--lattice", "scaled:6:1,1", "--alpha", "2.5;1.7",
       "--N", "4", "--radius", "0.9", "--q-max", "1000000000000"],
      "orbit scan budget exceeded: need q_max <= 10000000"),
+    # 171,896 candidates: q_max = 1000 took 8.1 s
+    (["dioph", "--action", "schmidt", "--lattice", "scaled:6:2", "--alpha", "2.5,1.7",
+      "--N", "4", "--radius", "50", "--q-max", "1000"],
+     "Schmidt scan budget exceeded: q_max * candidates > 100000000"),
+    # each was an _ArrayMemoryError traceback, exit 1
+    (["search", "--N", "1000000000000", "--set", "evens", "--poly", "1", "--eps", "0.1"],
+     _AMBIENT),
+    (["search", "--N", "100000000", "--set", "random:0.3:1", "--poly", "1", "--eps", "0.1"],
+     _AMBIENT),
+    (["decompose", "--N", "1000000000000", "--set", "evens", "--eps", "0.1"], _AMBIENT),
+    (["decompose", "--N", "1000000000000", "--eps", "0.1"], _AMBIENT),
+    (["lift", "--N", "1000000000000", "--set", "evens", "--poly", "1", "--half-width", "10"],
+     _AMBIENT),
+    # m = 10^301 shifts: the shift range check read ever longer blocks
+    (["search", "--N", "10", "--set", "full", "--poly", "1", "--eps", "1e300"],
+     "shift budget exceeded: need l * m <= 4000000"),
+    # a comma list was read whole, and khintchine took any number of times
+    (_SEARCHES[0] + ["--times", ",".join(map(str, range(1, 4098)))], _TIMES),
+    (_SEARCHES[0] + ["--times", "1..100000000000000000000"], _TIMES),
+    (_SEARCHES[1] + ["--times", "1..100000000000000000000"], _TIMES),
 ])
 def test_inputs_past_a_budget_are_refused_before_any_allocation(argv, message):
     out = subprocess.run([sys.executable, "-c", _CAPPED, *argv], capture_output=True,

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -242,6 +243,25 @@ def test_griesmer_rejects_zero_constants():
 def test_griesmer_refuses_a_time_list_past_its_budget():
     with pytest.raises(ValueError, match="time list budget exceeded"):
         griesmer_search(FiniteMPSystem.rotation(10), {0}, 0.1, [1], range(TIMES_BUDGET + 1))
+
+
+@pytest.mark.parametrize("search", [
+    lambda times: khintchine_search(FiniteMPSystem.rotation(10), {0}, 0.1, times),
+    lambda times: griesmer_search(FiniteMPSystem.rotation(10), {0}, 0.1, [1], times),
+], ids=["khintchine", "griesmer"])
+def test_both_searches_read_at_most_one_time_past_the_budget(search):
+    # times 0, 1, 2, ... without end are refused after TIMES_BUDGET + 1 reads
+    # (a search that read on would fail here, not run out of memory); a range
+    # too long for len() is refused too, and the budget itself is admitted
+    def endless():
+        for i in itertools.count():
+            assert i <= TIMES_BUDGET, "read a time past the first one over the budget"
+            yield i
+
+    for times in (endless(), range(TIMES_BUDGET + 1), range(1, 10 ** 20)):
+        with pytest.raises(ValueError, match="time list budget exceeded"):
+            search(times)
+    search(range(TIMES_BUDGET))
 
 
 def test_khintchine_medium_random_permutation_succeeds():

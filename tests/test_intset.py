@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from polyrec.intset import IntegerSet, generate_set
+from polyrec.intset import AMBIENT_BUDGET, IntegerSet, generate_set
 
 
 def test_basic_invariants():
@@ -57,3 +57,11 @@ def test_random_density_tracks_parameter():
 def test_unknown_kind():
     with pytest.raises(ValueError):
         generate_set("primes", 10)
+
+
+@pytest.mark.parametrize("kind", ["full", "evens", "ap", "random"])
+def test_an_ambient_n_past_the_budget_is_refused_before_the_set_is_built(kind):
+    assert generate_set(kind, AMBIENT_BUDGET).n == AMBIENT_BUDGET
+    for n in (AMBIENT_BUDGET + 1, 10 ** 12):
+        with pytest.raises(ValueError, match="ambient budget exceeded: need N <= 2000000"):
+            generate_set(kind, n)

@@ -368,6 +368,19 @@ def test_schmidt_scan_coarse_lattice_finds_denominator():
     assert rep.beats_quality
 
 
+def test_schmidt_scan_refuses_q_max_times_candidates_past_its_budget():
+    # two candidates, +-1/6, in each block, so the scan costs 4 phases per q
+    lat = ProductLattice.scaled_integers(6.0, [1, 1])
+    alpha = BlockVector(((2.5,), (1.7,)))
+    with mock.patch.object(lattice_dioph, "_SCHMIDT_BUDGET", 100):
+        assert schmidt_scan(lat, alpha, 4, q_max=25, radius_max=0.9, quality=1.0).q
+        with pytest.raises(ValueError, match="Schmidt scan budget exceeded"):
+            schmidt_scan(lat, alpha, 4, q_max=26, radius_max=0.9, quality=1.0)
+        # the orbit scan's own budget on q_max is checked first
+        with pytest.raises(ValueError, match="orbit scan budget exceeded"):
+            schmidt_scan(lat, alpha, 4, q_max=10 ** 12, radius_max=0.9, quality=1.0)
+
+
 def test_schmidt_scan_directions_are_primitive_dual_vectors():
     lat = ProductLattice.scaled_integers(5.0, [1])
     alpha = BlockVector(((2.0,),))

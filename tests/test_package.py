@@ -306,3 +306,16 @@ def test_both_sides_of_theta_are_one_block_product():
                if isinstance(node, ast.FunctionDef)
                or isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)}
     assert not defined & {"_DUAL_COMBO_BUDGET", "_theta_direct_many"}
+
+
+def test_the_cli_holds_no_budget_of_its_own():
+    # each budget is checked by the module that allocates what it bounds; the
+    # CLI reads only the ambient one, for the random values decompose draws,
+    # and states no threshold (the Weyl count once had M^(2K) <= 10^7)
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert not imported & {"WEYL_M_BUDGET", "TIMES_BUDGET", "_LIFT_MAX_AMBIENT"}
+    assert {name for name in imported if name.lstrip("_").isupper()} == {"AMBIENT_BUDGET"}
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Constant)
+            and type(node.value) is int and node.value >= 1000] == []

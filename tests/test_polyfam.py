@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -127,6 +128,18 @@ def test_shift_range_scan_guarantee_holds_randomized():
         # maximality: the next shift would break the bound (or the nominal cap)
         if sr.adjusted:
             assert any(abs(p.evaluate(sr.m + 1)) > bound for p in fam.members)
+
+
+def test_shift_range_refuses_a_count_table_past_its_budget():
+    # eps * n = 1000 admits every shift n <= 1000 of n, and of n and 2n up to 500
+    single, double = PolynomialFamily.parse(["1"]), PolynomialFamily.parse(["1", "2"])
+    with mock.patch.object(polyfam, "SHIFT_BUDGET", 1000):
+        assert shift_range(single, 10, 100).m == 1000
+        assert shift_range(double, 10, 100).m == 500
+    with mock.patch.object(polyfam, "SHIFT_BUDGET", 999):
+        for family in (single, double):
+            with pytest.raises(ValueError, match="shift budget exceeded: need l \\* m <= 999"):
+                shift_range(family, 10, 100)
 
 
 def test_shift_range_error_names_minimal_ambient():

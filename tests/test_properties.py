@@ -6,14 +6,12 @@ weyl_tarry (behind every solution count).  Each draw is small enough for
 the oracles' direct enumeration.
 """
 
-import contextlib
-import io
 import json
 import math
 import subprocess
 import sys
-import warnings
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -30,6 +28,7 @@ from polyrec.weyl_tarry import (SIGNATURE_BUDGET, count_solutions_mod, tarry_cou
                                 tarry_count_poly)
 from polyrec.zn_fourier import ExactnessError, _intersection_counts, exact_correlation
 
+from cli_contract import assert_cli_contract
 from oracles import (grouped_tarry, naive_count_solutions, naive_count_solutions_mod,
                      naive_cross_correlation, naive_intersection_cyclic,
                      naive_intersection_integer, naive_tarry)
@@ -420,6 +419,8 @@ def test_cli_maps_exactness_errors_to_exit_1(monkeypatch, capsys):
      "--half-width", "10"],
     ["lift", "--N", "10", "--set", "evens", "--poly", "1;4611686018427387904",
      "--half-width", "10"],
+    # the moment overflowed: a RuntimeWarning line, then a report that is not strict JSON
+    ["weyl", "--poly", "1", "--M", "5", "--N", "7", "--K", "1000000"],
 ])
 def test_refusals_exit_2_with_one_line(argv, capsys):
     assert main(argv) == 2
@@ -461,26 +462,6 @@ def lift_argv(draw):
                "--half-width", "24"])
 def test_lift_cli_fuzz_exits_0_1_or_2_with_strict_json(argv):
     assert_cli_contract(argv)
-
-
-def assert_cli_contract(argv):
-    """main(argv) exits 0, 1 or 2, prints no traceback and strict JSON only,
-    and exit 2 prints one line."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings():
-        warnings.simplefilter("error")  # a numpy warning is a stray stderr line
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse refuses before main's handlers
-            code = exc.code
-    stderr = err.getvalue()
-    assert code in (0, 1, 2)
-    assert "Traceback" not in stderr
-    if code == 2:
-        assert stderr.count("\n") == 1 and out.getvalue() == ""
-    if out.getvalue():
-        json.loads(out.getvalue(), parse_constant=lambda c: pytest.fail(f"non-strict {c}"))
 
 
 #: Integers of the ergodic fuzz: small ones, and ones past int64 or any budget.
@@ -721,3 +702,95 @@ def test_dioph_cli_fuzz_exits_0_1_or_2_with_strict_json(case, tmp_path_factory):
     path = tmp_path_factory.mktemp("lattice") / "lattice.json"
     path.write_text(lattice_file)
     assert_cli_contract([arg.replace("{path}", str(path)) for arg in argv])
+
+
+#: Sizes of the kernel fuzz past a budget: the ambient budget + 1 (search and
+#: decompose), the Weyl budgets + 1 (M and N) and 10^12.
+PAST_BUDGET = [2_000_001, 10_000_001, 10 ** 12]
+#: Set literals of the kernel fuzz, valid or not.
+SEARCH_SETS = ["full", "evens", "even", "ap:3:4", "ap:5:100", "ap:0:1", "random:0.5",
+               "random:0.3:7", "random:2", "random:nan", "primes"]
+
+
+@st.composite
+def kernel_argv(draw):
+    """A search, decompose, weyl, tarry or selftest invocation, with or
+    without --seed.  Sizes are capped for run time only: N <= 400 (a Weyl
+    modulus <= 3000), M <= 40, K <= 4 (and a Weyl K of 300) and k <= 3,
+    besides 0, negatives and sizes past a budget; reals are floats in [0, 2]
+    besides ODD_FLOATS, and coefficients are those of the lift fuzz.  Each
+    size is a usual one seven times in eight."""
+    past = st.sampled_from(PAST_BUDGET + HUGE)
+    n = str(draw(mostly(st.integers(-2, 400), past)))
+    reals = mostly(st.floats(0, 2), st.sampled_from(ODD_FLOATS))
+    members = st.lists(st.sampled_from(LIFT_COEFFICIENTS), max_size=3)
+    family = ";".join(",".join(map(str, m)) for m in draw(st.lists(members, min_size=1,
+                                                                   max_size=3)))
+    literal = draw(st.sampled_from(SEARCH_SETS))
+    literal = literal[:draw(st.integers(1, len(literal)))]  # truncated literals too
+    command = draw(st.sampled_from(["search", "decompose", "weyl", "tarry", "selftest"]))
+    if command == "search":
+        argv = ["search", "--N", n, "--set", literal, f"--poly={family}",
+                "--eps", repr(draw(reals)), "--c", repr(draw(reals)),
+                "--mode", draw(st.sampled_from(["integer", "cyclic", "x"]))]
+        if draw(st.booleans()):
+            argv.append("--permissive")
+    elif command == "decompose":
+        argv = ["decompose", "--N", n, "--eps", repr(draw(reals))]
+        if draw(st.booleans()):
+            argv += ["--set", literal]
+    elif command == "weyl":
+        argv = ["weyl", f"--poly={family.split(';')[0]}",
+                "--M", str(draw(mostly(st.integers(-2, 40), past))),
+                "--N", str(draw(mostly(st.integers(-2, 3000), past))),
+                "--K", str(draw(mostly(st.integers(-1, 4), st.just(300)))),
+                "--weights", draw(st.sampled_from(["unit", "random"]))]
+    elif command == "tarry":
+        argv = ["tarry", "--K", str(draw(st.integers(-1, 4))),
+                "--k", str(draw(st.integers(-1, 3))),
+                "--method", draw(st.sampled_from(["auto", "convolution", "mitm"]))]
+        ms = st.lists(mostly(st.integers(-2, 40), past), max_size=4)
+        if draw(st.booleans()):
+            argv += ["--growth", ",".join(map(str, draw(ms)))]
+        elif draw(mostly(st.just(True), st.just(False))):  # tarry needs --M
+            argv += ["--M", str(draw(mostly(st.integers(-2, 40), past)))]
+    else:
+        argv = ["selftest"]
+    seed = draw(st.none() | st.integers(-1, 2 ** 32) | st.sampled_from(HUGE))
+    return (["--seed", str(seed)] if seed is not None else []) + argv
+
+
+#: Runs assert_cli_contract on each argv of a JSON list in a child whose
+#: address space is capped 1 GiB above its size after import: room for
+#: every answer the fuzz admits, and far below what a size past a budget
+#: would allocate (10^12 int64 points take 8 TB).  Each argv is printed
+#: before it runs, so the last line of stdout names a failing one.
+_CAPPED_BATCH = ("import json, resource, sys\n"
+                 "sys.path.insert(0, sys.argv[1])\n"
+                 "from cli_contract import assert_cli_contract\n"
+                 "with open('/proc/self/statm') as fh:\n"
+                 "    size = int(fh.read().split()[0]) * resource.getpagesize()\n"
+                 "cap = size + (1 << 30)\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+                 "for argv in json.loads(sys.argv[2]):\n"
+                 "    print(json.dumps(argv), flush=True)\n"
+                 "    assert_cli_contract(argv)\n")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+@settings(max_examples=12, deadline=None)
+@given(batch=st.lists(kernel_argv(), min_size=1, max_size=10))
+@example(batch=[["search", "--N", "1000000000000", "--set", "evens", "--poly=1", "--eps", "0.1"],
+                ["decompose", "--N", "1000000000000", "--eps", "0.1"],
+                ["decompose", "--N", "2000001", "--eps", "0.1", "--set", "evens"],
+                # eps ** -2 overflowed: an OverflowError traceback
+                ["decompose", "--N", "10", "--eps", "1e-300"],
+                ["search", "--N", "10", "--set", "full", "--poly=1", "--eps", "1e300"],
+                ["weyl", "--poly=1", "--M", "10000000000000", "--N", "7", "--weights", "random"],
+                ["tarry", "--K", "2", "--k", "1", "--growth", "1,1000000000000"],
+                ["--seed", "-1", "selftest"]])
+def test_kernel_cli_fuzz_exits_0_1_or_2_with_strict_json(batch):
+    tests = str(Path(__file__).resolve().parent)
+    out = subprocess.run([sys.executable, "-c", _CAPPED_BATCH, tests, json.dumps(batch)],
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, (out.stdout.splitlines()[-1:], out.stderr[-2000:])

@@ -1,12 +1,16 @@
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polyrec import weyl_tarry
 from polyrec.polyfam import IntPolynomial
-from polyrec.weyl_tarry import (count_solutions_mod, growth_probe, moment_2k,
-                                tarry_count, tarry_count_poly, value_range,
+from polyrec.weyl_tarry import (count_mod_admitted, count_solutions_mod, growth_probe,
+                                moment_2k, tarry_count, tarry_count_poly, value_range,
                                 weyl_sum, wrap_free)
 
 from oracles import (grouped_tarry, naive_count_solutions_mod, naive_moment,
@@ -188,3 +192,22 @@ def test_growth_probe_slope_near_cubic():
 def test_growth_probe_needs_two_points():
     with pytest.raises(ValueError):
         growth_probe(2, 1, [50])
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(1, 40), n_modulus=st.integers(1, 300), k_order=st.integers(1, 12),
+       budget=st.integers(1, 20_000))
+def test_count_mod_admitted_is_the_rule_count_solutions_mod_applies(m, n_modulus, k_order,
+                                                                    budget):
+    # a small budget puts both sides of the rule in reach, on the int64 and on
+    # the Python-integer weighting (M^(2K) > 2^62 from M = 6 at K = 12)
+    with mock.patch.object(weyl_tarry, "DENSE_BUDGET", budget):
+        admitted = count_mod_admitted(m, n_modulus, k_order)
+        try:
+            count = count_solutions_mod(IntPolynomial((1, 1)), m, n_modulus, k_order)
+        except ValueError as exc:
+            assert str(exc).startswith("shift-and-add budget exceeded")
+            count = None
+    assert admitted == (count is not None)
+    if admitted and m ** (2 * k_order) <= 20_000:
+        assert count == naive_count_solutions_mod(IntPolynomial((1, 1)), m, n_modulus, k_order)
