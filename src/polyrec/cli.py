@@ -185,10 +185,6 @@ def _jsonify(obj):
         return int(obj)
     if isinstance(obj, (np.floating,)):
         return float(obj)
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, (set, frozenset)):
-        return sorted(obj)
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -213,11 +209,6 @@ def _require(args, context: str, *names: str) -> None:
         raise ValueError(f"{context} needs {' and '.join(missing)}")
 
 
-def _truncate(seq, cap: int = 200) -> list:
-    seq = list(seq)
-    return seq if len(seq) <= cap else seq[:cap]
-
-
 # ------------------------------------------------------------ subcommands
 
 def _cmd_search(args, config: ExperimentConfig):
@@ -231,8 +222,8 @@ def _cmd_search(args, config: ExperimentConfig):
         "shift_bound": report.m,
         "shift_bound_adjusted": report.shift_range.adjusted,
         "threshold": report.threshold,
-        "good_shifts": _truncate(report.good_shifts),
-        "good_count": len(report.good_shifts),
+        "good_shifts": report.good_shifts[:200].tolist(),
+        "good_count": report.good_shifts.size,
         "density_of_good": float(report.density_of_good) if report.m else None,
         "within_hypotheses": report.within_hypotheses,
         "empty": report.empty,
@@ -380,8 +371,8 @@ def _cmd_dioph(args, config: ExperimentConfig):
             good = approx_good_set_power(alpha, args.eps, args.N)
         results = {
             "action": "goodset", "N": args.N, "eps": args.eps,
-            "exact_arithmetic": good.exact, "count": len(good.members),
-            "density": good.density, "members": _truncate(good.members),
+            "exact_arithmetic": good.exact, "count": good.count,
+            "density": good.density, "members": good.members[:200].tolist(),
         }
     elif args.action == "denominator":
         thetas = [_parse_number(t) for t in args.theta.split(",")]

@@ -445,20 +445,33 @@ def gaussian_average(lattice: ProductLattice, alpha: BlockVector, n_range: int,
 
 @dataclass(frozen=True)
 class GoodSet:
-    """Solutions n <= N of a system of nearest-integer inequalities."""
+    """Solutions n <= N of a system of nearest-integer inequalities, held
+    as the read-only boolean table good of the N values (n at index n - 1)."""
 
     n_range: int
     eps: float
-    members: tuple[int, ...]
+    good: np.ndarray
     exact: bool
 
     @property
+    def count(self) -> int:
+        return int(np.count_nonzero(self.good))
+
+    @property
     def density(self) -> Fraction:
-        return Fraction(len(self.members), self.n_range)
+        return Fraction(self.count, self.n_range)
 
     @property
     def empty(self) -> bool:
-        return not self.members
+        return not self.good.any()
+
+    @property
+    def members(self) -> np.ndarray:
+        """The good n in ascending order, built in place as one read-only array."""
+        members = np.flatnonzero(self.good)
+        members += 1
+        members.setflags(write=False)
+        return members
 
 
 def _residues(values: np.ndarray, p: int, q: int) -> np.ndarray:
@@ -514,8 +527,8 @@ def _good_set(conditions: Sequence[tuple[IntPolynomial, tuple]], eps: float,
             else:
                 d = _phases(tables[poly] * rule[0], nearest=True)
                 keep &= np.sqrt(np.sum(d * d, axis=1)) < eps
-    members = (np.flatnonzero(good) + 1).tolist()
-    return GoodSet(n_range, eps, tuple(members), exact=exact)
+    good.setflags(write=False)
+    return GoodSet(n_range, eps, good, exact=exact)
 
 
 def approx_good_set_power(alpha: BlockVector, eps: float, n_range: int) -> GoodSet:

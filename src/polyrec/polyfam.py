@@ -9,7 +9,6 @@ whose difference set controls all polynomials of the family at once.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -327,7 +326,7 @@ class LiftResult:
     offset: tuple[int, ...]
     independent_offset: tuple[int, ...]
     dependent_offset: tuple[int, ...]
-    points: frozenset[tuple[int, ...]]
+    points: np.ndarray  # read-only (size, k) int64, in the box's C order
     density: Fraction
     required_multiple: int
     first_stage_count: int
@@ -363,7 +362,7 @@ def _best_offset(vals: np.ndarray, a: IntegerSet) -> tuple[tuple[int, ...], np.n
     counts = exact_correlation(dist, ind)
     pos = np.unravel_index(int(np.argmax(counts)), counts.shape)
     # row y lands on index y - lo + p - (extent - 1) of the indicator
-    idx = rel + (np.array(pos) - np.array(extent) + 1)
+    idx = np.add(rel, np.array(pos) - np.array(extent) + 1, out=rel)
     inside = ((idx >= 0) & (idx < a.n)).all(axis=1)
     kept = np.zeros(len(vals), dtype=bool)
     kept[inside] = ind[tuple(idx[inside].T)]
@@ -408,51 +407,51 @@ def lift_construction(a: IntegerSet, family: PolynomialFamily,
         raise ValueError("lift values pass int64: need sum_i |c_i| * half_width < 2^63 "
                          "for every row")
 
-    axes = [np.arange(-half_width, half_width + 1, dtype=np.int64)] * k
-    grid = np.meshgrid(*axes, indexing="ij")
-    coords = np.stack([g.ravel() for g in grid], axis=1)  # (box, k)
-    values = coords @ np.array(rows, dtype=np.int64).T    # (box, l)
-
     ind_idx = list(analysis.independent_rows)
     dep_idx = list(analysis.dependent_rows)
-    s, kept = _best_offset(values[:, ind_idx], a)
-    first_count = int(kept.sum())
+    # the independent rows' values on the box, built from one axis, in C order
+    axis = np.arange(-half_width, half_width + 1, dtype=np.int64)
+    box = (axis.size,) * k
+    values = np.zeros((len(ind_idx),) + box, dtype=np.int64)
+    for column, i in zip(values, ind_idx):
+        for j, c in enumerate(rows[i]):
+            column += c * axis.reshape((-1,) + (1,) * (k - 1 - j))
+    s, kept = _best_offset(values.reshape(len(ind_idx), -1).T, a)
+    points = np.stack(np.unravel_index(np.flatnonzero(kept), box), axis=1) - half_width
+    first_count = len(points)
     t = ()
     if dep_idx:
-        t, second = _best_offset(values[kept][:, dep_idx], a)
-        kept[kept] = second
+        t, second = _best_offset(points @ np.array([rows[i] for i in dep_idx]).T, a)
+        points = points[second]
+    points.setflags(write=False)
 
     offset = [0] * family.size
     for row, off in zip(ind_idx + dep_idx, s + t):
         offset[row] = off
-    pts = frozenset(map(tuple, coords[kept].tolist()))
-    # Exactness checkpoint: the box points are distinct, so none merged.
-    if int(kept.sum()) != len(pts):
-        raise ExactnessError("lifted points are not distinct")
     return LiftResult(
         half_width=half_width,
         ambient=a.n,
         offset=tuple(offset),
         independent_offset=s,
         dependent_offset=t,
-        points=pts,
-        density=Fraction(len(pts), (2 * half_width + 1) ** k),
+        points=points,
+        density=Fraction(len(points), axis.size ** k),
         required_multiple=required_multiple,
         first_stage_count=first_count,
-        second_stage_count=len(pts),
+        second_stage_count=len(points),
         analysis=analysis,
     )
 
 
 @dataclass(frozen=True)
 class ImplicationReport:
-    candidates: tuple[int, ...]
-    hits: tuple[int, ...]
-    violations: tuple[int, ...]
+    candidates: np.ndarray
+    hits: np.ndarray
+    violations: np.ndarray
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self.violations.size
 
 
 def check_lift_implication(lift: LiftResult, a: IntegerSet,
@@ -473,20 +472,17 @@ def check_lift_implication(lift: LiftResult, a: IntegerSet,
     """
     k = family.common_degree_bound
     hw = lift.half_width
-    if not lift.points:
-        return ImplicationReport((), (), ())
-    pts = np.fromiter(itertools.chain.from_iterable(lift.points), dtype=np.int64,
-                      count=k * len(lift.points)).reshape(-1, k)
-    if np.abs(pts).max() > hw:
+    if not len(lift.points):
+        return ImplicationReport(*[np.zeros(0, dtype=np.int64)] * 3)
+    if np.abs(lift.points).max() > hw:
         raise ValueError("lifted points must lie in the box [-half_width, half_width]^k")
     limit = _integer_root(Fraction(2 * hw), k)
     ns = np.arange(-limit, limit + 1, dtype=np.int64)
     ns = ns[ns != 0]
     weights = (4 * hw + 1) ** np.arange(k, dtype=np.int64)
-    codes = IntegerSet(2 * hw * int(weights.sum()) + 1, (pts + hw) @ weights + 1)
+    codes = IntegerSet(2 * hw * int(weights.sum()) + 1, (lift.points + hw) @ weights + 1)
     lags = (ns[:, None] ** np.arange(1, k + 1)) @ weights
     hits = ns[_intersection_counts(codes, lags, INTEGER) > 0]
     values = np.concatenate([p.values(hits) for p in family])
     missed = _intersection_counts(a, values, INTEGER).reshape(family.size, -1) == 0
-    return ImplicationReport(tuple(ns.tolist()), tuple(hits.tolist()),
-                             tuple(hits[missed.any(axis=0)].tolist()))
+    return ImplicationReport(ns, hits, hits[missed.any(axis=0)])

@@ -82,8 +82,8 @@ class ShiftReport:
     family: PolynomialFamily
     eps: float
     shift_range: ShiftRange
-    counts: tuple[tuple[int, ...], ...]  # |A ∩ (A + P_i(n))|, l x M
-    good_shifts: tuple[int, ...]
+    counts: np.ndarray            # |A ∩ (A + P_i(n))|, read-only l x M int64
+    good_shifts: np.ndarray       # read-only int64, ascending
     threshold: Fraction           # density^2 - eps, exact
     within_hypotheses: bool
 
@@ -93,11 +93,11 @@ class ShiftReport:
 
     @property
     def density_of_good(self) -> Fraction:
-        return Fraction(len(self.good_shifts), self.m)
+        return Fraction(self.good_shifts.size, self.m)
 
     @property
     def empty(self) -> bool:
-        return not self.good_shifts
+        return not self.good_shifts.size
 
 
 def find_good_shifts(a: IntegerSet, family: PolynomialFamily, eps: float,
@@ -121,10 +121,10 @@ def find_good_shifts(a: IntegerSet, family: PolynomialFamily, eps: float,
     counts = _count_table(a, family, sr.m, mode, sr)
     threshold = a.density ** 2 - Fraction(eps)
     good = np.flatnonzero((counts > math.floor(threshold * a.n)).all(axis=0)) + 1
-    return ShiftReport(a=a, family=family, eps=eps, shift_range=sr,
-                       counts=tuple(map(tuple, counts.tolist())),
-                       good_shifts=tuple(good.tolist()), threshold=threshold,
-                       within_hypotheses=equal)
+    counts.setflags(write=False)
+    good.setflags(write=False)
+    return ShiftReport(a=a, family=family, eps=eps, shift_range=sr, counts=counts,
+                       good_shifts=good, threshold=threshold, within_hypotheses=equal)
 
 
 def default_schedule(eps: float) -> Callable[[int], float]:

@@ -40,11 +40,19 @@ __all__ = [
 #: Box estimate prod_i (K (hi_i - lo_i + 1) + 1) past which an integer count
 #: groups its K-fold sums (meet-in-the-middle) instead of adding on a box.
 SIGNATURE_BUDGET = 5_000_000
-#: Admission of grouping: at most this many K-tuples (M^K).
+#: Admission of grouping: at most this many weighted key entries, M^K K-fold
+#: sums per signature column, a column summed in Python integers counting
+#: _OBJECT_WEIGHT (its sums and their ranking took 25-30 times as long).
 MITM_BUDGET = 20_000_000
-#: Admission of shift-and-add, in element adds (a Python-integer add counts 50):
-#: about as long as a grouping at MITM_BUDGET (2-5 s) at 0.9-2.1e9 int64 adds/s.
+#: Admission of shift-and-add, in element adds (a Python-integer add counts
+#: _OBJECT_WEIGHT): about as long as a grouping at MITM_BUDGET (2-5 s) at
+#: 0.9-2.1e9 int64 adds/s.
 DENSE_BUDGET = 4_000_000_000
+#: Highest degree k of a power-sum count: its table n, ..., n^k takes
+#: k(k+1)/2 Horner passes, and past n^63 every column is in Python integers.
+DEGREE_BUDGET = 64
+#: Cost of one Python-integer add or key entry, in int64 ones.
+_OBJECT_WEIGHT = 50
 #: Largest modulus N of a Weyl sum.  A `weyl` query grows by about 64 bytes
 #: per N (the point masses, their transform and its magnitudes), to a peak
 #: RSS of 641 MiB at this budget, about what a grouping at MITM_BUDGET takes.
@@ -160,18 +168,34 @@ def _shift_add_square_sum(points: np.ndarray, mult: np.ndarray, k_order: int,
     return int(np.dot(flat, flat))
 
 
+def _power_at_most(base: int, exponent: int, limit: int) -> bool:
+    """base ** exponent <= limit for base >= 1, decided from bit lengths
+    before any power far past limit is formed."""
+    if exponent * (base.bit_length() - 1) > limit.bit_length():
+        return False
+    return base ** exponent <= limit
+
+
+def _sums_fit(k_order: int, span: int) -> bool:
+    """Whether the K-fold sums of a column whose values span `span`, offset
+    to start at 0, stay in int64."""
+    return k_order * span < 2 ** 63
+
+
 def _grouped_square_sum(columns: Sequence[np.ndarray], k_order: int) -> int:
     """sum over classes of K-tuples with equal signature sums of class size^2.
 
     columns[i][n] is coordinate i of the signature of the n-th point; all
     M^K tuples are enumerated and grouped by one lexicographic sort of
-    their summed signatures.  A coordinate whose K-fold sums could pass
-    int64 is summed in Python integers and replaced by its rank.
+    their summed signatures, each coordinate offset to start at 0.  A
+    coordinate whose K-fold sums could pass int64 is summed in Python
+    integers and replaced by its rank.
     """
     keys = []
     for col in columns:
-        fits = k_order * max(-int(col.min()), int(col.max())) < 2 ** 63
-        base = col.astype(np.int64 if fits else object)
+        low = col.min()
+        fits = _sums_fit(k_order, int(col.max()) - int(low))
+        base = (col - low).astype(np.int64 if fits else object)
         sums = base
         for _ in range(k_order - 1):
             sums = (sums[:, None] + base[None, :]).ravel()
@@ -186,14 +210,27 @@ def _grouped_square_sum(columns: Sequence[np.ndarray], k_order: int) -> int:
     return int(np.dot(sizes, sizes))
 
 
-def _dense_work(m: int, k_order: int, sizes: Sequence[int], rows: int) -> int:
-    """Weighted adds of a shift-and-add on layers of `sizes` (see _equal_sums)."""
-    return (1 if m ** (2 * k_order) <= 2 ** 62 else 50) * (rows * sum(sizes[:-1]) + sizes[-1])
+def _dense_work(m: int, k_order: int, inner: int, last: int, rows: int) -> int:
+    """Weighted adds of a shift-and-add: rows adds onto layers of inner
+    entries in all, then the last layer's squares (see _equal_sums)."""
+    weight = 1 if _power_at_most(m, 2 * k_order, 2 ** 62) else _OBJECT_WEIGHT
+    return weight * (rows * inner + last)
+
+
+def _mod_refusal(m: int, n_modulus: int, k_order: int) -> Optional[str]:
+    """Why count_solutions_mod refuses (M, N, K), or None if it answers:
+    each cyclic layer holds N entries, and K - 1 of them take adds."""
+    if n_modulus > WEYL_N_BUDGET:
+        return f"Weyl sum budget exceeded: need N <= {WEYL_N_BUDGET}"
+    if _dense_work(m, k_order, (k_order - 1) * n_modulus, n_modulus,
+                   min(m, n_modulus)) > DENSE_BUDGET:
+        return f"shift-and-add budget exceeded: weighted adds > {DENSE_BUDGET}"
+    return None
 
 
 def count_mod_admitted(m: int, n_modulus: int, k_order: int) -> bool:
     """Whether count_solutions_mod answers (M, N, K) rather than refuse it."""
-    return _dense_work(m, k_order, [n_modulus] * k_order, min(m, n_modulus)) <= DENSE_BUDGET
+    return _mod_refusal(m, n_modulus, k_order) is None
 
 
 def _equal_sums(polys: Sequence[IntPolynomial], k_order: int, m: int,
@@ -203,9 +240,12 @@ def _equal_sums(polys: Sequence[IntPolynomial], k_order: int, m: int,
     whose value rows (P_1(n), ..., P_l(n)) sum to c, mod N with a modulus.
 
     Counts mod N add on a cyclic array; integer counts go by the box estimate.
-    Grouping is admitted while M^K <= MITM_BUDGET, adding while its element
-    adds D sum_{f<K} |layer f| + |layer K|, D <= min(M, N) rows, stay within
-    DENSE_BUDGET.  Closed-form spans hi_i - lo_i settle both before the table.
+    Grouping is admitted while max(M^K, K) sum_i w_i <= MITM_BUDGET, w_i = 1
+    for a column whose sums fit int64 and _OBJECT_WEIGHT else; adding while
+    its element adds D sum_{f<K} |layer f| + |layer K|, D <= min(M, N) rows,
+    stay within DENSE_BUDGET (mod N: also N <= WEYL_N_BUDGET).  Closed-form
+    spans hi_i - lo_i settle both before the table, and no power of M is
+    formed far past a budget.
     """
     def table():
         cols = [p.values(np.arange(1, m + 1)) for p in polys]
@@ -213,7 +253,10 @@ def _equal_sums(polys: Sequence[IntPolynomial], k_order: int, m: int,
 
     columns = table() if spans is None and not modulus else None
     if modulus:
-        method, admitted = "convolution", count_mod_admitted(m, modulus, k_order)
+        refusal = _mod_refusal(m, modulus, k_order)
+        if refusal:
+            raise ValueError(refusal)
+        method = "convolution"
     else:
         spans = spans or [int(c.max()) - int(c.min()) for c in columns]
         box = math.prod(k_order * (s + 1) + 1 for s in spans)
@@ -221,17 +264,22 @@ def _equal_sums(polys: Sequence[IntPolynomial], k_order: int, m: int,
             method = "convolution" if box <= SIGNATURE_BUDGET else "mitm"
         elif method == "convolution" and box > SIGNATURE_BUDGET:
             raise ValueError("signature budget exceeded; use method='mitm'")
-        sizes = [math.prod(f * s + 1 for s in spans) for f in range(1, k_order + 1)]
-        admitted = _dense_work(m, k_order, sizes, m) <= DENSE_BUDGET
     if method == "mitm":
-        if m ** k_order > MITM_BUDGET:
-            raise ValueError(f"meet-in-the-middle budget exceeded: M^K > {MITM_BUDGET}")
+        # M^K sums per column, formed in K - 1 steps (so at least K of them)
+        weight = sum(1 if _sums_fit(k_order, s) else _OBJECT_WEIGHT for s in spans)
+        if (k_order * weight > MITM_BUDGET
+                or not _power_at_most(m, k_order, MITM_BUDGET // weight)):
+            raise ValueError(f"meet-in-the-middle budget exceeded: weighted M^K > "
+                             f"{MITM_BUDGET}")
         return _grouped_square_sum(columns or table(), k_order), method
     if method != "convolution":
         raise ValueError(f"unknown method {method!r}")
-    if not admitted:
-        raise ValueError(f"shift-and-add budget exceeded: weighted adds > {DENSE_BUDGET}")
-    dtype = np.int64 if m ** (2 * k_order) <= 2 ** 62 else object  # count <= M^(2K)
+    if not modulus:  # box <= SIGNATURE_BUDGET bounds K, so the layers are few
+        sizes = [math.prod(f * s + 1 for s in spans) for f in range(1, k_order + 1)]
+        if _dense_work(m, k_order, sum(sizes[:-1]), sizes[-1], m) > DENSE_BUDGET:
+            raise ValueError(f"shift-and-add budget exceeded: weighted adds > {DENSE_BUDGET}")
+    # count <= M^(2K)
+    dtype = np.int64 if _power_at_most(m, 2 * k_order, 2 ** 62) else object
     offsets = np.stack([c - c.min() for c in columns or table()], axis=1)
     rows, mult = np.unique(offsets.astype(np.int64), axis=0, return_counts=True)
     return _shift_add_square_sum(rows, mult.astype(dtype), k_order, modulus), method
@@ -277,6 +325,8 @@ def tarry_count(k_order: int, degree: int, m: int, method: str = "auto") -> Tarr
     """
     if k_order < 1 or degree < 1 or m < 1:
         raise ValueError("need K >= 1, k >= 1, M >= 1")
+    if degree > DEGREE_BUDGET:
+        raise ValueError(f"degree budget exceeded: need k <= {DEGREE_BUDGET}")
     monomials = [IntPolynomial((0,) * (i - 1) + (1,)) for i in range(1, degree + 1)]
     count, method = _equal_sums(monomials, k_order, m, method=method,
                                 spans=[m ** i - 1 for i in range(1, degree + 1)])

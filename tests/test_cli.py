@@ -273,15 +273,17 @@ def test_tarry_past_its_budget_is_refused_before_the_work(m, message):
     assert grown_kb < 20_000  # ru_maxrss is in KiB; a 10^7 table takes 80 MB or more
 
 
-#: Runs main on argv in a child whose address space is capped 256 MiB above
-#: its size after import: far below the 640 MB a Weyl sum at N = 10^7 takes.
-_CAPPED = ("import resource, sys\n"
-           "from polyrec.cli import main\n"
-           "with open('/proc/self/statm') as fh:\n"
-           "    size = int(fh.read().split()[0]) * resource.getpagesize()\n"
-           "cap = size + (256 << 20)\n"
-           "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
-           "sys.exit(main(sys.argv[1:]))\n")
+#: Runs main on argv in a child whose address space is capped {mib} MiB above
+#: its size after import.
+_CAPPED_AT = ("import resource, sys\n"
+              "from polyrec.cli import main\n"
+              "with open('/proc/self/statm') as fh:\n"
+              "    size = int(fh.read().split()[0]) * resource.getpagesize()\n"
+              "cap = size + ({mib} << 20)\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+#: 256 MiB: far below the 640 MB a Weyl sum at N = 10^7 takes.
+_CAPPED = _CAPPED_AT.format(mib=256)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
@@ -350,6 +352,14 @@ _SEARCHES = [["ergodic", "--action", action, "--system", "rotation:10", "--subse
     (_SEARCHES[0] + ["--times", ",".join(map(str, range(1, 4098)))], _TIMES),
     (_SEARCHES[0] + ["--times", "1..100000000000000000000"], _TIMES),
     (_SEARCHES[1] + ["--times", "1..100000000000000000000"], _TIMES),
+    # each ran past 15 s: 2^(10^12) formed as a Python integer, 10^6 monomials
+    # and their spans, and a grouping of 12 key columns of 1.6*10^7 sums
+    (["tarry", "--K", "1000000000000", "--k", "1", "--M", "2"],
+     "meet-in-the-middle budget exceeded"),
+    (["tarry", "--K", "2", "--k", "1000000", "--M", "2"],
+     "degree budget exceeded: need k <= 64"),
+    (["tarry", "--K", "2", "--k", "12", "--M", "4000"],
+     "meet-in-the-middle budget exceeded"),
 ])
 def test_inputs_past_a_budget_are_refused_before_any_allocation(argv, message):
     out = subprocess.run([sys.executable, "-c", _CAPPED, *argv], capture_output=True,
@@ -379,3 +389,21 @@ def test_an_average_over_a_fine_lattice_answers_in_a_capped_child():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["results"]["average"] == 1.0000000000000002
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+@pytest.mark.parametrize("argv,mib,field,value", [
+    # every n is good: the boolean table takes 10 MB, and the members as a
+    # tuple of Python ints took the child to 503 MiB
+    (["dioph", "--action", "goodset", "--alpha", "1/1", "--N", "10000000"], 256,
+     "count", 10 ** 7),
+    # a box of 271^3 points: its meshgrid, coordinates and value table took
+    # the child to 1,606 MiB; its values are now built column by column
+    (["lift", "--N", "10", "--set", "random:0.5:1", "--poly", "0,0,1",
+      "--half-width", "135"], 1024, "size", 440646),
+])
+def test_large_results_answer_in_a_capped_child(argv, mib, field, value):
+    out = subprocess.run([sys.executable, "-c", _CAPPED_AT.format(mib=mib), *argv],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["results"][field] == value

@@ -319,3 +319,38 @@ def test_the_cli_holds_no_budget_of_its_own():
     assert {name for name in imported if name.lstrip("_").isupper()} == {"AMBIENT_BUDGET"}
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Constant)
             and type(node.value) is int and node.value >= 1000] == []
+
+
+def array_copies(source: str) -> list[str]:
+    """Each frozenset call, and each tuple call with a .tolist() in its
+    arguments, with its line and owner (as in owned_nodes)."""
+    found = []
+    for owner, node in owned_nodes(source):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+            continue
+        lists = any(isinstance(inner, ast.Attribute) and inner.attr == "tolist"
+                    for arg in node.args for inner in ast.walk(arg))
+        if node.func.id == "frozenset" or node.func.id == "tuple" and lists:
+            found.append(f"line {node.lineno}: {node.func.id} in {owner}")
+    return found
+
+
+def test_array_copy_check_flags_frozensets_and_tuples_of_lists():
+    source = ("s = frozenset(x)\n"
+              "def f(x):\n    return tuple(x.tolist())\n"
+              "def g(x):\n    return tuple(map(tuple, x.tolist())), tuple(x), x.tolist()\n")
+    assert array_copies(source) == ["line 1: frozenset in <module>", "line 3: tuple in f",
+                                    "line 5: tuple in g"]
+
+
+def test_result_records_keep_the_arrays_they_computed():
+    # shift counts, good sets, lifted points and implication reports stay
+    # read-only arrays; the CLI alone lists them, at its JSON edge, and the
+    # lift builds its box values from one axis, with no meshgrid of it
+    sources = {name: (SRC / f"{name}.py").read_text(encoding="utf-8")
+               for name in ("recurrence", "polyfam", "lattice_dioph")}
+    assert {name: array_copies(source) for name, source in sources.items()} == {
+        name: [] for name in sources}
+    assert "lift_construction" not in [
+        owner for owner, node in owned_nodes(sources["polyfam"])
+        if isinstance(node, ast.Attribute) and node.attr == "meshgrid"]

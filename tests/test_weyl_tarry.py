@@ -211,3 +211,31 @@ def test_count_mod_admitted_is_the_rule_count_solutions_mod_applies(m, n_modulus
     assert admitted == (count is not None)
     if admitted and m ** (2 * k_order) <= 20_000:
         assert count == naive_count_solutions_mod(IntPolynomial((1, 1)), m, n_modulus, k_order)
+
+
+def test_count_solutions_mod_refuses_n_past_the_weyl_budget_before_it_allocates():
+    # its cyclic layers of N = 3*10^9 entries would take 22.4 GiB
+    assert not count_mod_admitted(1, 3 * 10 ** 9, 1)
+    with mock.patch.object(np, "zeros", side_effect=AssertionError("allocated")):
+        with pytest.raises(ValueError, match="Weyl sum budget exceeded: need N <= 10000000"):
+            count_solutions_mod(IntPolynomial((1,)), 1, 3 * 10 ** 9, 1)
+
+
+def test_grouping_admits_weighted_key_entries():
+    # M^K sums per key column, a column summed in Python integers counting
+    # 50: 2^62 n spans past 2^63 / K from M = 2 on
+    with mock.patch.object(weyl_tarry, "MITM_BUDGET", 200):
+        assert tarry_count(2, 1, 14, method="mitm").count == grouped_tarry(2, 1, 14)
+        assert tarry_count(2, 2, 10, method="mitm").count == grouped_tarry(2, 2, 10)
+        assert tarry_count_poly(IntPolynomial((2 ** 62,)), 2, 2).count == 6
+        for refused in (lambda: tarry_count(2, 1, 15, method="mitm"),
+                        lambda: tarry_count(2, 2, 11, method="mitm"),
+                        lambda: tarry_count_poly(IntPolynomial((2 ** 62,)), 2, 3)):
+            with pytest.raises(ValueError, match="meet-in-the-middle budget exceeded"):
+                refused()
+
+
+def test_tarry_count_refuses_a_degree_past_its_budget_before_any_monomial():
+    with mock.patch.object(weyl_tarry, "IntPolynomial", side_effect=AssertionError("built")):
+        with pytest.raises(ValueError, match="degree budget exceeded: need k <= 64"):
+            tarry_count(2, 10 ** 6, 2)
