@@ -190,9 +190,10 @@ def _jsonify(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _emit(report: dict, path: Optional[str]) -> None:
+def emit(report: dict, path: Optional[str]) -> None:
     """Write the report as strict JSON: a NaN or infinity in it raises
-    ValueError, since no answer may carry one."""
+    ValueError, since no answer may carry one.  Public, so that a traced
+    benchmark run times serialization as a stage of its own."""
     text = json.dumps(report, indent=2, sort_keys=True, default=_jsonify,
                       allow_nan=False)
     if path:
@@ -644,8 +645,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         "subcommand": args.subcommand,
         "config": {
             "seed": config.seed,
-            "constants": dataclasses.asdict(config.constants),
-            "tolerances": dataclasses.asdict(config.tolerances),
+            "constants": vars(config.constants),  # flat records: no deep copy
+            "tolerances": vars(config.tolerances),
             "threads": config.threads,
         },
         "results": results,
@@ -655,7 +656,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.timing:
         report["wall_clock_seconds"] = time.monotonic() - started
     try:
-        _emit(report, args.output)
+        emit(report, args.output)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,6 +11,7 @@ shift constants at once through a Ramsey edge-coloring recursion.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
 from dataclasses import dataclass
@@ -41,6 +42,17 @@ SYSTEM_BUDGET = 2 ** 24
 #: times, and a Khintchine scan may read every pair.
 TIMES_BUDGET = 4096
 
+#: Least points of a system that trims the C heap when built: 128 KiB of
+#: int64, glibc's default mmap threshold.  Smaller arrays move the peak by
+#: little, and each trim makes later work fault its heap pages back in.
+_TRIM_POINTS = 2 ** 14
+
+try:  # glibc: hands the C heap's free pages back to the system
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes, _malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
+except (AttributeError, OSError, TypeError):  # another C library
+    _malloc_trim = None
+
 
 @dataclass(frozen=True, eq=False)
 class FiniteMPSystem:
@@ -50,6 +62,13 @@ class FiniteMPSystem:
     `mapping` is the same permutation as a tuple of Python ints, built on
     first read.  Powers of T come from repeated squaring of the array;
     nothing about them is cached.
+
+    A system's arrays are the largest a query holds, so building one of
+    at least _TRIM_POINTS points hands the C heap's free pages back
+    (malloc_trim) once it holds its permutation.  Otherwise its powers
+    land in whatever holes earlier work freed, which stay resident, and
+    the same `ergodic` query peaked at 72 or 80 MB in one process by the
+    seeds of the queries before it.
     """
 
     permutation: np.ndarray
@@ -57,6 +76,8 @@ class FiniteMPSystem:
     def __post_init__(self):
         message = "mapping is not a permutation"
         perm = _int64_array(self.permutation, message)
+        if _malloc_trim is not None and perm.size >= _TRIM_POINTS:
+            _malloc_trim(0)
         n = perm.size
         if not n:
             raise ValueError("system must be nonempty")
@@ -86,7 +107,9 @@ class FiniteMPSystem:
         if m * m > SYSTEM_BUDGET:
             raise ValueError(f"system budget exceeded: need at most {SYSTEM_BUDGET} points")
         xs = np.arange(m, dtype=np.int64)
-        image = ((xs + a % m) % m * m)[:, None] + (xs[:, None] + xs) % m
+        image = np.add(xs[:, None], xs)  # in place: no freed temporaries
+        np.remainder(image, m, out=image)
+        image += ((xs + a % m) % m * m)[:, None]
         return cls(image.ravel())
 
     @classmethod

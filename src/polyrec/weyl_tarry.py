@@ -6,9 +6,10 @@ to the number of 2K-tuples solving sum P(n_j) = sum P(m_j) mod N, which
 in turn (once N dwarfs the value spread) equals the integer-side count.
 The classical diagonal count J(K, k, M) of tuples matching all power sums
 n^i, i <= k, is counted exactly too.  Every count here is a sum of squared
-K-fold sum multiplicities, built by one shift-and-add kernel on a dense
-array (cyclic, a line, or a box of power-sum signatures), or by grouping
-the M^K signature sums when the box would be too large.
+K-fold sum multiplicities, built one layer at a time over the support of
+the layer before: by one shift-and-add kernel over flat keys of the box of
+power-sum signatures (or residues mod N), or by grouping the signature sums
+with one sort per layer when the box would be too large.
 """
 
 from __future__ import annotations
@@ -42,17 +43,30 @@ __all__ = [
 SIGNATURE_BUDGET = 5_000_000
 #: Admission of grouping: at most this many weighted key entries, M^K K-fold
 #: sums per signature column, a column summed in Python integers counting
-#: _OBJECT_WEIGHT (its sums and their ranking took 25-30 times as long).
+#: _OBJECT_WEIGHT (its sums and their ranking took 25-30 times as long), or
+#: _LAYER_ENTRIES per layer and column.
 MITM_BUDGET = 20_000_000
 #: Admission of shift-and-add, in element adds (a Python-integer add counts
-#: _OBJECT_WEIGHT): about as long as a grouping at MITM_BUDGET (2-5 s) at
-#: 0.9-2.1e9 int64 adds/s.
+#: _OBJECT_WEIGHT plus _WORD_WEIGHT per word) plus _LAYER_ADDS per layer:
+#: about as long as a grouping at MITM_BUDGET (2-5 s) at 0.9-2.1e9 int64 adds/s.
 DENSE_BUDGET = 4_000_000_000
 #: Highest degree k of a power-sum count: its table n, ..., n^k takes
 #: k(k+1)/2 Horner passes, and past n^63 every column is in Python integers.
 DEGREE_BUDGET = 64
 #: Cost of one Python-integer add or key entry, in int64 ones.
 _OBJECT_WEIGHT = 50
+#: Further cost of a Python-integer add per 64-bit word of the largest count,
+#: M^(2K), in int64 adds (measured: 22 ns per add, plus 1.75 ns per word).
+_WORD_WEIGHT = 2
+#: Fixed cost of one layer, whatever its size: in int64 adds for a
+#: shift-and-add (measured 3-7 us at M = 1), and in key entries per key
+#: column for a grouping (measured 1.3-2.5 us per column, 50-60 ns per entry).
+_LAYER_ADDS = 16_000
+_LAYER_ENTRIES = 40
+#: A layer of a shift-and-add whose keys fill at least 1/_RUN_DENSITY of
+#: their run [lo, hi] is added as that run, by slices: an add by index took
+#: about 28 times as long per key as an add by slice per entry.
+_RUN_DENSITY = 16
 #: Largest modulus N of a Weyl sum.  A `weyl` query grows by about 64 bytes
 #: per N (the point masses, their transform and its magnitudes), to a peak
 #: RSS of 641 MiB at this budget, about what a grouping at MITM_BUDGET takes.
@@ -137,35 +151,50 @@ def wrap_free(poly: IntPolynomial, m: int, n_modulus: int, k_order: int) -> bool
     return k_order * (hi - lo) < n_modulus
 
 
-def _shift_add_square_sum(points: np.ndarray, mult: np.ndarray, k_order: int,
+def _shift_add_square_sum(keys: np.ndarray, mult: np.ndarray, k_order: int,
                           modulus: Optional[int] = None) -> int:
-    """sum_c r(c)^2, where r(c) counts K-tuples of points summing to c.
+    """sum_c r(c)^2, where r(c) counts K-tuples of table rows whose keys sum to c.
 
-    points holds D distinct nonnegative offset vectors (shape D x dims)
-    carrying multiplicities mult.  The K-fold sum distribution r is built
-    layer by layer on a dense array by exact shift-and-add: each layer
-    adds one shifted copy of the previous layer per distinct point, so a
-    layer costs O(D * size).  With a modulus the array is cyclic of that
-    length (one dimension); otherwise it is a line or box that grows to
-    the K-fold sum range and no further, in mult's dtype (int64 or object).
+    keys holds the D distinct sorted keys of the rows, with multiplicities
+    mult in the dtype of the counts (int64 or object): flat keys of a box
+    whose coordinates cannot carry in a K-fold sum, or residues mod N.  The
+    K-fold sum distribution r is built one layer at a time over the support
+    of the layer before it: for each row p, r_{f+1}[keys_f + p] +=
+    r_f[keys_f] * mult(p), into one dense array spanning layer f + 1 (the
+    cyclic array of length N with a modulus), which merges equal keys.  A
+    layer whose keys fill at least 1/_RUN_DENSITY of their run is added as
+    that run, by slices.  Keys are taken from the first key of the table and
+    of each layer: that translates r, which leaves sum_c r(c)^2 as it is.
+    The last layer is square-summed as its dense array.
     """
-    extent = points.max(axis=0) + 1
-    layer = np.zeros((modulus,) if modulus else tuple(extent), dtype=mult.dtype)
-    layer[tuple(points.T)] = mult
+    shifts = keys - keys[0]
+    # layer f: the counts layer at the keys index, or on the run of keys from
+    # 0 when index is None
+    index, layer = shifts, mult
     for fold in range(2, k_order + 1):
-        shape = (modulus,) if modulus else tuple(fold * (extent - 1) + 1)
-        nxt = np.zeros(shape, dtype=mult.dtype)
-        for point, count in zip(points, mult):
-            copy = layer if count == 1 else layer * count
-            if modulus:
-                r = int(point[0])
-                nxt[r:] += copy[:modulus - r]
-                nxt[:r] += copy[modulus - r:]
+        run = layer.size if index is None else int(index[-1]) + 1
+        if index is not None and run <= _RUN_DENSITY * index.size:
+            dense = np.zeros(run, dtype=mult.dtype)
+            dense[index] = layer
+            index, layer = None, dense
+        acc = np.zeros(modulus or run + int(shifts[-1]), dtype=mult.dtype)
+        for at, count in zip(shifts.tolist(), mult):
+            add = layer if count == 1 else layer * count
+            wraps = modulus and at + run > modulus
+            if index is not None:
+                acc[(index + at) % modulus if wraps else index + at] += add
+            elif wraps:
+                acc[at:] += add[:modulus - at]
+                acc[:at + run - modulus] += add[modulus - at:]
             else:
-                nxt[tuple(slice(o, o + e) for o, e in zip(point, layer.shape))] += copy
-        layer = nxt
-    flat = layer.ravel()
-    return int(np.dot(flat, flat))
+                acc[at:at + run] += add
+        index, layer = None, acc
+        if fold < k_order:
+            hit = acc != 0
+            if acc.size > _RUN_DENSITY * np.count_nonzero(hit):
+                support = np.flatnonzero(hit)
+                index, layer = support - support[0], acc[support]
+    return int(np.dot(layer, layer))
 
 
 def _power_at_most(base: int, exponent: int, limit: int) -> bool:
@@ -182,39 +211,69 @@ def _sums_fit(k_order: int, span: int) -> bool:
     return k_order * span < 2 ** 63
 
 
-def _grouped_square_sum(columns: Sequence[np.ndarray], k_order: int) -> int:
-    """sum over classes of K-tuples with equal signature sums of class size^2.
-
-    columns[i][n] is coordinate i of the signature of the n-th point; all
-    M^K tuples are enumerated and grouped by one lexicographic sort of
-    their summed signatures, each coordinate offset to start at 0.  A
-    coordinate whose K-fold sums could pass int64 is summed in Python
-    integers and replaced by its rank.
-    """
-    keys = []
-    for col in columns:
-        low = col.min()
-        fits = _sums_fit(k_order, int(col.max()) - int(low))
-        base = (col - low).astype(np.int64 if fits else object)
-        sums = base
-        for _ in range(k_order - 1):
-            sums = (sums[:, None] + base[None, :]).ravel()
-        keys.append(sums if fits else np.unique(sums, return_inverse=True)[1])
+def _classes(columns: list[np.ndarray], counts: Optional[np.ndarray],
+             keep: bool) -> tuple[list[np.ndarray], Optional[np.ndarray]]:
+    """Rows of the key columns merged by one lexicographic sort: one row per
+    class of equal rows (if keep; else the columns as they are) and each
+    class's summed counts (counts None: all 1), None while every class is
+    one row of count 1.  A Python-integer column is sorted by its rank."""
+    keys = [c if c.dtype != object else np.unique(c, return_inverse=True)[1]
+            for c in columns]
     order = np.lexsort(keys)
     starts = np.zeros(order.size, dtype=bool)
     starts[0] = True
     for key in keys:
         ranked = key[order]
         starts[1:] |= ranked[1:] != ranked[:-1]
-    sizes = np.diff(np.append(np.flatnonzero(starts), order.size))
-    return int(np.dot(sizes, sizes))
+    del ranked  # one key's worth of memory, before the classes are listed
+    first = np.flatnonzero(starts)
+    if counts is None and first.size == order.size:
+        return columns, None
+    if counts is None:
+        counts = np.diff(np.append(first, order.size))
+    else:
+        counts = np.add.reduceat(counts[order], first)
+    return [c[order[first]] for c in columns] if keep else columns, counts
+
+
+def _grouped_square_sum(columns: Sequence[np.ndarray], k_order: int) -> int:
+    """sum over classes of K-tuples with equal signature sums of class size^2.
+
+    columns[i][n] is coordinate i of the signature of the n-th point, each
+    offset to start at 0; a coordinate whose K-fold sums could pass int64 is
+    summed in Python integers.  The K-fold sums are built one layer at a
+    time: layer f + 1 adds each distinct table row to each distinct sum of
+    layer f, and equal sums are merged by one sort (_classes) adding their
+    int64 counts, which exist only once one is not 1.  With one distinct
+    table row no two sums are equal, and no layer is sorted.
+    """
+    base = []
+    for col in columns:
+        low = col.min()
+        fits = _sums_fit(k_order, int(col.max()) - int(low))
+        base.append((col - low).astype(np.int64 if fits else object))
+    layer, mult = _classes(base, None, keep=k_order > 1)
+    rows, counts, distinct = [c[None, :] for c in layer], mult, layer[0].size
+    for fold in range(2, k_order + 1):
+        if counts is not None or mult is not None:
+            counts = np.outer(np.ones(layer[0].size, np.int64) if counts is None else counts,
+                              np.ones(distinct, np.int64) if mult is None else mult).ravel()
+        layer = [(a[:, None] + b).ravel() for a, b in zip(layer, rows)]
+        if distinct > 1:
+            layer, counts = _classes(layer, counts, keep=fold < k_order)
+    # counts <= M^K <= MITM_BUDGET
+    return layer[0].size if counts is None else int(np.dot(counts, counts))
 
 
 def _dense_work(m: int, k_order: int, inner: int, last: int, rows: int) -> int:
     """Weighted adds of a shift-and-add: rows adds onto layers of inner
-    entries in all, then the last layer's squares (see _equal_sums)."""
-    weight = 1 if _power_at_most(m, 2 * k_order, 2 ** 62) else _OBJECT_WEIGHT
-    return weight * (rows * inner + last)
+    entries in all, then the last layer's squares, and a fixed cost per
+    layer (see _equal_sums)."""
+    weight = 1
+    if not _power_at_most(m, 2 * k_order, 2 ** 62):  # counts in Python integers
+        words = int(2 * k_order * math.log2(m)) // 64 + 1
+        weight = _OBJECT_WEIGHT + _WORD_WEIGHT * words
+    return weight * (rows * inner + last) + _LAYER_ADDS * k_order
 
 
 def _mod_refusal(m: int, n_modulus: int, k_order: int) -> Optional[str]:
@@ -239,13 +298,16 @@ def _equal_sums(polys: Sequence[IntPolynomial], k_order: int, m: int,
     """sum_c r(c)^2 and its route, r(c) the number of K-tuples of n in [1, M]
     whose value rows (P_1(n), ..., P_l(n)) sum to c, mod N with a modulus.
 
-    Counts mod N add on a cyclic array; integer counts go by the box estimate.
-    Grouping is admitted while max(M^K, K) sum_i w_i <= MITM_BUDGET, w_i = 1
-    for a column whose sums fit int64 and _OBJECT_WEIGHT else; adding while
-    its element adds D sum_{f<K} |layer f| + |layer K|, D <= min(M, N) rows,
-    stay within DENSE_BUDGET (mod N: also N <= WEYL_N_BUDGET).  Closed-form
-    spans hi_i - lo_i settle both before the table, and no power of M is
-    formed far past a budget.
+    Counts mod N add on a cyclic array; integer counts go by the box estimate,
+    and add over flat keys of that box.  Grouping is admitted while
+    max(M^K sum_i w_i, _LAYER_ENTRIES K l) <= MITM_BUDGET, w_i = 1 for a
+    column whose sums fit int64 and _OBJECT_WEIGHT else; adding while its
+    element adds D sum_{f<K} |layer f| + |layer K|, D <= min(M, N) rows, each
+    weighted by the word length of M^(2K) past int64, plus _LAYER_ADDS per
+    layer stay within DENSE_BUDGET (mod N: also N <= WEYL_N_BUDGET).  Both
+    price the whole layer, a bound on the support each route works over.
+    Closed-form spans hi_i - lo_i settle both before the table, and no power
+    of M is formed far past a budget.
     """
     def table():
         cols = [p.values(np.arange(1, m + 1)) for p in polys]
@@ -265,23 +327,31 @@ def _equal_sums(polys: Sequence[IntPolynomial], k_order: int, m: int,
         elif method == "convolution" and box > SIGNATURE_BUDGET:
             raise ValueError("signature budget exceeded; use method='mitm'")
     if method == "mitm":
-        # M^K sums per column, formed in K - 1 steps (so at least K of them)
+        # at most M^K sums per column, formed in K layers
         weight = sum(1 if _sums_fit(k_order, s) else _OBJECT_WEIGHT for s in spans)
-        if (k_order * weight > MITM_BUDGET
+        if (_LAYER_ENTRIES * k_order * len(spans) > MITM_BUDGET
                 or not _power_at_most(m, k_order, MITM_BUDGET // weight)):
             raise ValueError(f"meet-in-the-middle budget exceeded: weighted M^K > "
                              f"{MITM_BUDGET}")
         return _grouped_square_sum(columns or table(), k_order), method
     if method != "convolution":
         raise ValueError(f"unknown method {method!r}")
-    if not modulus:  # box <= SIGNATURE_BUDGET bounds K, so the layers are few
-        sizes = [math.prod(f * s + 1 for s in spans) for f in range(1, k_order + 1)]
-        if _dense_work(m, k_order, sum(sizes[:-1]), sizes[-1], m) > DENSE_BUDGET:
-            raise ValueError(f"shift-and-add budget exceeded: weighted adds > {DENSE_BUDGET}")
+    if not modulus and (  # the cost per layer bounds K before the layers are summed
+            _LAYER_ADDS * k_order > DENSE_BUDGET
+            or _dense_work(m, k_order,
+                           sum(math.prod(f * s + 1 for s in spans) for f in range(1, k_order)),
+                           math.prod(k_order * s + 1 for s in spans), m) > DENSE_BUDGET):
+        raise ValueError(f"shift-and-add budget exceeded: weighted adds > {DENSE_BUDGET}")
     # count <= M^(2K)
     dtype = np.int64 if _power_at_most(m, 2 * k_order, 2 ** 62) else object
-    offsets = np.stack([c - c.min() for c in columns or table()], axis=1)
-    rows, mult = np.unique(offsets.astype(np.int64), axis=0, return_counts=True)
+    if modulus:
+        keys = (columns or table())[0].astype(np.int64)
+    else:  # one flat key per row, in radix K span_i + 1 so K-fold sums never carry
+        keys = np.zeros(m, dtype=np.int64)
+        for c in columns or table():
+            offset = (c - c.min()).astype(np.int64)
+            keys = keys * (k_order * int(offset.max()) + 1) + offset
+    rows, mult = np.unique(keys, return_counts=True)
     return _shift_add_square_sum(rows, mult.astype(dtype), k_order, modulus), method
 
 

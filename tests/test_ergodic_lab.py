@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polyrec import ergodic_lab
 from polyrec.ergodic_lab import (TIMES_BUDGET, FiniteMPSystem, griesmer_search,
                                  khintchine_search, recurrence_measure)
 
@@ -34,6 +35,19 @@ def test_skew_product_is_a_bijection():
     assert sorted(sysm.mapping) == list(range(16))
     # (x, y) -> (x+1, y+x): point (2, 3) goes to (3, 1)
     assert sysm.mapping[2 * 4 + 3] == 3 * 4 + 1
+
+
+def test_building_a_system_hands_the_heaps_free_pages_back_first(monkeypatch):
+    # a system's arrays must not land in resident holes earlier work left:
+    # its peak memory would depend on that work
+    calls = []
+    monkeypatch.setattr(ergodic_lab, "_malloc_trim", calls.append)
+    FiniteMPSystem.skew_product(128)  # 2^14 points
+    FiniteMPSystem.rotation(2 ** 14).power_system(3)
+    assert calls == [0, 0, 0]
+    FiniteMPSystem.skew_product(127)
+    FiniteMPSystem.rotation(2 ** 14 - 1)
+    assert calls == [0, 0, 0]
 
 
 def test_power_map_matches_iteration():

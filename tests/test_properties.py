@@ -282,6 +282,49 @@ def test_tarry_count_poly_matches_oracle(poly, k_order, m, scale):
     assert out.method == ("convolution" if box <= SIGNATURE_BUDGET else "mitm")
 
 
+@PROPERTY
+@given(k_order=st.integers(1, 4), degree=st.integers(1, 3), m=st.integers(1, 12))
+@example(k_order=50, degree=1, m=1)    # fifty layers of one sum
+@example(k_order=4, degree=2, m=12)    # sparse signature layers
+def test_both_tarry_routes_forced_match_the_oracles(k_order, degree, m):
+    want = naive_tarry(k_order, degree, m) if m ** (2 * k_order) <= 20_000 \
+        else grouped_tarry(k_order, degree, m)
+    assert tarry_count(k_order, degree, m, method="mitm").count == want
+    box = math.prod(k_order * m ** i + 1 for i in range(1, degree + 1))
+    if box > SIGNATURE_BUDGET:
+        with pytest.raises(ValueError, match="signature budget exceeded"):
+            tarry_count(k_order, degree, m, method="convolution")
+    else:
+        assert tarry_count(k_order, degree, m, method="convolution").count == want
+
+
+@PROPERTY
+@given(poly=polynomials(max_coeff=5), k_order=st.integers(1, 3), m=st.integers(1, 5),
+       scale=st.sampled_from([1, 10 ** 6]))
+@example(poly=IntPolynomial((-3, 1)), k_order=1, m=3, scale=10 ** 6)  # -2e6, -2e6, 0: 5
+@example(poly=IntPolynomial((-3, 1)), k_order=3, m=3, scale=1)        # a row counted twice
+@example(poly=IntPolynomial((1,)), k_order=50, m=1, scale=1)
+def test_polynomial_counts_on_either_route_match_the_oracle(poly, k_order, m, scale):
+    # a signature budget of 0 sends every count to grouping
+    poly = IntPolynomial(tuple(c * scale for c in poly.coefficients))
+    want = naive_count_solutions(poly, m, k_order)
+    assert tarry_count_poly(poly, k_order, m).count == want
+    with mock.patch.object(weyl_tarry, "SIGNATURE_BUDGET", 0):
+        out = tarry_count_poly(poly, k_order, m)
+    assert (out.count, out.method) == (want, "mitm")
+
+
+@PROPERTY
+@given(poly=polynomials(max_coeff=6), m=st.integers(1, 6), k_order=st.integers(1, 3))
+@example(poly=IntPolynomial((-1,)), m=6, k_order=3)  # residues N - n: the sums wrap
+@example(poly=IntPolynomial((-3, 1)), m=4, k_order=3)  # -2, -2, 0, 4: a residue twice
+def test_sparse_cyclic_counts_match_the_oracle(poly, m, k_order):
+    # the layers hit at most C(M + K - 1, K) of the 10^6 + 3 residues
+    n_modulus = 10 ** 6 + 3
+    want = naive_count_solutions_mod(poly, m, n_modulus, k_order)
+    assert count_solutions_mod(poly, m, n_modulus, k_order) == want
+
+
 def _count_or_refusal(count, *args):
     try:
         out = count(*args)

@@ -239,3 +239,22 @@ def test_tarry_count_refuses_a_degree_past_its_budget_before_any_monomial():
     with mock.patch.object(weyl_tarry, "IntPolynomial", side_effect=AssertionError("built")):
         with pytest.raises(ValueError, match="degree budget exceeded: need k <= 64"):
             tarry_count(2, 10 ** 6, 2)
+
+
+def test_pricing_weighs_python_integers_by_word_length_and_charges_each_layer():
+    # a flat weight per Python-integer add admitted this (20.3 s); with no cost
+    # per layer both routes admitted a million layers of one entry (12.9 s, 1.8 s)
+    assert not count_mod_admitted(5, 7, 100_000)
+    with pytest.raises(ValueError, match="shift-and-add budget exceeded"):
+        count_solutions_mod(IntPolynomial((0, 1)), 5, 7, 100_000)
+    for method, refusal in [("auto", "shift-and-add"), ("mitm", "meet-in-the-middle")]:
+        with pytest.raises(ValueError, match=f"{refusal} budget exceeded"):
+            tarry_count(1_000_000, 1, 1, method)
+    # the rules' own edges are admitted: 16,000 adds or 40 entries per layer
+    assert count_mod_admitted(5, 7, 26_364) and not count_mod_admitted(5, 7, 26_365)
+    with mock.patch.object(weyl_tarry, "_shift_add_square_sum", return_value=1), \
+            mock.patch.object(weyl_tarry, "_grouped_square_sum", return_value=1):
+        assert tarry_count(249_984, 1, 1).count == 1
+        assert tarry_count(500_000, 1, 1, "mitm").count == 1
+        with pytest.raises(ValueError, match="meet-in-the-middle budget exceeded"):
+            tarry_count(500_001, 1, 1, "mitm")

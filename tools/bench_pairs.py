@@ -7,9 +7,13 @@ pairs, and write the result as a BENCH_<pr>.json file.
 
 The parent side is `git archive` of --parent-rev (default HEAD: the
 last commit, against uncommitted changes), unpacked into a temporary
-directory; the change side is this checkout as it is on disk.  The
-revision is resolved to its commit hash, which the output records, and
-a run whose tracked files do not differ from that commit is refused.
+directory; the change side is a copy of this checkout's files as they are
+on disk (tracked, and untracked but not ignored), in a second temporary
+directory whose path has the same length: the heap layout, and with it
+the desk-mix peak RSS (72 or 80 MB), moved with the length of the path a
+tree ran from.  The revision is resolved to its commit hash, which the
+output records, and a run whose tracked files do not differ from that
+commit is refused.
 perfbench sets the run length.
 For each workload and seed, one `perfbench/run.py --trace 0` run per side
 makes a pair; the parent runs first on the 1st, 3rd, ... pair and second
@@ -24,7 +28,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -53,6 +59,20 @@ def _unpack(rev: str, dest: Path) -> None:
     with tarfile.open(archive) as tar:
         tar.extractall(dest / "tree", filter="data")
     archive.unlink()
+
+
+def _copy_checkout(dest: Path) -> None:
+    """This checkout's tracked and untracked, not ignored, files as they are
+    on disk, copied under dest / 'tree'."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                             "--exclude-standard"], cwd=ROOT, capture_output=True,
+                            check=True).stdout
+    for name in filter(None, listed.split(b"\0")):
+        source = ROOT / os.fsdecode(name)
+        if source.is_file():  # a tracked file deleted on disk is left out
+            target = dest / "tree" / os.fsdecode(name)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target)
 
 
 def _run(side: str, tree: Path, workload: str, seed: int, trace: int) -> dict:
@@ -146,7 +166,8 @@ def main(argv=None) -> int:
         "what": args.what,
         "how": (f"python3 tools/bench_pairs.py: python3 perfbench/run.py --workload W "
                 f"--seed S --trace 0 in a `git archive` of commit {parent} "
-                "and in this checkout, one pair per seed and workload, "
+                "and in a copy of this checkout, at paths of the same length, "
+                "one pair per seed and workload, "
                 "the parent first on the 1st, 3rd, ... pair; medians and inclusive "
                 "quartiles over the pairs.  Traced layers: --trace 1 runs."),
         "seeds": args.seeds,
@@ -156,9 +177,11 @@ def main(argv=None) -> int:
         "traced": {},
         "machine": {},
     }
-    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp, \
+            tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp_change:
         _unpack(parent, Path(tmp))
-        trees = {"parent": Path(tmp) / "tree", "change": ROOT}
+        _copy_checkout(Path(tmp_change))
+        trees = {"parent": Path(tmp) / "tree", "change": Path(tmp_change) / "tree"}
         for workload in workload_names:
             out["workloads"][workload], machine = _pairs(
                 trees, workload, args.seeds, metrics)
