@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .intset import _int64_array
+from .intset import _Fresh, _int64_array
 from .zn_fourier import ExactnessError
 
 __all__ = [
@@ -35,8 +35,8 @@ __all__ = [
 ]
 
 #: Most points of a rotation or skew product.  An `ergodic` query takes about
-#: 38 bytes a point (the permutation, three arrays of a power, the masks):
-#: 565-582 MB peak RSS at this budget.
+#: 34 bytes a point (the permutation and three arrays of a power, 8 bytes
+#: each, and the masks): 564 MiB peak RSS at this budget.
 SYSTEM_BUDGET = 2 ** 24
 #: Most times of a search: a Griesmer red matrix holds one byte per pair of
 #: times, and a Khintchine scan may read every pair.
@@ -54,14 +54,25 @@ except (AttributeError, OSError, TypeError):  # another C library
     _malloc_trim = None
 
 
+def _rotated(m: int, a: int) -> np.ndarray:
+    """x -> (x + a) mod m on 0..m-1, as a new int64 array."""
+    shift = a % m
+    image = np.arange(shift, shift + m, dtype=np.int64)
+    image[m - shift:] -= m  # x + shift < 2m: one subtraction reduces it
+    return image
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteMPSystem:
     """A bijection of {0, ..., m-1} with uniform measure, held as a
     read-only int64 array.
 
-    `mapping` is the same permutation as a tuple of Python ints, built on
-    first read.  Powers of T come from repeated squaring of the array;
-    nothing about them is cached.
+    A permutation a caller passes is copied and checked.  rotation,
+    skew_product and power_system build their array themselves and hand
+    it over, so a system holds the one array it was built in.  `mapping`
+    is the same permutation as a tuple of Python ints, built on first
+    read.  Powers of T come from repeated squaring of the array; nothing
+    about them is cached.
 
     A system's arrays are the largest a query holds, so building one of
     at least _TRIM_POINTS points hands the C heap's free pages back
@@ -74,19 +85,21 @@ class FiniteMPSystem:
     permutation: np.ndarray
 
     def __post_init__(self):
-        message = "mapping is not a permutation"
-        perm = _int64_array(self.permutation, message)
+        if isinstance(self.permutation, _Fresh):
+            perm = self.permutation.arr
+        else:
+            message = "mapping is not a permutation"
+            perm = _int64_array(self.permutation, message)
+            if not perm.size:
+                raise ValueError("system must be nonempty")
+            if perm.min() < 0 or perm.max() >= perm.size:
+                raise ValueError(message)
+            seen = np.zeros(perm.size, dtype=bool)
+            seen[perm] = True
+            if not seen.all():
+                raise ValueError(message)
         if _malloc_trim is not None and perm.size >= _TRIM_POINTS:
             _malloc_trim(0)
-        n = perm.size
-        if not n:
-            raise ValueError("system must be nonempty")
-        if perm.min() < 0 or perm.max() >= n:
-            raise ValueError(message)
-        seen = np.zeros(n, dtype=bool)
-        seen[perm] = True
-        if not seen.all():
-            raise ValueError(message)
         perm.setflags(write=False)
         object.__setattr__(self, "permutation", perm)
 
@@ -97,7 +110,7 @@ class FiniteMPSystem:
             raise ValueError("need m >= 1")
         if m > SYSTEM_BUDGET:
             raise ValueError(f"system budget exceeded: need at most {SYSTEM_BUDGET} points")
-        return cls((np.arange(m, dtype=np.int64) + a % m) % m)
+        return cls(_Fresh(_rotated(m, a)))
 
     @classmethod
     def skew_product(cls, m: int, a: int = 1) -> "FiniteMPSystem":
@@ -106,11 +119,12 @@ class FiniteMPSystem:
             raise ValueError("need m >= 1")
         if m * m > SYSTEM_BUDGET:
             raise ValueError(f"system budget exceeded: need at most {SYSTEM_BUDGET} points")
+        # (x + y) mod m for x + y < 2m: row x is a window of 0..m-1 twice over
         xs = np.arange(m, dtype=np.int64)
-        image = np.add(xs[:, None], xs)  # in place: no freed temporaries
-        np.remainder(image, m, out=image)
-        image += ((xs + a % m) % m * m)[:, None]
-        return cls(image.ravel())
+        image = np.lib.stride_tricks.sliding_window_view(np.tile(xs, 2), m)[:m].copy()
+        # in place: a ufunc reading the overlapping windows buffers a copy of them
+        image += (_rotated(m, a) * m)[:, None]
+        return cls(_Fresh(image.reshape(-1)))
 
     @classmethod
     def from_permutation(cls, perm: Sequence[int]) -> "FiniteMPSystem":
@@ -146,29 +160,34 @@ class FiniteMPSystem:
         return math.lcm(*{len(cycle) for cycle in self.cycles()})
 
     def _power(self, shift: int) -> np.ndarray:
-        """T^shift as an int64 array (see power_map).
+        """T^shift as a new int64 array (see power_map).
 
-        Works in three arrays of the system's size whatever the shift, so
-        its memory does not depend on how many bits the shift has.
+        The first square that a set bit of |shift| names is copied out, and
+        each later one is gathered into it.  Works in three arrays of the
+        system's size whatever the shift, so its memory does not depend on
+        how many bits the shift has.
         """
-        out = np.arange(self.size, dtype=np.int64)
-        step, spare = np.empty_like(out), np.empty_like(out)
+        step, spare = np.empty(self.size, dtype=np.int64), np.empty(self.size, dtype=np.int64)
         if shift < 0:
-            step[self.permutation] = out
+            step[self.permutation] = np.arange(self.size, dtype=np.int64)
             shift = -shift
         else:
             np.copyto(step, self.permutation)
+        out = None
         while shift:
             # step is T^(2^i) (or its inverse) while bit i of |shift| is read;
-            # mode="clip" writes straight into spare (indices are in range)
+            # mode="clip" writes straight into the output (indices are in range)
             if shift & 1:
-                np.take(step, out, out=spare, mode="clip")
-                out, spare = spare, out
+                if out is None:
+                    out = step.copy()
+                else:
+                    np.take(step, out, out=spare, mode="clip")
+                    out, spare = spare, out
             shift >>= 1
             if shift:
                 np.take(step, step, out=spare, mode="clip")
                 step, spare = spare, step
-        return out
+        return np.arange(self.size, dtype=np.int64) if out is None else out
 
     def power_map(self, shift: int) -> tuple[int, ...]:
         """T^shift as a permutation tuple; shift may be negative or huge.
@@ -182,7 +201,7 @@ class FiniteMPSystem:
 
     def power_system(self, c: int) -> "FiniteMPSystem":
         """The system with map T^c on the same space."""
-        return FiniteMPSystem(self._power(c))
+        return FiniteMPSystem(_Fresh(self._power(c)))
 
     def validate_subset(self, subset) -> np.ndarray:
         """The subset as a boolean mask over the points.

@@ -12,8 +12,9 @@ import numpy as np
 __all__ = ["IntegerSet", "generate_set", "bernoulli_mask"]
 
 #: Largest ambient n of a set.  A `decompose` query takes about 160 bytes per
-#: point (260 at a prime n, whose transform pads): peak RSS 283-350 MB at this
-#: budget (470-554 MB at a prime n); a `search` takes 105 MB.
+#: point (260 at a prime n, whose transform pads): peak RSS 270-328 MiB at this
+#: budget (481-526 MiB at a prime n); a `search` takes 36-48 MiB, its set one
+#: byte a point as a mask.
 AMBIENT_BUDGET = 2_000_000
 #: Draws per block in bernoulli_mask (64 KiB of float64 scratch).
 _DRAW_BLOCK = 8192
@@ -55,37 +56,72 @@ def _sorted_distinct(arr: np.ndarray) -> np.ndarray:
     return arr[keep]
 
 
-@dataclass(frozen=True, eq=False)
-class IntegerSet:
-    """A subset of [1, n], held as a sorted, read-only int64 array.
-    Element n plays the role of 0 when the set is read modulo n.
+class _Fresh:
+    """An array made inside this package and referenced nowhere else,
+    handed to the object built from it (IntegerSet, FiniteMPSystem,
+    ZnFunction, Spectrum) without a copy or a check."""
 
-    The constructor takes any iterable of integers (an integral float
-    such as 7.0 counts, duplicates are dropped) or an integer array.
-    `elements` is the same set as a tuple of Python ints, built on first
-    read.
+    __slots__ = ("arr",)
+
+    def __init__(self, arr: np.ndarray):
+        self.arr = arr
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class IntegerSet:
+    """A subset of [1, n].  Element n plays the role of 0 when the set is
+    read modulo n.
+
+    A set keeps the form it was built in and derives the other on first
+    read, as a cached read-only array: `array` holds the elements sorted,
+    in int64, and `mask` is the boolean array whose entry i says whether
+    i + 1 is an element.  The constructor takes any iterable of integers
+    (an integral float such as 7.0 counts, duplicates are dropped) or an
+    integer array, copies and checks it and keeps the sorted array, so a
+    sparse set in a huge [1, n] builds no mask unless one is read.
+    generate_set hands over the mask it draws or fills.  `elements` is
+    the same set as a tuple of Python ints, built on first read.
     """
 
     n: int
-    array: np.ndarray
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, array):
+        if n < 1:
             raise ValueError("ambient bound must be a positive integer")
-        message = f"elements must lie in [1, {self.n}]"
-        arr = _sorted_distinct(_int64_array(self.array, message))
-        if arr.size and (arr[0] < 1 or arr[-1] > self.n):
-            raise ValueError(message)
+        if isinstance(array, _Fresh):
+            arr = array.arr
+        else:
+            message = f"elements must lie in [1, {n}]"
+            arr = _sorted_distinct(_int64_array(array, message))
+            if arr.size and (arr[0] < 1 or arr[-1] > n):
+                raise ValueError(message)
         arr.setflags(write=False)
-        object.__setattr__(self, "array", arr)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "mask" if arr.dtype == bool else "array", arr)
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        arr = np.flatnonzero(self.mask)
+        arr += 1
+        arr.setflags(write=False)
+        return arr
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        mask = np.zeros(self.n, dtype=bool)
+        mask[self.array - 1] = True
+        mask.setflags(write=False)
+        return mask
 
     @cached_property
     def elements(self) -> tuple[int, ...]:
         return tuple(self.array.tolist())
 
-    @property
+    @cached_property
     def size(self) -> int:
-        return int(self.array.size)
+        if "array" in vars(self):
+            return int(self.array.size)
+        return int(np.count_nonzero(self.mask))
 
     @property
     def density(self) -> Fraction:
@@ -98,6 +134,8 @@ class IntegerSet:
     def __contains__(self, x) -> bool:
         if not 1 <= x <= self.n:
             return False
+        if "mask" in vars(self):
+            return int(x) == x and bool(self.mask[int(x) - 1])
         i = int(np.searchsorted(self.array, x))
         return i < self.array.size and bool(self.array[i] == x)
 
@@ -110,7 +148,8 @@ class IntegerSet:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.n == other.n and np.array_equal(self.array, other.array)
+        form = "mask" if "mask" in vars(self) and "mask" in vars(other) else "array"
+        return self.n == other.n and np.array_equal(getattr(self, form), getattr(other, form))
 
     def __hash__(self):
         return hash((self.n, self.array.tobytes()))
@@ -149,26 +188,24 @@ def generate_set(kind: str, n: int, *, start: int = 1, step: int = 1,
     kind 'full' is all of [1, n]; 'evens' the even numbers; 'ap' the
     arithmetic progression start, start+step, ... capped at n; 'random'
     keeps each element independently with the given density, drawn from
-    the Mersenne Twister seeded with `seed` (see bernoulli_mask).  An n
-    past AMBIENT_BUDGET is refused before anything is built.
+    the Mersenne Twister seeded with `seed` (see bernoulli_mask).  Each
+    kind is built as a mask, filled by one slice or drawn, and the set
+    keeps it.  An n past AMBIENT_BUDGET is refused before anything is
+    built.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if n > AMBIENT_BUDGET:
         raise ValueError(f"ambient budget exceeded: need N <= {AMBIENT_BUDGET}")
-    if kind == "full":
-        elems = np.arange(1, n + 1, dtype=np.int64)
-    elif kind == "evens":
-        elems = np.arange(2, n + 1, 2, dtype=np.int64)
-    elif kind == "ap":
-        if step < 1 or start < 1:
-            raise ValueError("ap needs start >= 1 and step >= 1")
-        # range(start, n + 1, step) with the bounds clamped so that they fit
-        # int64; a step past n keeps only `start` either way
-        elems = np.arange(min(start, n + 1), n + 1, min(step, n), dtype=np.int64)
-    elif kind == "random":
-        elems = np.flatnonzero(bernoulli_mask(n, density, seed))
-        elems += 1
-    else:
+    if kind == "random":
+        return IntegerSet(n, _Fresh(bernoulli_mask(n, density, seed)))
+    if kind == "ap" and (step < 1 or start < 1):
+        raise ValueError("ap needs start >= 1 and step >= 1")
+    # element x sits at index x - 1; a slice past n is empty, not an error
+    picked = {"full": slice(None), "evens": slice(1, None, 2),
+              "ap": slice(start - 1, None, step)}.get(kind)
+    if picked is None:
         raise ValueError(f"unknown set kind {kind!r} (want full|evens|ap|random)")
-    return IntegerSet(n, elems)
+    mask = np.zeros(n, dtype=bool)
+    mask[picked] = True
+    return IntegerSet(n, _Fresh(mask))

@@ -18,9 +18,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .intset import IntegerSet
+from .intset import IntegerSet, _Fresh
 from .polyfam import PolynomialFamily, ShiftRange, shift_range
-from .zn_fourier import (CYCLIC, INTEGER, Spectrum, ZnFunction, _Fresh, _intersection_counts,
+from .zn_fourier import (CYCLIC, INTEGER, Spectrum, ZnFunction, _intersection_counts,
                          balanced_function, dft, ellp_norm, inverse_dft, lp_norm)
 
 __all__ = [

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 import numpy as np
 
-from .intset import IntegerSet
+from .intset import IntegerSet, _Fresh
 
 __all__ = [
     "ZnFunction",
@@ -55,16 +56,6 @@ _CHUNK_POINTS = 1 << 16
 
 class ExactnessError(ArithmeticError):
     """A computation that must be exact could not be shown to be exact."""
-
-
-class _Fresh:
-    """A complex128 array made inside this package and referenced nowhere
-    else, handed to ZnFunction or Spectrum without a copy."""
-
-    __slots__ = ("arr",)
-
-    def __init__(self, arr: np.ndarray):
-        self.arr = arr
 
 
 def _frozen_complex(values) -> np.ndarray:
@@ -155,22 +146,29 @@ def ellp_norm(spectrum: Spectrum, p: float) -> float:
     return _p_norm(spectrum.coefficients, p, 1.0)
 
 
+def _residue_mask(a: IntegerSet) -> np.ndarray:
+    """1_A on residues 0..n-1: the set's mask rolled by one, so that the
+    element n lands on residue 0.  A new array."""
+    return np.roll(a.mask, 1)
+
+
 def indicator(a: IntegerSet) -> ZnFunction:
     """0/1 indicator of A read modulo n (the element n lands on residue 0)."""
-    vals = np.zeros(a.n, dtype=np.complex128)
-    vals[a.array % a.n] = 1.0
-    return ZnFunction(a.n, _Fresh(vals))
+    return ZnFunction(a.n, _Fresh(_residue_mask(a).astype(np.complex128)))
 
 
 def balanced_function(a: IntegerSet) -> ZnFunction:
     """Indicator of A minus its density; the transform vanishes at frequency 0."""
-    vals = np.full(a.n, -float(a.density), dtype=np.complex128)
-    vals[a.array % a.n] += 1.0  # residues are distinct, so each gets one 1
+    mask = _residue_mask(a)
+    vals = mask.astype(np.complex128)
+    vals -= int(np.count_nonzero(mask)) / a.n
     return ZnFunction(a.n, _Fresh(vals))
 
 
+@cache
 def _fast_length(n: int) -> int:
-    """Smallest 5-smooth integer >= n: transform lengths the FFT does fastest."""
+    """Smallest 5-smooth integer >= n: transform lengths the FFT does fastest.
+    Cached: a lag count reads the same few lengths on every call."""
     best = 1 << max(n - 1, 0).bit_length()
     p5 = 1
     while p5 < best:
@@ -260,6 +258,11 @@ def _blocked_correlation(a: np.ndarray, b: np.ndarray, max_lag: int) -> np.ndarr
     overlap = 1 + -(-max_lag // block)
     _check_bound(size, math.log2(size) + rows,
                  _sum_squares(a) * _sum_squares(b[:span]) * overlap)
+    if rows == 1:  # all of a is one block: no layout, the FFT pads both
+        fa = np.fft.rfft(a, size)
+        prod = np.conj(fa)
+        prod *= fa if b is a else np.fft.rfft(b[:span], size)
+        return _rounded(np.fft.irfft(prod, size)[:max_lag + 1])
     ext = np.zeros(span, dtype=b.dtype)  # b cut or padded with zeros to span
     ext[:b.size] = b[:span]
     if b is a:
@@ -270,13 +273,18 @@ def _blocked_correlation(a: np.ndarray, b: np.ndarray, max_lag: int) -> np.ndarr
     blocks = blocks.reshape(rows, block)
     windows = np.lib.stride_tricks.sliding_window_view(ext, block + max_lag)[::block]
     total = np.zeros(size // 2 + 1, dtype=np.complex128)
-    step = max(1, _CHUNK_POINTS // size)
+    step = min(rows, max(1, _CHUNK_POINTS // size))
+    # every chunk is transformed into the same two buffers: no chunk maps
+    # fresh pages from the C heap
+    fa = np.empty((step, size // 2 + 1), dtype=np.complex128)
+    fw = np.empty_like(fa)
     for r in range(0, rows, step):
-        fa = np.fft.rfft(blocks[r:r + step], size, axis=1)
-        prod = np.conj(fa)
-        # one block of a against itself: its window is the block, zero-padded
-        prod *= fa if b is a and rows == 1 else np.fft.rfft(windows[r:r + step], size, axis=1)
-        total += prod.sum(axis=0)
+        k = min(step, rows - r)
+        np.fft.rfft(blocks[r:r + k], size, axis=1, out=fa[:k])
+        np.fft.rfft(windows[r:r + k], size, axis=1, out=fw[:k])
+        np.conj(fa[:k], out=fa[:k])
+        fa[:k] *= fw[:k]
+        total += fa[:k].sum(axis=0)
     return _rounded(np.fft.irfft(total, size)[:max_lag + 1])
 
 
@@ -409,14 +417,13 @@ def _intersection_counts(a: IntegerSet, shifts, mode: str) -> np.ndarray:
     n = a.n
     if not isinstance(shifts, np.ndarray):
         shifts = np.array(shifts, dtype=object)
-    ind = np.zeros(n, dtype=bool)
     if mode == INTEGER:
         lags = np.minimum(np.abs(shifts), n).astype(np.int64)  # N stands for any |s| >= N
-        ind[a.array - 1] = True
+        ind = a.mask
     elif mode == CYCLIC:
         lags = (shifts % n).astype(np.int64)
         lags = np.minimum(lags, n - lags)
-        ind[a.array % n] = True
+        ind = _residue_mask(a)
     else:
         raise ValueError(f"unknown mode {mode!r} (want {INTEGER!r} or {CYCLIC!r})")
     distinct, where = np.unique(lags, return_inverse=True)

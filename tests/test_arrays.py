@@ -7,6 +7,7 @@ plain Python loop it replaced, or for large powers the closed form of a
 rotation or skew product.
 """
 
+import itertools
 import json
 import tracemalloc
 from fractions import Fraction
@@ -19,9 +20,9 @@ from hypothesis import strategies as st
 from polyrec import ergodic_lab
 from polyrec.cli import main
 from polyrec.ergodic_lab import FiniteMPSystem, griesmer_search, recurrence_measure
-from polyrec.intset import IntegerSet, bernoulli_mask, generate_set
-from polyrec.zn_fourier import (CYCLIC, ExactnessError, _intersection_counts, balanced_function,
-                                indicator)
+from polyrec.intset import IntegerSet, _Fresh, bernoulli_mask, generate_set
+from polyrec.zn_fourier import (CYCLIC, INTEGER, ExactnessError, _intersection_counts,
+                                balanced_function, indicator)
 
 from oracles import (closed_form_power_map, naive_bernoulli, naive_cycles,
                      naive_intersection_cyclic, naive_order, naive_power_map,
@@ -110,6 +111,36 @@ def test_power_working_memory_does_not_depend_on_the_shift():
             tracemalloc.stop()
         # three arrays of the system's size, give or take a few small objects
         assert 3 * size <= peak < 3 * size + size // 8, shift
+
+
+def test_building_a_system_holds_one_array_of_its_size():
+    # the builders hand their array over: no copy sits beside it, only
+    # small temporaries (a ufunc's 64 KiB buffer among them)
+    for build, m, points in [(FiniteMPSystem.skew_product, 300, 300 ** 2),
+                             (FiniteMPSystem.rotation, 10 ** 5, 10 ** 5)]:
+        size = 8 * points
+        for a in (1, -7, 10 ** 30):
+            tracemalloc.start()
+            try:
+                build(m, a)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert size <= peak < size + size // 8, (build, a)
+
+
+@PROPERTY
+@given(kind=st.sampled_from(["rotation", "skew"]), m=st.integers(1, 60),
+       a=st.sampled_from([-7, 10 ** 30]) | st.integers(-10 ** 6, 10 ** 6),
+       c=st.integers(-10 ** 30, 10 ** 30) | st.integers(-5, 5))
+def test_built_systems_equal_their_permutation_through_the_checking_constructor(kind, m, a, c):
+    build = {"rotation": FiniteMPSystem.rotation, "skew": FiniteMPSystem.skew_product}
+    system = build[kind](m, a)
+    assert system == FiniteMPSystem(list(closed_form_power_map(kind, m, a, 1)))
+    power = system.power_system(c)
+    assert power == FiniteMPSystem(list(closed_form_power_map(kind, m, a, c)))
+    for built in (system, power):
+        assert built.permutation.dtype == np.int64 and not built.permutation.flags.writeable
 
 
 @PROPERTY
@@ -209,6 +240,64 @@ def test_integer_set_membership_and_range_errors():
     for bad in ([10 ** 30], [-10 ** 30], [0], [11]):
         with pytest.raises(ValueError, match=r"\[1, 10\]"):
             IntegerSet(10, bad)
+
+
+def _set_views(a: IntegerSet, shifts: list[int]) -> tuple:
+    """Every public view of a set, with membership read before anything
+    builds the set's other form."""
+    member = [x in a for x in range(-1, a.n + 3)] + [1.5 in a, float(a.n) in a]
+    return (member, a.array.tolist(), a.array.dtype, a.array.flags.writeable, a.elements,
+            a.size, len(a), a.density, a.residues(), list(a), hash(a),
+            a.mask.tolist(), a.mask.flags.writeable,
+            indicator(a).values.tobytes(), balanced_function(a).values.tobytes(),
+            _intersection_counts(a, shifts, INTEGER).tolist(),
+            _intersection_counts(a, shifts, CYCLIC).tolist())
+
+
+@PROPERTY
+@given(bits=st.lists(st.booleans(), min_size=1, max_size=200))
+@example(bits=[False])
+@example(bits=[True])
+@example(bits=[True] * 7)
+@example(bits=[False] * 6 + [True])  # only the element n, residue 0
+def test_a_set_built_from_its_mask_or_its_elements_looks_the_same(bits):
+    n = len(bits)
+    shifts = list(range(-n - 2, n + 3)) + [10 ** 30, -10 ** 30]
+    from_mask = IntegerSet(n, _Fresh(np.array(bits)))
+    from_elements = IntegerSet(n, [x + 1 for x, hit in enumerate(bits) if hit])
+    assert "array" not in vars(from_mask) and "mask" not in vars(from_elements)
+    views = _set_views(from_mask, shifts)
+    assert views == _set_views(from_elements, shifts)
+    assert views[11] == bits
+    for a, b in itertools.product([from_mask, from_elements, IntegerSet(n, _Fresh(np.array(bits)))],
+                                  repeat=2):
+        assert a == b and hash(a) == hash(b)
+    flipped = IntegerSet(n, _Fresh(~np.array(bits)))
+    assert flipped != from_mask and flipped != from_elements and from_elements != flipped
+
+
+def test_a_sparse_set_in_a_huge_range_builds_no_mask():
+    a = IntegerSet(10 ** 12, [10 ** 12, 1, 1])
+    assert a.array.tolist() == [1, 10 ** 12] and a.size == 2 and len(a) == 2
+    assert [x in a for x in (1, 2, 10 ** 12 - 1, 10 ** 12, 10 ** 12 + 1)] == \
+        [True, False, False, True, False]
+    assert a.elements == (1, 10 ** 12) and a.residues() == (1, 0)
+    assert a == IntegerSet(10 ** 12, (1, 10 ** 12)) and a != IntegerSet(10 ** 12, [1])
+    assert hash(a) == hash(IntegerSet(10 ** 12, np.array([1, 10 ** 12])))
+    assert "mask" not in vars(a)
+
+
+def test_generated_sets_keep_the_mask_they_were_built_as():
+    for kind, want in [("full", [1, 2, 3, 4, 5, 6, 7]), ("evens", [2, 4, 6]),
+                       ("ap", [3, 7]),
+                       ("random", [x + 1 for x, hit in enumerate(naive_bernoulli(7, 0.5, 9))
+                                   if hit])]:
+        a = generate_set(kind, 7, start=3, step=4, density=0.5, seed=9)
+        assert "array" not in vars(a) and not a.mask.flags.writeable
+        assert a.array.tolist() == want
+    for start, step in [(8, 1), (10 ** 30, 1), (7, 10 ** 30), (1, 2 ** 63)]:
+        assert generate_set("ap", 7, start=start, step=step).elements == \
+            tuple(range(start, 8, step))
 
 
 def test_indicator_and_balanced_function_match_residue_loops():

@@ -280,6 +280,42 @@ def test_one_lag_counter_serves_the_profiles_and_the_lift_check():
     assert "check_lift_implication" not in loops
 
 
+def set_reads(source: str) -> list[str]:
+    """Each read of an IntegerSet parameter's attribute other than mask and
+    n, and each read of .array, .elements or .residues on anything but np,
+    with its line and owner."""
+    found = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        sets = {arg.arg for arg in func.args.args
+                if getattr(arg.annotation, "id", None) == "IntegerSet"}
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Attribute):
+                continue
+            name = getattr(node.value, "id", None)
+            if (name in sets and node.attr not in ("mask", "n")
+                    or name != "np" and node.attr in ("array", "elements", "residues")):
+                found.add(f"line {node.lineno}: {name}.{node.attr} in {func.name}")
+    return sorted(found)
+
+
+def test_set_read_check_flags_every_view_but_the_mask():
+    source = ("def f(a: IntegerSet, b):\n    return a.mask, a.n, a.size, b.array, np.array(b)\n"
+              "def g(c):\n    return c.elements, c.mask\n")
+    assert set_reads(source) == ["line 2: a.size in f", "line 2: b.array in f",
+                                 "line 4: c.elements in g"]
+
+
+def test_zn_fourier_reads_a_set_through_its_mask_alone():
+    # one indicator conversion, the set's own mask: no sorted array is
+    # scattered into a second one
+    source = (SRC / "zn_fourier.py").read_text(encoding="utf-8")
+    assert set_reads(source) == []
+    assert callers(source, ("_residue_mask",))["_residue_mask"] == [
+        "indicator", "balanced_function", "_intersection_counts"]
+
+
 def test_gaussian_mass_reads_the_dual_side_of_theta():
     # both sides are theta at 0, once direct and once dual, so the dual
     # side reads _dual_points and no dual lattice is enumerated directly
