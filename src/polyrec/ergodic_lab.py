@@ -121,8 +121,9 @@ class FiniteMPSystem:
             raise ValueError(f"system budget exceeded: need at most {SYSTEM_BUDGET} points")
         # (x + y) mod m for x + y < 2m: row x is a window of 0..m-1 twice over
         xs = np.arange(m, dtype=np.int64)
+        # copy first: the windows overlap, and a ufunc over them would
+        # buffer a second m x m copy
         image = np.lib.stride_tricks.sliding_window_view(np.tile(xs, 2), m)[:m].copy()
-        # in place: a ufunc reading the overlapping windows buffers a copy of them
         image += (_rotated(m, a) * m)[:, None]
         return cls(_Fresh(image.reshape(-1)))
 

@@ -67,7 +67,7 @@ class _Fresh:
         self.arr = arr
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class IntegerSet:
     """A subset of [1, n].  Element n plays the role of 0 when the set is
     read modulo n.
@@ -148,11 +148,13 @@ class IntegerSet:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        form = "mask" if "mask" in vars(self) and "mask" in vars(other) else "array"
-        return self.n == other.n and np.array_equal(getattr(self, form), getattr(other, form))
+        return self.n == other.n and np.array_equal(self.array, other.array)
 
     def __hash__(self):
         return hash((self.n, self.array.tobytes()))
+
+    def __repr__(self):
+        return f"IntegerSet(n={self.n}, array={self.array!r})"
 
 
 def bernoulli_mask(n: int, density: float, seed: int) -> np.ndarray:
@@ -199,8 +201,10 @@ def generate_set(kind: str, n: int, *, start: int = 1, step: int = 1,
         raise ValueError(f"ambient budget exceeded: need N <= {AMBIENT_BUDGET}")
     if kind == "random":
         return IntegerSet(n, _Fresh(bernoulli_mask(n, density, seed)))
-    if kind == "ap" and (step < 1 or start < 1):
-        raise ValueError("ap needs start >= 1 and step >= 1")
+    if kind == "ap":
+        start, step = _integer(start), _integer(step)
+        if step < 1 or start < 1:
+            raise ValueError("ap needs start >= 1 and step >= 1")
     # element x sits at index x - 1; a slice past n is empty, not an error
     picked = {"full": slice(None), "evens": slice(1, None, 2),
               "ap": slice(start - 1, None, step)}.get(kind)

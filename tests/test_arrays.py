@@ -269,6 +269,8 @@ def test_a_set_built_from_its_mask_or_its_elements_looks_the_same(bits):
     views = _set_views(from_mask, shifts)
     assert views == _set_views(from_elements, shifts)
     assert views[11] == bits
+    assert repr(from_mask) == repr(from_elements) == \
+        f"IntegerSet(n={n}, array={np.flatnonzero(bits) + 1!r})"
     for a, b in itertools.product([from_mask, from_elements, IntegerSet(n, _Fresh(np.array(bits)))],
                                   repeat=2):
         assert a == b and hash(a) == hash(b)
@@ -298,6 +300,7 @@ def test_generated_sets_keep_the_mask_they_were_built_as():
     for start, step in [(8, 1), (10 ** 30, 1), (7, 10 ** 30), (1, 2 ** 63)]:
         assert generate_set("ap", 7, start=start, step=step).elements == \
             tuple(range(start, 8, step))
+    assert generate_set("ap", 7, start=3.0, step=Fraction(2)).elements == (3, 5, 7)
 
 
 def test_indicator_and_balanced_function_match_residue_loops():
