@@ -34,9 +34,11 @@ __all__ = [
     "griesmer_search",
 ]
 
-#: Most points of a rotation or skew product.  An `ergodic` query takes about
-#: 34 bytes a point (the permutation and three arrays of a power, 8 bytes
-#: each, and the masks): 564 MiB peak RSS at this budget.
+#: Most points of a rotation or skew product, and most points that the
+#: squares of T a search keeps hold together with T.  An `ergodic` query holds
+#: the permutation, those kept squares and at most two working int64 arrays,
+#: 8 bytes a point each, and three one-byte masks; a system at this budget
+#: keeps no square: 468 MiB peak RSS.
 SYSTEM_BUDGET = 2 ** 24
 #: Most times of a search: a Griesmer red matrix holds one byte per pair of
 #: times, and a Khintchine scan may read every pair.
@@ -71,8 +73,9 @@ class FiniteMPSystem:
     skew_product and power_system build their array themselves and hand
     it over, so a system holds the one array it was built in.  `mapping`
     is the same permutation as a tuple of Python ints, built on first
-    read.  Powers of T come from repeated squaring of the array; nothing
-    about them is cached.
+    read.  Counts gather a subset's mask through the squares T, T^2, T^4,
+    ... of the array (see _Squares); power_map and power_system compose
+    those squares themselves.
 
     A system's arrays are the largest a query holds, so building one of
     at least _TRIM_POINTS points hands the C heap's free pages back
@@ -233,17 +236,78 @@ class FiniteMPSystem:
         return hash(self.permutation.tobytes())
 
 
+class _Squares:
+    """The squares T, T^2, T^4, ... of a system's map, in that order, for
+    _gathered.
+
+    T is the permutation itself, read-only and uncopied.  Squares are built
+    when an iteration first reaches them, each by one gather of the square
+    before it.  They are kept for later iterations while the kept ones
+    (beyond T) hold at most `room` points in all; each square past that is
+    taken into whichever of two working arrays its root does not hold, and
+    the working arrays go when the iteration does.  So room 0 keeps
+    nothing, and reaching T^(2^i) costs min(i, 2) arrays of the system's
+    size.
+
+    A new array is made by indexing (`step[step]`), never by np.take, which
+    would copy the read-only permutation as its index array: one array more.
+    """
+
+    def __init__(self, permutation: np.ndarray, room: int = 0):
+        self.kept = [permutation]
+        self.room = room
+
+    def __iter__(self):
+        kept = self.kept
+        yield from kept
+        step, work = kept[-1], []
+        while True:
+            if self.room >= step.size:
+                square = step[step]
+                kept.append(square)
+                self.room -= step.size
+            elif len(work) < 2:
+                square = step[step]
+                work.append(square)
+            else:  # work[1] holds the root; work[0] is free
+                square = work[0]
+                np.take(step, step, out=square, mode="clip")  # indices are in range
+                work.reverse()
+            yield square
+            step = square
+
+
+def _gathered(mask: np.ndarray, squares: _Squares, shift: int) -> np.ndarray:
+    """The mask composed with T^|shift|: x is set iff T^|shift|(x) is in the
+    mask.  One gather of the one-byte mask through T^(2^i) for each set bit
+    i of |shift| (powers of T commute, so their order does not matter); no
+    power of T is composed.  T is a bijection, so mask & gathered counts as
+    many points at shift and at -shift.
+    """
+    shift, out = abs(shift), mask
+    steps = iter(squares)
+    while shift:
+        step = next(steps)
+        if shift & 1:
+            out = out[step]
+        shift >>= 1
+    return out
+
+
 def recurrence_measure(system: FiniteMPSystem, subset, shift: int) -> Fraction:
     """mu(A intersect T^-shift A), exactly.
 
     subset is a point mask or an iterable of points (see
     FiniteMPSystem.validate_subset).  A point x lies in the intersection
-    iff x and T^shift(x) both lie in A, so the count is one gather of the
-    mask through T^shift; the measure is symmetric under shift -> -shift
-    and periodic with period order(T).
+    iff x and T^shift(x) both lie in A, so the count is of the mask and
+    the mask gathered through T^|shift| (see _gathered).  The squares it
+    gathers through are kept by nothing: a shift of |shift| <= 1 takes no
+    int64 array beyond the permutation, |shift| <= 3 one, and any other
+    two.  The measure is symmetric under shift -> -shift and periodic with
+    period order(T).
     """
     mask = system.validate_subset(subset)
-    hits = np.count_nonzero(mask & mask[system._power(shift)])
+    hits = np.count_nonzero(mask & _gathered(mask, _Squares(system.permutation), shift))
     return Fraction(int(hits), system.size)
 
 
@@ -262,16 +326,20 @@ def _times(times: Iterable[int], eps: float) -> list[int]:
 
 def _level(system: FiniteMPSystem, mask: np.ndarray, eps: float):
     """The exact threshold mu(A)^2 - eps; the least hit count whose measure
-    reaches it, ceil(threshold * size); and hits(shift), the count of one
-    gather (see recurrence_measure), made once per shift."""
+    reaches it, ceil(threshold * size); and hits(shift), the count of
+    recurrence_measure, made once per |shift|.  The squares of T that the
+    counts gather through are kept for the whole search, so each is built
+    once, while they and T hold at most SYSTEM_BUDGET points: a search at
+    that budget keeps none, and holds no more than a measure."""
     mu_a = Fraction(int(np.count_nonzero(mask)), system.size)
     threshold = mu_a * mu_a - Fraction(eps)
+    squares = _Squares(system.permutation, SYSTEM_BUDGET - system.size)
 
     @cache
-    def hits(shift: int) -> int:
-        return int(np.count_nonzero(mask & mask[system._power(shift)]))
+    def count(size: int) -> int:
+        return int(np.count_nonzero(mask & _gathered(mask, squares, size)))
 
-    return threshold, math.ceil(threshold * system.size), hits
+    return threshold, math.ceil(threshold * system.size), lambda shift: count(abs(shift))
 
 
 @dataclass(frozen=True)

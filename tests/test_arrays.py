@@ -1,16 +1,19 @@
 """Array-backed sets and systems against tests/oracles.py.
 
 IntegerSet and FiniteMPSystem hold int64 arrays; random sets and subsets
-come from one vectorized Mersenne Twister stream, and powers of a system
-from repeated squaring of its permutation.  Every answer must equal the
-plain Python loop it replaced, or for large powers the closed form of a
-rotation or skew product.
+come from one vectorized Mersenne Twister stream, powers of a system from
+repeated squaring of its permutation, and recurrence counts from gathers of
+a subset's mask through those squares.  Every answer must equal the plain
+Python loop it replaced, or for large powers the closed form of a rotation
+or skew product.
 """
 
+import functools
 import itertools
 import json
 import tracemalloc
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -19,7 +22,8 @@ from hypothesis import strategies as st
 
 from polyrec import ergodic_lab
 from polyrec.cli import main
-from polyrec.ergodic_lab import FiniteMPSystem, griesmer_search, recurrence_measure
+from polyrec.ergodic_lab import (FiniteMPSystem, griesmer_search, khintchine_search,
+                                 recurrence_measure)
 from polyrec.intset import IntegerSet, _Fresh, bernoulli_mask, generate_set
 from polyrec.zn_fourier import (CYCLIC, INTEGER, ExactnessError, _intersection_counts,
                                 balanced_function, indicator)
@@ -113,6 +117,47 @@ def test_power_working_memory_does_not_depend_on_the_shift():
         assert 3 * size <= peak < 3 * size + size // 8, shift
 
 
+def _traced_peak(call, *args):
+    """The most memory tracemalloc saw allocated at once during call(*args)."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_measure_gathers_its_mask_in_at_most_two_int64_arrays():
+    # no power of T is built: the mask is gathered through squares of T,
+    # which stream through two working arrays and are read from the
+    # permutation itself, uncopied, at |shift| <= 1
+    system = FiniteMPSystem.skew_product(100)
+    size, points = system.permutation.nbytes, system.size
+    mask = system.validate_subset(range(0, points, 3))
+    for shift in (0, 1, -1, 2, 3, 10, 12345, 10 ** 30, -10 ** 30):
+        arrays = 0 if abs(shift) <= 1 else 1 if abs(shift) <= 3 else 2
+        # the gathered mask, the one before it, and a few small objects
+        assert _traced_peak(recurrence_measure, system, mask, shift) \
+            < arrays * size + 3 * points, shift
+
+
+def test_a_search_keeps_its_squares_within_the_system_budget(monkeypatch):
+    # 20 times spread to 2^60: the first pair's difference alone needs ~60
+    # squares of T; a search keeps them only while they and T hold at most
+    # SYSTEM_BUDGET points, and works on in two arrays past that
+    system = FiniteMPSystem.skew_product(100)
+    size, points = system.permutation.nbytes, system.size
+    mask = system.validate_subset(range(0, points, 3))
+    rng = np.random.default_rng(1)
+    times = [int(t) for t in rng.integers(0, 2 ** 60, 20)]
+    search = functools.partial(khintchine_search, system, mask, 0.5, times, permissive=True)
+    # under the default budget every square is kept
+    assert _traced_peak(search) > 50 * size
+    for kept in (0, 1, 3):
+        monkeypatch.setattr(ergodic_lab, "SYSTEM_BUDGET", (1 + kept) * points)
+        assert _traced_peak(search) < (kept + 2) * size + 3 * points, kept
+
+
 def test_building_a_system_holds_one_array_of_its_size():
     # the builders hand their array over: no copy sits beside it, only
     # small temporaries (a ufunc's 64 KiB buffer among them)
@@ -164,6 +209,66 @@ def test_recurrence_measure_matches_naive_with_mask_and_set(perm, data, shift):
     assert recurrence_measure(system, points, shift) == want
     assert recurrence_measure(system, mask, shift) == want
     assert recurrence_measure(system, sorted(points), shift) == want
+
+
+#: Shifts of the counting kernel: small, and past int64 and 2^64.
+gather_shifts = (st.integers(-40, 40)
+                 | st.sampled_from([0, 1, -1, 10 ** 20, -10 ** 20, 2 ** 63, -2 ** 63,
+                                    2 ** 64 + 1]))
+
+
+@st.composite
+def systems_with_subsets(draw):
+    """A rotation, a skew product, a random permutation (m = 1 among them) or
+    the identity, with any subset of its points."""
+    kind = draw(st.sampled_from(["rotation", "skew", "perm", "identity"]))
+    if kind == "rotation":
+        system = FiniteMPSystem.rotation(draw(st.integers(1, 60)), draw(st.integers(-99, 99)))
+    elif kind == "skew":
+        system = FiniteMPSystem.skew_product(draw(st.integers(1, 7)), draw(st.integers(-9, 9)))
+    elif kind == "perm":
+        system = FiniteMPSystem(draw(permutations()))
+    else:
+        system = FiniteMPSystem(range(draw(st.integers(1, 30))))
+    return system, draw(st.sets(st.integers(0, system.size - 1)))
+
+
+@PROPERTY
+@given(case=systems_with_subsets(), shift_list=st.lists(gather_shifts, min_size=1, max_size=6),
+       room=st.integers(0, 4))
+@example(case=(FiniteMPSystem([0]), {0}), shift_list=[0, 2 ** 64 + 1, -2 ** 63], room=0)
+@example(case=(FiniteMPSystem(range(5)), {1, 3}), shift_list=[-10 ** 20, 2 ** 63], room=1)
+def test_gathered_counts_match_naive_iteration(case, shift_list, room):
+    # a measure keeps no square, a search some of them: both must count as
+    # iterating the map does, at huge shifts too (T^order is the identity)
+    system, points = case
+    order = naive_order(system.mapping)
+    mask = system.validate_subset(points)
+    squares = ergodic_lab._Squares(system.permutation, room * system.size)
+    for shift in shift_list:
+        want = naive_recurrence_measure(system.mapping, points, shift % order)
+        assert recurrence_measure(system, mask, shift) == want, shift
+        hits = np.count_nonzero(mask & ergodic_lab._gathered(mask, squares, shift))
+        assert Fraction(int(hits), system.size) == want, shift
+
+
+@PROPERTY
+@given(case=systems_with_subsets(),
+       shift_list=st.lists(gather_shifts, min_size=2, max_size=8, unique=True),
+       kept=st.integers(1, 5), data=st.data())
+def test_a_search_counts_the_same_whatever_order_it_asks_shifts_in(case, shift_list, kept, data):
+    # which squares a search has kept depends on the shifts it asked first
+    system, points = case
+    mask = system.validate_subset(points)
+    shuffled = data.draw(st.permutations(shift_list))
+    counts = []
+    for order in (shift_list, shuffled):
+        with patch.object(ergodic_lab, "SYSTEM_BUDGET", kept * system.size):
+            hits = ergodic_lab._level(system, mask, 0.5)[2]
+            counts.append({shift: hits(shift) for shift in order})
+    want = {shift: recurrence_measure(system, mask, shift) * system.size
+            for shift in shift_list}
+    assert counts[0] == counts[1] == want
 
 
 @PROPERTY

@@ -237,6 +237,22 @@ def test_ergodic_searches_share_one_counter():
                                                        "griesmer_search"]}
 
 
+def test_ergodic_counts_gather_the_mask_and_build_no_power():
+    # every count gathers the one-byte mask through squares of T
+    # (_gathered); the int64 power T^s is built only for the two public
+    # methods that return it
+    source = (SRC / "ergodic_lab.py").read_text(encoding="utf-8")
+    powers = [owner for owner, node in owned_nodes(source)
+              if isinstance(node, ast.Attribute) and node.attr == "_power"]
+    assert sorted(powers) == ["power_map", "power_system"]
+    assert callers(source, ("_gathered",)) == {"_gathered": ["recurrence_measure", "_level"]}
+    gathers = [f"line {node.lineno}: {owner}" for owner, node in owned_nodes(source)
+               if owner in ("recurrence_measure", "_level")
+               and (isinstance(node, ast.Subscript)
+                    or isinstance(node, ast.Attribute) and node.attr == "take")]
+    assert gathers == []
+
+
 def test_lattice_dioph_reads_every_n_and_q_through_one_scan():
     # _orbit alone reads the block size and holds the budget; the theta
     # table of either side, the good set, S_N and the two q scans all take
