@@ -313,7 +313,7 @@ def _cmd_tarry(args, config: ExperimentConfig):
         probe = growth_probe(args.K, args.k, ms)
         results["growth_rows"] = [dataclasses.asdict(r) for r in probe.rows]
         results["fitted_slope"] = probe.slope
-        results["theory_exponent"] = 2 * args.K - args.k * (args.k + 1) / 2.0
+        results["theory_exponent"] = probe.rows[-1].theory_exponent
         if args.csv:
             with open(args.csv, "w") as fh:
                 fh.write("\n".join(probe.csv_lines()) + "\n")

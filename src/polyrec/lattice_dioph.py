@@ -35,7 +35,6 @@ __all__ = [
     "AverageBoundsReport",
     "SchmidtReport",
     "WeylDenominatorReport",
-    "nearest_integer_norm",
     "theta",
     "gaussian_mass",
     "gaussian_average",
@@ -178,12 +177,6 @@ class ProductLattice:
                 out *= _abs_det(b)
         return out
 
-    def dual(self) -> "ProductLattice":
-        """Blockwise inverse-transpose basis; dual of dual recovers this."""
-        return ProductLattice(tuple(
-            np.linalg.inv(b).T if b.shape[0] else b for b in self.blocks
-        ))
-
     def scale(self, factor: float) -> "ProductLattice":
         if factor <= 0:
             raise ValueError("scale factor must be positive")
@@ -223,15 +216,6 @@ def _long_doubles(values) -> np.ndarray:
     except OverflowError:
         pass
     raise ValueError("entry out of float range")
-
-
-def nearest_integer_norm(x) -> float:
-    """Distance to the nearest integer point (Euclidean for vectors)."""
-    arr = np.asarray(x, dtype=np.longdouble)
-    d = _phases(arr, nearest=True)
-    if arr.ndim == 0:
-        return float(d)
-    return float(np.sqrt(np.sum(d * d)))
 
 
 def _tail_radius(t: float, sigma: float, d: int, tau: float) -> float:

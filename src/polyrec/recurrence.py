@@ -5,7 +5,7 @@ shifts: |A ∩ (A + P_i(n))| stays close to the random-set heuristic
 density^2 * N for most n in an admissible range.  This module measures
 that exactly, searches for simultaneous good shifts, and carries the
 supporting spectral tooling: the level-set decomposition f = f1 + f2 + f3
-driven by a shrinking schedule, and the uniformity certificate.
+driven by a shrinking schedule.
 """
 
 from __future__ import annotations
@@ -20,20 +20,18 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .intset import IntegerSet, _Fresh
 from .polyfam import PolynomialFamily, ShiftRange, shift_range
-from .zn_fourier import (CYCLIC, INTEGER, Spectrum, ZnFunction, _intersection_counts,
-                         balanced_function, dft, ellp_norm, inverse_dft, lp_norm)
+from .zn_fourier import (CYCLIC, INTEGER, Spectrum, ZnFunction, _intersection_counts, dft,
+                         inverse_dft, lp_norm)
 
 __all__ = [
     "INTEGER",
     "CYCLIC",
     "ShiftReport",
     "DecompositionResult",
-    "UniformCertificate",
     "intersection_profile",
     "find_good_shifts",
     "default_schedule",
     "decompose",
-    "uniform_certificate",
 ]
 
 def _count_table(a: IntegerSet, family: PolynomialFamily, m: int, mode: str,
@@ -302,47 +300,4 @@ def decompose(f: ZnFunction, eps: float,
     raise AssertionError(
         "no admissible block within ceil(eps^-2) rounds; "
         "disjoint-block mass accounting is violated (bug)"
-    )
-
-
-@dataclass(frozen=True)
-class UniformCertificate:
-    """Census of shifts whose profile stays eps-close to density^2."""
-
-    eta: float                 # sup of |balanced transform|
-    m: int
-    count: int
-    fraction: Fraction
-    predicted_fraction: float  # 1 - l * C1 * eta^(1/K)
-    bound_holds: bool
-
-
-def uniform_certificate(a: IntegerSet, family: PolynomialFamily, eps: float,
-                        k_order: int, c1: float = 1.0,
-                        c: float = 1.0) -> UniformCertificate:
-    """Count n <= M with |profile(i, n) - density^2| < eps for all i, and
-    compare against the Fourier-uniformity prediction.
-
-    eta is the largest balanced Fourier coefficient of A; when A is
-    uniform (eta small) the predicted lower bound (1 - l C1 eta^(1/K)) M
-    should be met by the actual count.
-    """
-    if k_order < 1:
-        raise ValueError("moment order must be >= 1")
-    eta = ellp_norm(dft(balanced_function(a)), math.inf)
-    sr = shift_range(family, a.n, eps, c)
-    counts = _count_table(a, family, sr.m, CYCLIC, sr)
-    # |c/N - d^2| < eps exactly when floor((d^2 - eps) N) < c < ceil((d^2 + eps) N)
-    target, eps_f = a.density ** 2, Fraction(eps)
-    low = math.floor((target - eps_f) * a.n)
-    high = math.ceil((target + eps_f) * a.n)
-    count = int(((counts > low) & (counts < high)).all(axis=0).sum())
-    predicted = 1.0 - family.size * c1 * eta ** (1.0 / k_order)
-    return UniformCertificate(
-        eta=eta,
-        m=sr.m,
-        count=count,
-        fraction=Fraction(count, sr.m),
-        predicted_fraction=predicted,
-        bound_holds=count >= predicted * sr.m,
     )

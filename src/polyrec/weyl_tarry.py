@@ -32,7 +32,6 @@ __all__ = [
     "count_solutions_mod",
     "count_mod_admitted",
     "tarry_count",
-    "tarry_count_poly",
     "growth_probe",
     "value_range",
     "wrap_free",
@@ -306,21 +305,19 @@ def _equal_sums(polys: Sequence[IntPolynomial], k_order: int, m: int,
     weighted by the word length of M^(2K) past int64, plus _LAYER_ADDS per
     layer stay within DENSE_BUDGET (mod N: also N <= WEYL_N_BUDGET).  Both
     price the whole layer, a bound on the support each route works over.
-    Closed-form spans hi_i - lo_i settle both before the table, and no power
-    of M is formed far past a budget.
+    An integer count takes the spans hi_i - lo_i of its columns, which settle
+    both before the table, and no power of M is formed far past a budget.
     """
     def table():
         cols = [p.values(np.arange(1, m + 1)) for p in polys]
         return [c % modulus for c in cols] if modulus else cols
 
-    columns = table() if spans is None and not modulus else None
     if modulus:
         refusal = _mod_refusal(m, modulus, k_order)
         if refusal:
             raise ValueError(refusal)
         method = "convolution"
     else:
-        spans = spans or [int(c.max()) - int(c.min()) for c in columns]
         box = math.prod(k_order * (s + 1) + 1 for s in spans)
         if method == "auto":
             method = "convolution" if box <= SIGNATURE_BUDGET else "mitm"
@@ -333,7 +330,7 @@ def _equal_sums(polys: Sequence[IntPolynomial], k_order: int, m: int,
                 or not _power_at_most(m, k_order, MITM_BUDGET // weight)):
             raise ValueError(f"meet-in-the-middle budget exceeded: weighted M^K > "
                              f"{MITM_BUDGET}")
-        return _grouped_square_sum(columns or table(), k_order), method
+        return _grouped_square_sum(table(), k_order), method
     if method != "convolution":
         raise ValueError(f"unknown method {method!r}")
     if not modulus and (  # the cost per layer bounds K before the layers are summed
@@ -345,10 +342,10 @@ def _equal_sums(polys: Sequence[IntPolynomial], k_order: int, m: int,
     # count <= M^(2K)
     dtype = np.int64 if _power_at_most(m, 2 * k_order, 2 ** 62) else object
     if modulus:
-        keys = (columns or table())[0].astype(np.int64)
+        keys = table()[0].astype(np.int64)
     else:  # one flat key per row, in radix K span_i + 1 so K-fold sums never carry
         keys = np.zeros(m, dtype=np.int64)
-        for c in columns or table():
+        for c in table():
             offset = (c - c.min()).astype(np.int64)
             keys = keys * (k_order * int(offset.max()) + 1) + offset
     rows, mult = np.unique(keys, return_counts=True)
@@ -375,13 +372,10 @@ class TarryCount:
     m: int
     count: int
     method: str
-    degree: Optional[int] = None
-    poly: Optional[IntPolynomial] = None
+    degree: int
 
     @property
     def theory_exponent(self) -> float:
-        if self.degree is None:
-            raise ValueError("theory exponent applies to the power-sum count")
         return 2 * self.k_order - self.degree * (self.degree + 1) / 2
 
 
@@ -401,18 +395,6 @@ def tarry_count(k_order: int, degree: int, m: int, method: str = "auto") -> Tarr
     count, method = _equal_sums(monomials, k_order, m, method=method,
                                 spans=[m ** i - 1 for i in range(1, degree + 1)])
     return TarryCount(k_order=k_order, m=m, count=count, method=method, degree=degree)
-
-
-def tarry_count_poly(poly: IntPolynomial, k_order: int, m: int) -> TarryCount:
-    """Exact 2K-tuple count for the single equation sum P(n_j) = sum P(m_j) over Z.
-
-    Routed and admitted as tarry_count, by the box estimate K (hi - lo + 1) + 1;
-    for P(n) = n it is tarry_count(K, 1, M), route and refusals included.
-    """
-    if k_order < 1 or m < 1:
-        raise ValueError("need K >= 1 and M >= 1")
-    count, method = _equal_sums((poly,), k_order, m)
-    return TarryCount(k_order=k_order, m=m, count=count, method=method, poly=poly)
 
 
 @dataclass(frozen=True)

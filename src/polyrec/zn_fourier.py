@@ -33,7 +33,6 @@ __all__ = [
     "inverse_dft",
     "lp_norm",
     "ellp_norm",
-    "indicator",
     "balanced_function",
     "ExactnessError",
     "exact_correlation",
@@ -63,7 +62,7 @@ def _frozen_complex(values) -> np.ndarray:
 
     A caller's values are always copied, so no array or view the caller
     holds can change the result.  Only a _Fresh array (from dft,
-    inverse_dft, indicator, balanced_function or decompose's parts) is
+    inverse_dft, balanced_function or decompose's parts) is
     taken over as it is.
     """
     if isinstance(values, _Fresh):
@@ -150,11 +149,6 @@ def _residue_mask(a: IntegerSet) -> np.ndarray:
     """1_A on residues 0..n-1: the set's mask rolled by one, so that the
     element n lands on residue 0.  A new array."""
     return np.roll(a.mask, 1)
-
-
-def indicator(a: IntegerSet) -> ZnFunction:
-    """0/1 indicator of A read modulo n (the element n lands on residue 0)."""
-    return ZnFunction(a.n, _Fresh(_residue_mask(a).astype(np.complex128)))
 
 
 def balanced_function(a: IntegerSet) -> ZnFunction:

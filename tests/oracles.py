@@ -187,6 +187,16 @@ def _distance_to_z(value):
     return min(frac, 1 - frac)
 
 
+def naive_distance_to_integers(values):
+    """Euclidean distance from a real vector to the nearest point of Z^d, in
+    long double: |x - rint(x)| for each entry x, squared and summed in turn."""
+    total = np.longdouble(0)
+    for x in np.asarray(values, dtype=np.longdouble):
+        d = abs(x - np.rint(x))
+        total += d * d
+    return np.sqrt(total)
+
+
 def naive_good_shifts(elements, ambient, polys, m, eps, cyclic=False):
     """n <= m with |A ∩ (A + P_i(n))|/N > density^2 - eps for every P_i,
     one Fraction comparison per shift."""
@@ -195,17 +205,6 @@ def naive_good_shifts(elements, ambient, polys, m, eps, cyclic=False):
     return [n for n in range(1, m + 1)
             if all(Fraction(count(elements, ambient, _value(p, n)), ambient) > threshold
                    for p in polys)]
-
-
-def naive_uniform_count(elements, ambient, polys, m, eps):
-    """Number of n <= m with |A ∩ (A + P_i(n))|/N within eps of density^2
-    in Z_N for every P_i, one Fraction comparison per shift."""
-    target = Fraction(len(set(elements)), ambient) ** 2
-    return sum(
-        1 for n in range(1, m + 1)
-        if all(abs(Fraction(naive_intersection_cyclic(elements, ambient, _value(p, n)),
-                            ambient) - target) < Fraction(eps)
-               for p in polys))
 
 
 def naive_good_set_power(blocks, eps, n_range):
@@ -277,6 +276,12 @@ def naive_cross_correlation(a, b, lag, cyclic=False):
             continue
         total += int(a[y]) * int(b[z])
     return total
+
+
+def naive_value_span(poly, m):
+    """max - min of P over [1, m], one value at a time."""
+    values = [_value(poly, n) for n in range(1, m + 1)]
+    return max(values) - min(values)
 
 
 def naive_count_solutions(poly, m, k_order):

@@ -26,7 +26,7 @@ from polyrec.ergodic_lab import (FiniteMPSystem, griesmer_search, khintchine_sea
                                  recurrence_measure)
 from polyrec.intset import IntegerSet, _Fresh, bernoulli_mask, generate_set
 from polyrec.zn_fourier import (CYCLIC, INTEGER, ExactnessError, _intersection_counts,
-                                balanced_function, indicator)
+                                _residue_mask, balanced_function)
 
 from oracles import (closed_form_power_map, naive_bernoulli, naive_cycles,
                      naive_intersection_cyclic, naive_order, naive_power_map,
@@ -354,7 +354,7 @@ def _set_views(a: IntegerSet, shifts: list[int]) -> tuple:
     return (member, a.array.tolist(), a.array.dtype, a.array.flags.writeable, a.elements,
             a.size, len(a), a.density, a.residues(), list(a), hash(a),
             a.mask.tolist(), a.mask.flags.writeable,
-            indicator(a).values.tobytes(), balanced_function(a).values.tobytes(),
+            balanced_function(a).values.tobytes(),
             _intersection_counts(a, shifts, INTEGER).tolist(),
             _intersection_counts(a, shifts, CYCLIC).tolist())
 
@@ -410,10 +410,10 @@ def test_generated_sets_keep_the_mask_they_were_built_as():
 
 def test_indicator_and_balanced_function_match_residue_loops():
     a = generate_set("random", 97, density=0.4, seed=5)
-    want = np.zeros(97)
+    want = np.zeros(97, dtype=bool)
     for e in a.elements:
-        want[e % 97] = 1.0
-    assert np.array_equal(indicator(a).values, want)
+        want[e % 97] = True
+    assert np.array_equal(_residue_mask(a), want)
     want = np.full(97, -float(a.density))
     for e in a.elements:
         want[e % 97] += 1.0

@@ -1,10 +1,10 @@
 """Exact thresholds against the Fraction scans in tests/oracles.py.
 
-find_good_shifts, uniform_certificate, shift_range and the two rational
-good-set scans compare integer counts, values and residues with one
-integer limit per call; the oracles build one Fraction per shift, per n
-or per entry.  A dyadic eps (0.5, 0.25, 0.125) makes ties exact, and a
-count, value or distance on the limit must fall on the strict side.
+find_good_shifts, shift_range and the two rational good-set scans
+compare integer counts, values and residues with one integer limit per
+call; the oracles build one Fraction per shift, per n or per entry.  A
+dyadic eps (0.5, 0.25, 0.125) makes ties exact, and a count, value or
+distance on the limit must fall on the strict side.
 """
 
 from fractions import Fraction
@@ -19,17 +19,16 @@ from polyrec.intset import IntegerSet
 from polyrec.lattice_dioph import (BlockVector, approx_good_set_family,
                                    approx_good_set_power)
 from polyrec.polyfam import IntPolynomial, PolynomialFamily, shift_range
-from polyrec.recurrence import (CYCLIC, INTEGER, find_good_shifts,
-                                intersection_profile, uniform_certificate)
+from polyrec.recurrence import CYCLIC, INTEGER, find_good_shifts, intersection_profile
 
 from oracles import (naive_good_set_family, naive_good_set_long_double,
-                     naive_good_set_power, naive_good_shifts, naive_uniform_count)
+                     naive_good_set_power, naive_good_shifts)
 
 PROPERTY = settings(max_examples=60, deadline=None)
 EPS = st.sampled_from([0.5, 0.25, 0.125]) | st.floats(0.01, 2.0)
 LINEAR = IntPolynomial((1,))
 #: A set in Z_32 whose counts at shifts 1..4 are 6, 9, 4, 12: with eps = 1/8
-#: the uniformity window density^2 N ± eps N is 4 < c < 12, so both ends occur.
+#: the threshold (density^2 - eps) N is 4, which the count at shift 3 meets.
 WINDOW_SET = IntegerSet(32, (1, 2, 3, 5, 9, 13, 15, 17, 19, 21, 23, 24, 25, 28, 29, 30))
 
 
@@ -85,25 +84,11 @@ def test_count_on_the_threshold_is_not_good():
     assert report.threshold < 0
     assert report.counts.tolist() == [[0] * 8]
     assert report.good_shifts.tolist() == list(range(1, 9))
-
-
-@PROPERTY
-@given(a=integer_sets(), family=families, eps=EPS)
-@example(a=WINDOW_SET, family=PolynomialFamily((LINEAR,)), eps=0.125)
-def test_uniform_census_matches_fraction_scan(a, family, eps):
-    sr = _range_or_none(family, a.n, eps)
-    if sr is None:
-        return
-    cert = uniform_certificate(a, family, eps, k_order=2)
-    assert cert.count == naive_uniform_count(a.elements, a.n, family, sr.m, eps)
-
-
-def test_uniform_window_excludes_both_ends():
-    family = PolynomialFamily((LINEAR,))
-    sr = shift_range(family, 32, 0.125)
-    profile = intersection_profile(WINDOW_SET, family, 4, mode=CYCLIC, validated=sr)
-    assert profile == (tuple(Fraction(c, 32) for c in (6, 9, 4, 12)),)
-    assert uniform_certificate(WINDOW_SET, family, 0.125, k_order=2).count == 2
+    # cyclic counts on the threshold: shift 3 of WINDOW_SET
+    report = find_good_shifts(WINDOW_SET, PolynomialFamily((LINEAR,)), 0.125, mode=CYCLIC)
+    assert report.threshold * 32 == 4
+    assert report.counts.tolist() == [[6, 9, 4, 12]]
+    assert report.good_shifts.tolist() == [1, 2, 4]
 
 
 @PROPERTY

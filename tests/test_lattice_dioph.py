@@ -15,12 +15,13 @@ from polyrec.lattice_dioph import (_PHASE_LIMIT, BlockVector, ProductLattice,
                                    approx_good_set_family,
                                    approx_good_set_power,
                                    check_average_bounds, gaussian_average,
-                                   gaussian_mass, nearest_integer_norm,
-                                   schmidt_scan, theta, weyl_denominator)
+                                   gaussian_mass, schmidt_scan, theta,
+                                   weyl_denominator)
 from polyrec.polyfam import PolynomialFamily
 
-from oracles import (naive_dilate_theta, naive_gaussian_average, naive_good_residues,
-                     naive_schmidt_objectives, naive_theta_1d, naive_weyl_mean)
+from oracles import (naive_dilate_theta, naive_distance_to_integers, naive_gaussian_average,
+                     naive_good_residues, naive_schmidt_objectives, naive_theta_1d,
+                     naive_weyl_mean)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -30,8 +31,6 @@ def test_lattice_shape_helpers():
     assert lat.dims == (1, 2)
     assert lat.dimension == 3
     assert abs(lat.determinant - 1.0) < 1e-15
-    dual = lat.dual()
-    assert dual.dims == (1, 2)
     scaled = lat.scale(2.0)
     assert abs(scaled.determinant - 8.0) < 1e-12
 
@@ -87,13 +86,6 @@ def test_phase_limit_message_shows_the_excess():
     # the phase prints with the digits that put it past the limit
     with pytest.raises(ValueError, match=r"phase 1000000000000\.3\d* too large"):
         theta(ProductLattice.integers([1]), 1.0, [1e12 + 0.3])
-
-
-def test_nearest_integer_norm():
-    assert abs(nearest_integer_norm(2.75) - 0.25) < 1e-15
-    assert nearest_integer_norm(-3.0) == 0.0
-    assert abs(nearest_integer_norm([0.5, 0.0]) - 0.5) < 1e-15
-    assert abs(nearest_integer_norm([0.5, 0.5]) - math.sqrt(0.5)) < 1e-15
 
 
 def test_theta_z_matches_direct_sum():
@@ -254,7 +246,7 @@ def test_sqrt2_square_block_good_set_nonempty():
     assert not good.empty
     # spot check the first member against the definition
     n = good.members[0]
-    assert nearest_integer_norm(n * n * SQRT2) < 0.1
+    assert naive_distance_to_integers([n * n * SQRT2]) < 0.1
 
 
 block_vectors = st.lists(
@@ -275,7 +267,7 @@ def test_vectorized_dilates_match_per_n_loop(alpha, eps, n_range):
     tail = DEFAULT_TOLERANCES.theta_tail
     assert np.array_equal(_orbit_theta(lattice, alpha, n_range, tail), per_n)
     members = [n for n, row in enumerate(rows, start=1)
-               if all(nearest_integer_norm(val) < eps for val in row)]
+               if all(naive_distance_to_integers(val) < eps for val in row)]
     assert list(approx_good_set_power(alpha, eps, n_range).members) == members
 
 

@@ -1,7 +1,8 @@
-"""Package-level checks: the export list, and imports and private names
-that nothing reads."""
+"""Package-level checks: the export list, and exported functions, imports
+and private names that nothing reads."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,21 +18,18 @@ EXPORTED = [
     "DEFAULT_CONSTANTS", "DEFAULT_TOLERANCES", "load_config",
     "IntegerSet", "bernoulli_mask", "generate_set",
     "ExactnessError", "Spectrum", "ZnFunction", "balanced_function",
-    "dft", "ellp_norm", "exact_correlation", "indicator",
-    "inverse_dft", "lp_norm",
+    "dft", "ellp_norm", "exact_correlation", "inverse_dft", "lp_norm",
     "CoefficientMatrix", "IntPolynomial", "LiftResult", "PolynomialFamily",
     "ShiftRange", "check_difference_identity", "check_lift_implication",
     "coefficient_analysis", "lift_construction", "shift_range",
     "GrowthProbe", "TarryCount", "WeylSum", "count_solutions_mod",
-    "growth_probe", "moment_2k", "tarry_count", "tarry_count_poly",
-    "value_range", "weyl_sum", "wrap_free",
-    "DecompositionResult", "ShiftReport", "UniformCertificate", "decompose",
-    "default_schedule", "find_good_shifts", "intersection_profile",
-    "uniform_certificate",
+    "growth_probe", "moment_2k", "tarry_count", "value_range", "weyl_sum", "wrap_free",
+    "DecompositionResult", "ShiftReport", "decompose", "default_schedule",
+    "find_good_shifts", "intersection_profile",
     "AverageBoundsReport", "BlockVector", "GoodSet", "ProductLattice",
     "SchmidtReport", "WeylDenominatorReport", "approx_good_set_family",
     "approx_good_set_power", "check_average_bounds", "gaussian_average",
-    "gaussian_mass", "nearest_integer_norm", "schmidt_scan", "theta",
+    "gaussian_mass", "schmidt_scan", "theta",
     "weyl_denominator",
     "FiniteMPSystem", "GriesmerResult", "KhintchineResult", "griesmer_search",
     "khintchine_search", "recurrence_measure",
@@ -43,6 +41,14 @@ def test_export_list_keeps_every_name_once_and_resolves():
     assert len(polyrec.__all__) == len(set(polyrec.__all__))
     for name in polyrec.__all__:
         getattr(polyrec, name)
+
+
+def literal_all(tree) -> set[str]:
+    """The names listed in a literal __all__ of the module."""
+    return {elt.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+            and isinstance(node.value, (ast.List, ast.Tuple))
+            for elt in node.value.elts if isinstance(elt, ast.Constant)}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -59,12 +65,7 @@ def unused_imports(source: str) -> list[str]:
                 if alias.name != "*":
                     imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Assign)
-                and any(getattr(t, "id", None) == "__all__" for t in node.targets)
-                and isinstance(node.value, (ast.List, ast.Tuple))):
-            used.update(elt.value for elt in node.value.elts
-                        if isinstance(elt, ast.Constant))
+    used |= literal_all(tree)
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
@@ -77,6 +78,42 @@ def test_unused_import_check_flags_an_unread_name():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_modules_import_nothing_they_do_not_use(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _loads(node) -> list[str]:
+    """Each name and attribute loaded under node, once per load."""
+    return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)]
+
+
+def unread_exports(sources: dict[str, str]) -> list[str]:
+    """Each top-level function named in a literal __all__ that no source
+    loads, as a name or an attribute, outside the function's own body."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    loads = Counter(name for tree in trees.values() for name in _loads(tree))
+    unread = []
+    for module, tree in sorted(trees.items()):
+        exported = literal_all(tree)
+        unread += [f"{module} line {node.lineno}: {node.name}" for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name in exported
+                   and loads[node.name] == _loads(node).count(node.name)]
+    return unread
+
+
+def test_export_check_flags_a_function_read_only_by_itself():
+    sources = {"a.py": "__all__ = ['f', 'g', 'h', 'C']\n"
+                       "def f(n):\n    return f(n - 1)\n"
+                       "def g():\n    return 1\ndef h():\n    return 2\n"
+                       "class C:\n    pass\n",
+               "b.py": "import a\nfrom a import g\nx = g() + a.h()\n"}
+    assert unread_exports(sources) == ["a.py line 2: f"]
+
+
+def test_every_exported_function_is_read_in_the_package():
+    # a public function that no module reads is reached only by tests and
+    # examples: delete it, or give it a reader in the program
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    assert unread_exports(sources) == []
 
 
 def _is_private(name: str) -> bool:
@@ -329,7 +366,7 @@ def test_zn_fourier_reads_a_set_through_its_mask_alone():
     source = (SRC / "zn_fourier.py").read_text(encoding="utf-8")
     assert set_reads(source) == []
     assert callers(source, ("_residue_mask",))["_residue_mask"] == [
-        "indicator", "balanced_function", "_intersection_counts"]
+        "balanced_function", "_intersection_counts"]
 
 
 def test_gaussian_mass_reads_the_dual_side_of_theta():

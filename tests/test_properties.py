@@ -24,14 +24,13 @@ from polyrec.cli import main
 from polyrec.intset import IntegerSet
 from polyrec.polyfam import IntPolynomial, PolynomialFamily, shift_range
 from polyrec.recurrence import CYCLIC, INTEGER, intersection_profile
-from polyrec.weyl_tarry import (SIGNATURE_BUDGET, count_solutions_mod, tarry_count,
-                                tarry_count_poly)
+from polyrec.weyl_tarry import SIGNATURE_BUDGET, _equal_sums, count_solutions_mod, tarry_count
 from polyrec.zn_fourier import ExactnessError, _intersection_counts, exact_correlation
 
 from cli_contract import assert_cli_contract
 from oracles import (grouped_tarry, naive_count_solutions, naive_count_solutions_mod,
                      naive_cross_correlation, naive_intersection_cyclic,
-                     naive_intersection_integer, naive_tarry)
+                     naive_intersection_integer, naive_tarry, naive_value_span)
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -272,14 +271,14 @@ def test_tarry_routes_match_enumeration(k_order, degree, m):
 @given(poly=polynomials(max_coeff=5), k_order=st.integers(1, 3), m=st.integers(1, 5),
        scale=st.sampled_from([1, 10 ** 6]))
 def test_tarry_count_poly_matches_oracle(poly, k_order, m, scale):
+    # one polynomial's integer count, routed by the box of the oracle's span;
     # scale 10^6 stretches the value range past the signature budget
     poly = IntPolynomial(tuple(c * scale for c in poly.coefficients))
-    out = tarry_count_poly(poly, k_order, m)
-    assert out.count == naive_count_solutions(poly, m, k_order)
-    lo = min(poly.evaluate(x) for x in range(1, m + 1))
-    hi = max(poly.evaluate(x) for x in range(1, m + 1))
-    box = k_order * (hi - lo + 1) + 1
-    assert out.method == ("convolution" if box <= SIGNATURE_BUDGET else "mitm")
+    span = naive_value_span(poly, m)
+    count, method = _equal_sums((poly,), k_order, m, spans=[span])
+    assert count == naive_count_solutions(poly, m, k_order)
+    box = k_order * (span + 1) + 1
+    assert method == ("convolution" if box <= SIGNATURE_BUDGET else "mitm")
 
 
 @PROPERTY
@@ -305,13 +304,17 @@ def test_both_tarry_routes_forced_match_the_oracles(k_order, degree, m):
 @example(poly=IntPolynomial((-3, 1)), k_order=3, m=3, scale=1)        # a row counted twice
 @example(poly=IntPolynomial((1,)), k_order=50, m=1, scale=1)
 def test_polynomial_counts_on_either_route_match_the_oracle(poly, k_order, m, scale):
-    # a signature budget of 0 sends every count to grouping
+    # each route forced: shift-and-add is refused past the signature budget
     poly = IntPolynomial(tuple(c * scale for c in poly.coefficients))
     want = naive_count_solutions(poly, m, k_order)
-    assert tarry_count_poly(poly, k_order, m).count == want
-    with mock.patch.object(weyl_tarry, "SIGNATURE_BUDGET", 0):
-        out = tarry_count_poly(poly, k_order, m)
-    assert (out.count, out.method) == (want, "mitm")
+    span = naive_value_span(poly, m)
+    assert _equal_sums((poly,), k_order, m, method="mitm", spans=[span]) == (want, "mitm")
+    if k_order * (span + 1) + 1 > SIGNATURE_BUDGET:
+        with pytest.raises(ValueError, match="signature budget exceeded"):
+            _equal_sums((poly,), k_order, m, method="convolution", spans=[span])
+    else:
+        got = _equal_sums((poly,), k_order, m, method="convolution", spans=[span])
+        assert got == (want, "convolution")
 
 
 @PROPERTY
@@ -325,12 +328,13 @@ def test_sparse_cyclic_counts_match_the_oracle(poly, m, k_order):
     assert count_solutions_mod(poly, m, n_modulus, k_order) == want
 
 
-def _count_or_refusal(count, *args):
+def _count_or_refusal(count, *args, **kwargs):
+    """(count, route) of a call, or the message it refuses with."""
     try:
-        out = count(*args)
+        out = count(*args, **kwargs)
     except ValueError as exc:
         return str(exc)
-    return out.count, out.method
+    return out if isinstance(out, tuple) else (out.count, out.method)
 
 
 @PROPERTY
@@ -346,7 +350,8 @@ def test_tarry_entry_points_agree_on_route_count_and_refusal(k_order, m, budgets
     signature, mitm, dense = budgets
     with mock.patch.multiple(weyl_tarry, SIGNATURE_BUDGET=signature, MITM_BUDGET=mitm,
                              DENSE_BUDGET=dense):
-        got = _count_or_refusal(tarry_count_poly, IntPolynomial((1,)), k_order, m)
+        got = _count_or_refusal(_equal_sums, (IntPolynomial((1,)),), k_order, m,
+                                spans=[naive_value_span(IntPolynomial((1,)), m)])
         assert got == _count_or_refusal(tarry_count, k_order, 1, m)
     if not isinstance(got, str):
         assert got[0] == grouped_tarry(k_order, 1, m)
@@ -372,7 +377,8 @@ def test_object_dtype_paths_match_python_integers():
     got = count_solutions_mod(poly, 3, 7, 32)
     assert got == _python_square_sum(values, 32, modulus=7)
     assert got > 2 ** 63
-    assert tarry_count_poly(poly, 32, 3).count == _python_square_sum(values, 32)
+    assert _equal_sums((poly,), 32, 3, spans=[naive_value_span(poly, 3)])[0] == \
+        _python_square_sum(values, 32)
     assert tarry_count(32, 1, 2).count == math.comb(64, 32)
     # 2 * 3^40 passes int64: the grouping ranks that coordinate in Python integers
     assert tarry_count(2, 40, 3, method="mitm").count == naive_tarry(2, 40, 3)
@@ -385,9 +391,9 @@ def test_grouping_ranks_int64_values_whose_doubles_pass_int64(lead):
     # fit test must be taken in Python integers, not in int64
     poly = IntPolynomial((lead,))
     assert poly.values(np.arange(1, 4)).dtype == np.int64
-    out = tarry_count_poly(poly, 2, 3)
-    assert out.method == "mitm"
-    assert out.count == naive_count_solutions(poly, 3, 2)
+    count, method = _equal_sums((poly,), 2, 3, spans=[naive_value_span(poly, 3)])
+    assert method == "mitm"
+    assert count == naive_count_solutions(poly, 3, 2)
 
 
 def test_exactness_guard_raises_on_huge_values():

@@ -11,9 +11,8 @@ from polyrec import recurrence
 from polyrec.intset import IntegerSet, generate_set
 from polyrec.polyfam import IntPolynomial, PolynomialFamily, shift_range
 from polyrec.recurrence import (decompose, default_schedule, find_good_shifts,
-                                intersection_profile, uniform_certificate)
-from polyrec.zn_fourier import (ZnFunction, balanced_function, dft, ellp_norm,
-                                indicator, lp_norm)
+                                intersection_profile)
+from polyrec.zn_fourier import ZnFunction, balanced_function, dft, ellp_norm, lp_norm
 
 from oracles import naive_decompose, naive_intersection_cyclic, naive_intersection_integer
 
@@ -273,21 +272,3 @@ def test_default_schedule_shape():
     assert eta(2) < eta(1)
     with pytest.raises(ValueError):
         default_schedule(0.0)
-
-
-def test_uniform_certificate_on_random_set():
-    a = generate_set("random", 4096, density=0.5, seed=12)
-    fam = PolynomialFamily.parse(["0,1"])
-    cert = uniform_certificate(a, fam, 0.05, k_order=8)
-    assert cert.eta < 0.05            # random sets are Fourier-uniform
-    assert cert.m >= 1
-    assert cert.fraction == Fraction(cert.count, cert.m)
-    assert cert.bound_holds
-
-
-def test_uniform_certificate_structured_set_fails_prediction_gracefully():
-    a = generate_set("evens", 1024)
-    fam = PolynomialFamily.parse(["0,1"])
-    cert = uniform_certificate(a, fam, 0.05, k_order=8)
-    assert abs(cert.eta - 0.5) < 1e-12   # evens have a huge coefficient
-    assert cert.predicted_fraction < 1.0

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from polyrec import weyl_tarry
 from polyrec.polyfam import IntPolynomial
-from polyrec.weyl_tarry import (count_mod_admitted, count_solutions_mod, growth_probe,
-                                moment_2k, tarry_count, tarry_count_poly, value_range,
-                                weyl_sum, wrap_free)
+from polyrec.weyl_tarry import (_equal_sums, count_mod_admitted, count_solutions_mod,
+                                growth_probe, moment_2k, tarry_count, value_range, weyl_sum,
+                                wrap_free)
 
-from oracles import (grouped_tarry, naive_count_solutions_mod, naive_moment,
-                     naive_tarry, naive_weyl_sum)
+from oracles import (grouped_tarry, naive_count_solutions_mod, naive_moment, naive_tarry,
+                     naive_value_span, naive_weyl_sum)
 
 
 def test_weyl_sum_matches_direct_summation():
@@ -147,19 +147,24 @@ def test_tarry_diagonal_lower_bound():
         assert tarry_count(k_order, degree, m).count >= m ** k_order
 
 
+def _poly_count(poly, k_order, m):
+    """The integer count of one polynomial, with the oracle's span of P."""
+    return _equal_sums((poly,), k_order, m, spans=[naive_value_span(poly, m)])
+
+
 def test_tarry_poly_reduces_to_plain_tarry():
     # P(n) = n with degree-1 matching is Tarry with k = 1
     poly = IntPolynomial((1,))
     for m in (2, 5, 9):
-        assert tarry_count_poly(poly, 2, m).count == tarry_count(2, 1, m).count
+        assert _poly_count(poly, 2, m)[0] == tarry_count(2, 1, m).count
 
 
 def test_tarry_entry_points_agree_past_the_old_poly_work_bound():
-    # tarry_count_poly refused this with a work formula of its own
-    out = tarry_count_poly(IntPolynomial((1,)), 2, 5000)
+    # a count of one polynomial once refused this with a work formula of its own
+    out = _poly_count(IntPolynomial((1,)), 2, 5000)
     want = tarry_count(2, 1, 5000)
-    assert (out.count, out.method) == (want.count, want.method)
-    assert out.count == (2 * 5000 ** 3 + 5000) // 3
+    assert out == (want.count, want.method)
+    assert out[0] == (2 * 5000 ** 3 + 5000) // 3
 
 
 def test_tarry_poly_matches_brute_force():
@@ -177,7 +182,7 @@ def test_tarry_poly_matches_brute_force():
             for ys in product(range(1, m + 1), repeat=k_order):
                 if sx == sum(poly.evaluate(y) for y in ys):
                     want += 1
-        assert tarry_count_poly(poly, k_order, m).count == want
+        assert _poly_count(poly, k_order, m)[0] == want
 
 
 def test_growth_probe_slope_near_cubic():
@@ -227,10 +232,10 @@ def test_grouping_admits_weighted_key_entries():
     with mock.patch.object(weyl_tarry, "MITM_BUDGET", 200):
         assert tarry_count(2, 1, 14, method="mitm").count == grouped_tarry(2, 1, 14)
         assert tarry_count(2, 2, 10, method="mitm").count == grouped_tarry(2, 2, 10)
-        assert tarry_count_poly(IntPolynomial((2 ** 62,)), 2, 2).count == 6
+        assert _poly_count(IntPolynomial((2 ** 62,)), 2, 2)[0] == 6
         for refused in (lambda: tarry_count(2, 1, 15, method="mitm"),
                         lambda: tarry_count(2, 2, 11, method="mitm"),
-                        lambda: tarry_count_poly(IntPolynomial((2 ** 62,)), 2, 3)):
+                        lambda: _poly_count(IntPolynomial((2 ** 62,)), 2, 3)):
             with pytest.raises(ValueError, match="meet-in-the-middle budget exceeded"):
                 refused()
 
