@@ -28,7 +28,7 @@ PROPERTY = settings(max_examples=60, deadline=None)
 EPS = st.sampled_from([0.5, 0.25, 0.125]) | st.floats(0.01, 2.0)
 LINEAR = IntPolynomial((1,))
 #: A set in Z_32 whose counts at shifts 1..4 are 6, 9, 4, 12: with eps = 1/8
-#: the threshold (density^2 - eps) N is 4, which the count at shift 3 meets.
+#: the uniformity window density^2 N ± eps N is 4 < c < 12, so both ends occur.
 WINDOW_SET = IntegerSet(32, (1, 2, 3, 5, 9, 13, 15, 17, 19, 21, 23, 24, 25, 28, 29, 30))
 
 
@@ -84,8 +84,16 @@ def test_count_on_the_threshold_is_not_good():
     assert report.threshold < 0
     assert report.counts.tolist() == [[0] * 8]
     assert report.good_shifts.tolist() == list(range(1, 9))
-    # cyclic counts on the threshold: shift 3 of WINDOW_SET
-    report = find_good_shifts(WINDOW_SET, PolynomialFamily((LINEAR,)), 0.125, mode=CYCLIC)
+
+
+def test_uniform_window_excludes_both_ends():
+    # the window (density^2 ± eps) N = 8 ± 4 has both ends in the cyclic profile;
+    # the good-shift threshold is its lower end, strict, with no upper end
+    family = PolynomialFamily((LINEAR,))
+    sr = shift_range(family, 32, 0.125)
+    profile = intersection_profile(WINDOW_SET, family, 4, mode=CYCLIC, validated=sr)
+    assert profile == (tuple(Fraction(c, 32) for c in (6, 9, 4, 12)),)
+    report = find_good_shifts(WINDOW_SET, family, 0.125, mode=CYCLIC)
     assert report.threshold * 32 == 4
     assert report.counts.tolist() == [[6, 9, 4, 12]]
     assert report.good_shifts.tolist() == [1, 2, 4]
