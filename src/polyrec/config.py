@@ -110,7 +110,7 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"constants.K: expected an integer >= 1, got {cfg.constants.K!r}")
     for name, value in asdict(cfg.tolerances).items():
         _check_positive("tolerances", name, value)
-    if not isinstance(cfg.threads, int) or cfg.threads < 1:
+    if not isinstance(cfg.threads, int) or isinstance(cfg.threads, bool) or cfg.threads < 1:
         raise ConfigError(f"threads: expected an integer >= 1, got {cfg.threads!r}")
     return cfg
 

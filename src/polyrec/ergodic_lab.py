@@ -415,7 +415,6 @@ class GriesmerResult:
     measures: tuple[Fraction, ...]    # one per original constant, at n
     threshold: Fraction
     constants: tuple[int, ...]
-    padded_constants: tuple[int, ...]
     levels: tuple[LevelInfo, ...]
     failure_reason: Optional[str] = None
 
@@ -492,9 +491,8 @@ def griesmer_search(system: FiniteMPSystem, subset, eps: float,
         raise ValueError("constants must be nonzero")
     mask = system.validate_subset(subset)
     threshold, least, hits = _level(system, mask, eps)
-    padded = _pad_to_power_of_two(constants)
     levels: list[LevelInfo] = []
-    active, verts, n = padded, times, None
+    active, verts, n = _pad_to_power_of_two(constants), times, None
     while len(verts) >= 2:
         half = active[:max(1, len(active) // 2)]
         red = _red_matrix(verts, half, least, hits)
@@ -518,8 +516,7 @@ def griesmer_search(system: FiniteMPSystem, subset, eps: float,
     if n is None:
         return GriesmerResult(
             found=False, n=None, measures=(), threshold=threshold,
-            constants=constants, padded_constants=padded,
-            levels=tuple(levels),
+            constants=constants, levels=tuple(levels),
             failure_reason="clique exhausted; time list too short",
         )
     measures = tuple(recurrence_measure(system, mask, c * n) for c in constants)
@@ -529,5 +526,5 @@ def griesmer_search(system: FiniteMPSystem, subset, eps: float,
         )
     return GriesmerResult(
         found=True, n=n, measures=measures, threshold=threshold,
-        constants=constants, padded_constants=padded, levels=tuple(levels),
+        constants=constants, levels=tuple(levels),
     )

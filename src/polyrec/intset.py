@@ -127,10 +127,6 @@ class IntegerSet:
     def density(self) -> Fraction:
         return Fraction(self.size, self.n)
 
-    def residues(self) -> tuple[int, ...]:
-        """Images modulo n (so the element n becomes 0)."""
-        return tuple((self.array % self.n).tolist())
-
     def __contains__(self, x) -> bool:
         if not 1 <= x <= self.n:
             return False

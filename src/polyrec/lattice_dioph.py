@@ -570,8 +570,6 @@ def _perturbed_vector(alpha: BlockVector, n: int, eps: float) -> BlockVector:
 
 def check_average_bounds(lattice: ProductLattice, alpha: BlockVector, n: int,
                          c: float, q: int,
-                         perturbation_eps: Optional[float] = None,
-                         beta: Optional[BlockVector] = None,
                          tol: Tolerances = DEFAULT_TOLERANCES) -> AverageBoundsReport:
     """Check the range-scaling and subsampling lower bounds for F, and
     report the perturbation ratio.
@@ -579,7 +577,9 @@ def check_average_bounds(lattice: ProductLattice, alpha: BlockVector, n: int,
     (i)  F(N) >= (c/2) F(floor(cN)) for 1/10 < c < 1;
     (ii) F(N) >= (1/2q) F(floor(N/q)) for integers q <= N/2;
     (iii) the reported ratio min_n Theta(1, n*alpha) / Theta_scaled(1,
-          n*(1+eps)beta) over the (1+eps)-dilated lattice, not asserted.
+          n*(1+eps)beta) over the (1+eps)-dilated lattice, not asserted,
+          with eps = min(1/d, 1/2) for a lattice of dimension d and beta
+          from _perturbed_vector.
     """
     if n <= 20:
         raise ValueError("need N > 20")
@@ -589,16 +589,14 @@ def check_average_bounds(lattice: ProductLattice, alpha: BlockVector, n: int,
         raise ValueError("need integer 1 <= q <= N/2")
     if alpha.dims != lattice.dims:
         raise ValueError("alpha blocks do not match lattice blocks")
-    if perturbation_eps is None:
-        perturbation_eps = min(1.0 / max(lattice.dimension, 1), 0.5)
+    perturbation_eps = min(1.0 / max(lattice.dimension, 1), 0.5)
     # Theta(1, n*alpha) for n <= N: F(N), F(floor(cN)) and F(floor(N/q)) are
     # det times means of its leading entries, and it is the ratio's numerator
     top = _orbit_theta(lattice, alpha, n, tol.theta_tail)
     f_n, f_scaled, f_sub = (lattice.determinant * float(np.mean(top[:m]))
                             for m in (n, int(c * n), n // q))
 
-    if beta is None:
-        beta = _perturbed_vector(alpha, n, perturbation_eps)
+    beta = _perturbed_vector(alpha, n, perturbation_eps)
     scaled_lattice = lattice.scale(1.0 + perturbation_eps)
     stretched = BlockVector(tuple(
         tuple((1.0 + perturbation_eps) * float(x) for x in block)
@@ -707,13 +705,11 @@ class WeylDenominatorReport:
 
 
 def weyl_denominator(thetas: Sequence, n: int, delta: float, q_max: int,
-                     c_exponent: float = 2.0,
-                     thresholds: Optional[Sequence[float]] = None
-                     ) -> WeylDenominatorReport:
+                     c_exponent: float = 2.0) -> WeylDenominatorReport:
     """|S_N| for S_N = (1/N) sum_n e(n th_1 + ... + n^k th_k), plus the
     smallest q <= q_max with |q th_i| below the threshold for every i.
 
-    Thresholds default to delta^-C * N^-i, C = c_exponent, and must be
+    The thresholds are delta^-C * N^-i, C = c_exponent, and must be
     finite.  This is the computational face of the inverse principle: a
     large |S_N| should force such a q.
     """
@@ -733,18 +729,10 @@ def weyl_denominator(thetas: Sequence, n: int, delta: float, q_max: int,
         terms[ns[0] - 1:ns[-1]] = np.exp(2j * math.pi * _phases(args).astype(float))
     s_val = terms.mean()
 
-    if thresholds is None:
-        try:
-            thresholds = [delta ** (-c_exponent) * float(n) ** (-i)
-                          for i in range(1, k + 1)]
-        except OverflowError:
-            raise ValueError("thresholds overflow: c_exponent too large") from None
-    else:
-        thresholds = [float(b) for b in thresholds]
-        if len(thresholds) != k:
-            raise ValueError("need one threshold per coordinate")
-        if not all(map(math.isfinite, thresholds)):
-            raise ValueError("thresholds must be finite")
+    try:
+        thresholds = [delta ** (-c_exponent) * float(n) ** (-i) for i in range(1, k + 1)]
+    except OverflowError:
+        raise ValueError("thresholds overflow: c_exponent too large") from None
     q_found = None
     dists_found: tuple[float, ...] = ()
     for qs in _orbit(q_max, "q_max", k):

@@ -143,17 +143,13 @@ class PolynomialFamily:
 
 @dataclass(frozen=True)
 class ShiftRange:
-    """Validated range [1, m]: every |P_i(n)| with n <= m stays within bound."""
+    """Validated range [1, m]: every |P_i(n)| with n <= m stays within eps*N.
+
+    adjusted records that m is below the nominal floor(c (eps N)^(1/k)).
+    """
 
     m: int
-    m_nominal: int
     adjusted: bool
-    n: int
-    eps: float
-    c: float
-    bound: Fraction        # exact value of eps*N used in the comparisons
-    max_abs_value: int     # max_i max_{n<=m} |P_i(n)|
-    family: PolynomialFamily
 
 
 def _integer_root(bound: Fraction, k: int) -> int:
@@ -185,7 +181,8 @@ def shift_range(family: PolynomialFamily, n: int, eps: float, c: float = 1.0) ->
     max(_SCAN_START, 2j) points when j is the first inadmissible shift,
     and it stops one shift past SHIFT_BUDGET, which refuses l * m past it.
     Raises when even m = 1 is inadmissible, naming the minimal ambient n
-    that would work.
+    that would work.  A cyclic search counts over this range alone, so
+    this check is what keeps its shifts within eps*n of 0 in Z_n.
     """
     if n < 1:
         raise ValueError("ambient bound n must be positive")
@@ -211,30 +208,18 @@ def shift_range(family: PolynomialFamily, n: int, eps: float, c: float = 1.0) ->
         )
 
     top = min(m_nominal, SHIFT_BUDGET // family.size + 1)  # one shift past the budget
-    m, max_seen, start, end = m_nominal, 0, 1, _SCAN_START
+    m, start, end = m_nominal, 1, _SCAN_START
     while start <= top:
         ns = np.arange(start, min(end, top) + 1, dtype=np.int64)
         worst = np.max([np.abs(p.values(ns)) for p in family], axis=0)
         over = np.flatnonzero(worst > limit)
-        cut = int(over[0]) if over.size else ns.size
-        max_seen = max(max_seen, int(worst[:cut].max(initial=0)))
         if over.size:
-            m = start + cut - 1
+            m = start + int(over[0]) - 1
             break
         start, end = end + 1, 2 * end
     if m * family.size > SHIFT_BUDGET:
         raise ValueError(f"shift budget exceeded: need l * m <= {SHIFT_BUDGET}")
-    return ShiftRange(
-        m=m,
-        m_nominal=m_nominal,
-        adjusted=(m != m_nominal),
-        n=n,
-        eps=eps,
-        c=c,
-        bound=bound,
-        max_abs_value=max_seen,
-        family=family,
-    )
+    return ShiftRange(m=m, adjusted=(m != m_nominal))
 
 
 @dataclass(frozen=True)
@@ -324,13 +309,9 @@ class LiftResult:
     half_width: int
     ambient: int
     offset: tuple[int, ...]
-    independent_offset: tuple[int, ...]
-    dependent_offset: tuple[int, ...]
     points: np.ndarray  # read-only (size, k) int64, in the box's C order
     density: Fraction
     required_multiple: int
-    first_stage_count: int
-    second_stage_count: int
     analysis: CoefficientMatrix
 
 
@@ -418,7 +399,6 @@ def lift_construction(a: IntegerSet, family: PolynomialFamily,
             column += c * axis.reshape((-1,) + (1,) * (k - 1 - j))
     s, kept = _best_offset(values.reshape(len(ind_idx), -1).T, a)
     points = np.stack(np.unravel_index(np.flatnonzero(kept), box), axis=1) - half_width
-    first_count = len(points)
     t = ()
     if dep_idx:
         t, second = _best_offset(points @ np.array([rows[i] for i in dep_idx]).T, a)
@@ -432,13 +412,9 @@ def lift_construction(a: IntegerSet, family: PolynomialFamily,
         half_width=half_width,
         ambient=a.n,
         offset=tuple(offset),
-        independent_offset=s,
-        dependent_offset=t,
         points=points,
         density=Fraction(len(points), axis.size ** k),
         required_multiple=required_multiple,
-        first_stage_count=first_count,
-        second_stage_count=len(points),
         analysis=analysis,
     )
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -34,41 +34,24 @@ __all__ = [
     "decompose",
 ]
 
-def _count_table(a: IntegerSet, family: PolynomialFamily, m: int, mode: str,
-                 validated: Optional[ShiftRange]) -> np.ndarray:
-    """The l x M int64 table of |A ∩ (A + P_i(n))|, n = 1..M.
-
-    Cyclic mode insists on a validated shift range for these inputs, so
-    that every |P_i(n)| is small next to N.
-    """
+def _count_table(a: IntegerSet, family: PolynomialFamily, m: int, mode: str) -> np.ndarray:
+    """The l x M int64 table of |A ∩ (A + P_i(n))|, n = 1..M."""
     if m < 1:
         raise ValueError("need M >= 1")
-    if mode == CYCLIC:
-        if validated is None:
-            raise ValueError(
-                "cyclic mode needs a validated ShiftRange (wrap-around control); "
-                "compute one with shift_range()"
-            )
-        if validated.family != family or validated.n != a.n:
-            raise ValueError("validated ShiftRange was computed for different inputs")
-        if m > validated.m:
-            raise ValueError(f"requested M={m} exceeds validated bound {validated.m}")
     ns = np.arange(1, m + 1, dtype=np.int64)
     shifts = np.concatenate([poly.values(ns) for poly in family])
     return _intersection_counts(a, shifts, mode).reshape(family.size, m)
 
 
-def intersection_profile(a: IntegerSet, family: PolynomialFamily, m: int,
-                         mode: str = INTEGER,
-                         validated: Optional[ShiftRange] = None,
+def intersection_profile(a: IntegerSet, family: PolynomialFamily, m: int
                          ) -> tuple[tuple[Fraction, ...], ...]:
     """The l x M table of |A ∩ (A + P_i(n))| / N as exact rationals.
 
-    Integer mode counts inside [1, N] with no wrap-around and accepts any
-    M; cyclic mode counts in Z_N and insists on a validated shift range so
-    that every |P_i(n)| is small next to N.
+    Counts inside [1, N] with no wrap-around, for any M.  Cyclic counts,
+    over the range shift_range admits, are find_good_shifts(...,
+    mode=CYCLIC).counts.
     """
-    counts = _count_table(a, family, m, mode, validated).tolist()
+    counts = _count_table(a, family, m, INTEGER).tolist()
     return tuple(tuple(Fraction(cnt, a.n) for cnt in row) for row in counts)
 
 
@@ -103,11 +86,13 @@ def find_good_shifts(a: IntegerSet, family: PolynomialFamily, eps: float,
                      permissive: bool = False) -> ShiftReport:
     """All n in [1, M] with |A ∩ (A + P_i(n))|/N > density^2 - eps for every i.
 
-    M comes from shift_range(family, N, eps, c).  The comparison is exact:
-    count/N > threshold exactly when count > floor(threshold * N), one
-    integer limit for the whole table.  Families with unequal degrees sit
-    outside the guarantee and are rejected unless permissive, in which
-    case the report is labeled accordingly.
+    M comes from shift_range(family, N, eps, c), which keeps every
+    |P_i(n)| within eps*N, so cyclic counts wrap around only that far.
+    The comparison is exact: count/N > threshold exactly when
+    count > floor(threshold * N), one integer limit for the whole table.
+    Families with unequal degrees sit outside the guarantee and are
+    rejected unless permissive, in which case the report is labeled
+    accordingly.
     """
     equal = family.equal_degrees
     if not equal and not permissive:
@@ -116,7 +101,7 @@ def find_good_shifts(a: IntegerSet, family: PolynomialFamily, eps: float,
             "pass permissive=True to search anyway"
         )
     sr = shift_range(family, a.n, eps, c)
-    counts = _count_table(a, family, sr.m, mode, sr)
+    counts = _count_table(a, family, sr.m, mode)
     threshold = a.density ** 2 - Fraction(eps)
     good = np.flatnonzero((counts > math.floor(threshold * a.n)).all(axis=0)) + 1
     counts.setflags(write=False)
@@ -141,9 +126,7 @@ class DecompositionResult:
     sup |transform of f2| <= eta(m) and the L2 mass of f3 is below the
     requested eps.  An empty part is the zero function.  support is a
     read-only int64 array of f1's frequencies in rank order;
-    block_norms are the L2 masses of the visited blocks, each summed
-    over the block's own frequencies in ascending order (see
-    _block_mass); reconstruction_error is max |f - (f1 + f2 + f3)|.
+    reconstruction_error is max |f - (f1 + f2 + f3)|.
     """
 
     m: int
@@ -153,7 +136,6 @@ class DecompositionResult:
     f2: ZnFunction
     f3: ZnFunction
     eta_of_m: float
-    block_norms: tuple[float, ...]
     reconstruction_error: float
 
 
@@ -257,7 +239,6 @@ def decompose(f: ZnFunction, eps: float,
     max_rounds = math.ceil(Fraction(eps) ** -2)  # eps ** -2 overflows below 2^-512
     m_mark = 1
     eta_prev = None
-    block_norms: list[float] = []
     for round_no in range(1, max_rounds + 1):
         eta_m = float(eta(m_mark))
         if not math.isfinite(eta_m) or eta_m <= 0:
@@ -274,7 +255,6 @@ def decompose(f: ZnFunction, eps: float,
             head = _extend_head(mags, head, max(ranked, 2 * head.size))
         # L2 mass of ranks (m, next_mark] in probability normalization.
         block = math.sqrt(_block_mass(mags, head, m_mark, next_mark))
-        block_norms.append(block)
         if block <= eps:
             f1 = _rank_part(coeffs, head, 0, m_mark)
             f2 = _rank_part(coeffs, head, next_mark, n)
@@ -293,7 +273,6 @@ def decompose(f: ZnFunction, eps: float,
                 f2=f2,
                 f3=f3,
                 eta_of_m=eta_m,
-                block_norms=tuple(block_norms),
                 reconstruction_error=float(np.max(np.abs(resid))),
             )
         m_mark = next_mark

@@ -81,7 +81,6 @@ class WeylSum:
     """S_w over the dual of Z_N for P on [1, M] with +-1 weights."""
 
     poly: IntPolynomial
-    length: int          # M
     modulus: int         # N
     weights: tuple[int, ...]
     values: np.ndarray
@@ -122,7 +121,7 @@ def weyl_sum(poly: IntPolynomial, m: int, n_modulus: int,
     residues = (poly.values(np.arange(1, m + 1)) % n_modulus).astype(np.int64)
     np.add.at(mass, residues, w)
     values = np.fft.ifft(mass) * n_modulus  # sum_y mass[y] e(+y xi / N)
-    return WeylSum(poly=poly, length=m, modulus=n_modulus, weights=w, values=values)
+    return WeylSum(poly=poly, modulus=n_modulus, weights=w, values=values)
 
 
 def moment_2k(s: WeylSum, k_order: int) -> float:

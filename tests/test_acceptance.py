@@ -78,21 +78,20 @@ def test_02_intersection_profile_matches_naive_exhaustively():
                              density=float(rng.uniform(0.2, 0.8)), seed=trial)
             fam = _random_family(rng)
             m_int = 30
-            table = intersection_profile(a, fam, m_int, mode="integer")
+            table = intersection_profile(a, fam, m_int)
             for i, poly in enumerate(fam):
                 for shift_n in range(1, m_int + 1):
                     want = naive_intersection_integer(
                         a.elements, n, poly.evaluate(shift_n))
                     assert table[i][shift_n - 1] == Fraction(want, n)
                     checked += 1
-            sr = shift_range(fam, n, 0.4)
-            table = intersection_profile(a, fam, sr.m, mode="cyclic",
-                                         validated=sr)
+            report = find_good_shifts(a, fam, 0.4, mode="cyclic", permissive=True)
+            assert report.m == shift_range(fam, n, 0.4).m
             for i, poly in enumerate(fam):
-                for shift_n in range(1, sr.m + 1):
+                for shift_n in range(1, report.m + 1):
                     want = naive_intersection_cyclic(
                         a.elements, n, poly.evaluate(shift_n))
-                    assert table[i][shift_n - 1] == Fraction(want, n)
+                    assert report.counts[i, shift_n - 1] == want
                     checked += 1
         assert checked > 1000
 
@@ -328,7 +327,7 @@ def test_10_desk_scale_recurrence_end_to_end():
         for seed in range(20):
             a = generate_set("random", n, density=0.5, seed=seed)
             m = shift_range(fam, n, 0.1).m
-            row = intersection_profile(a, fam, m, mode="integer")[0]
+            row = intersection_profile(a, fam, m)[0]
             close = sum(1 for v in row if abs(v - Fraction(1, 4)) < Fraction(1, 20))
             assert close >= 0.9 * m, seed
 

@@ -84,6 +84,17 @@ def test_bad_config_names_the_field(tmp_path, capsys):
     assert "C1" in err
 
 
+def test_boolean_threads_is_refused(tmp_path, capsys):
+    # bool is an int subclass: true must not pass as one thread
+    cfg = tmp_path / "threads.json"
+    cfg.write_text(json.dumps({"threads": True}))
+    code = main(["--config", str(cfg), "selftest"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        "config error: threads: expected an integer >= 1, got True"]
+
+
 def test_config_seed_flows_into_generators(capsys):
     code_a, rep_a = run_cli(capsys, "--seed", "5", "search", "--N", "500",
                             "--set", "random:0.5", "--poly", "0,1",

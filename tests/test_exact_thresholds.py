@@ -7,6 +7,7 @@ dyadic eps (0.5, 0.25, 0.125) makes ties exact, and a count, value or
 distance on the limit must fall on the strict side.
 """
 
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -19,10 +20,11 @@ from polyrec.intset import IntegerSet
 from polyrec.lattice_dioph import (BlockVector, approx_good_set_family,
                                    approx_good_set_power)
 from polyrec.polyfam import IntPolynomial, PolynomialFamily, shift_range
-from polyrec.recurrence import CYCLIC, INTEGER, find_good_shifts, intersection_profile
+from polyrec.recurrence import CYCLIC, INTEGER, find_good_shifts
 
 from oracles import (naive_good_set_family, naive_good_set_long_double,
-                     naive_good_set_power, naive_good_shifts)
+                     naive_good_set_power, naive_good_shifts, naive_intersection_cyclic,
+                     naive_intersection_integer)
 
 PROPERTY = settings(max_examples=60, deadline=None)
 EPS = st.sampled_from([0.5, 0.25, 0.125]) | st.floats(0.01, 2.0)
@@ -66,9 +68,9 @@ def test_good_shifts_match_fraction_scan(a, family, eps, mode):
     report = find_good_shifts(a, family, eps, mode=mode, permissive=True)
     assert list(report.good_shifts) == naive_good_shifts(
         a.elements, a.n, family, sr.m, eps, cyclic=mode == CYCLIC)
+    count = naive_intersection_cyclic if mode == CYCLIC else naive_intersection_integer
     assert report.counts.tolist() == [
-        [int(f * a.n) for f in row]
-        for row in intersection_profile(a, family, sr.m, mode=mode, validated=sr)]
+        [count(a.elements, a.n, p.evaluate(j)) for j in range(1, sr.m + 1)] for p in family]
 
 
 def test_count_on_the_threshold_is_not_good():
@@ -90,10 +92,7 @@ def test_uniform_window_excludes_both_ends():
     # the window (density^2 ± eps) N = 8 ± 4 has both ends in the cyclic profile;
     # the good-shift threshold is its lower end, strict, with no upper end
     family = PolynomialFamily((LINEAR,))
-    sr = shift_range(family, 32, 0.125)
-    profile = intersection_profile(WINDOW_SET, family, 4, mode=CYCLIC, validated=sr)
-    assert profile == (tuple(Fraction(c, 32) for c in (6, 9, 4, 12)),)
-    report = find_good_shifts(WINDOW_SET, family, 0.125, mode=CYCLIC)
+    report = find_good_shifts(WINDOW_SET, family, 0.125, mode=CYCLIC, permissive=True)
     assert report.threshold * 32 == 4
     assert report.counts.tolist() == [[6, 9, 4, 12]]
     assert report.good_shifts.tolist() == [1, 2, 4]
@@ -116,17 +115,19 @@ def test_shift_range_matches_fraction_bound(family, n, eps, c):
         with pytest.raises(ValueError):
             shift_range(family, n, eps, c)
         return
+    # the nominal m is the largest with m^k <= c^k eps N (families here have k <= 2)
+    top = math.floor(Fraction(c) ** k * bound)
+    nominal = top if k == 1 else math.isqrt(top)
+    want = next((j for j in range(1, min(nominal, len(worst)) + 1) if worst[j - 1] > bound),
+                nominal + 1) - 1
     sr = shift_range(family, n, eps, c)
-    want = next((j for j in range(1, sr.m_nominal + 1) if worst[j - 1] > bound),
-                sr.m_nominal + 1) - 1
-    assert sr.m == want
-    assert sr.max_abs_value == max(worst[:want])
+    assert (sr.m, sr.adjusted) == (want, want != nominal)
 
 
 def test_value_on_the_shift_bound_is_admissible():
     # |2j| <= eps N = 4 holds at j = 2 with equality and fails at j = 3
     sr = shift_range(PolynomialFamily((IntPolynomial((2,)),)), 16, 0.25)
-    assert (sr.m, sr.m_nominal, sr.max_abs_value) == (2, 4, 4)
+    assert (sr.m, sr.adjusted) == (2, True)
     # Fraction(0.3) is just below 3/10, so |3| exceeds 0.3 * 10
     assert shift_range(PolynomialFamily((LINEAR,)), 10, 0.3).m == 2
 

@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 from polyrec.intset import AMBIENT_BUDGET, IntegerSet, generate_set
+from polyrec.polyfam import PolynomialFamily
+from polyrec.recurrence import CYCLIC, find_good_shifts
 
 
 def test_basic_invariants():
@@ -24,8 +26,11 @@ def test_bounds_are_enforced():
 
 
 def test_residues_wrap_the_top_element():
+    # read modulo n, the element n is 0: shift 1 carries 10 onto 1, and
+    # shift 5 carries 5 onto 10 and 10 onto 5
     a = IntegerSet(10, (1, 5, 10))
-    assert a.residues() == (1, 5, 0)
+    report = find_good_shifts(a, PolynomialFamily.parse(["1"]), 0.5, mode=CYCLIC)
+    assert report.counts.tolist() == [[1, 0, 0, 1, 2]]
 
 
 def test_generate_full_evens_ap():

@@ -1,5 +1,6 @@
-"""Package-level checks: the export list, and exported functions, imports
-and private names that nothing reads."""
+"""Package-level checks: the export list; exported functions, methods,
+imports and private names that nothing reads; and exported parameters that
+no caller sets."""
 
 import ast
 from collections import Counter
@@ -86,17 +87,44 @@ def _loads(node) -> list[str]:
             if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)]
 
 
-def unread_exports(sources: dict[str, str]) -> list[str]:
+def _attribute_loads(node) -> list[str]:
+    """Each attribute loaded under node, once per load."""
+    return [n.attr for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)]
+
+
+def public_callables(tree):
+    """Each top-level function named in the module's literal __all__, as
+    (None, node), and each public method of a class named there, as
+    (class name, node)."""
+    exported = literal_all(tree)
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in exported:
+            yield None, node
+        elif isinstance(node, ast.ClassDef) and node.name in exported:
+            yield from ((node.name, item) for item in node.body
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
+
+
+def unread_exports(sources: dict[str, str], exempt=frozenset()) -> list[str]:
     """Each top-level function named in a literal __all__ that no source
-    loads, as a name or an attribute, outside the function's own body."""
+    loads, as a name or an attribute, outside the function's own body; and
+    each public method of a class named there that no source reads as an
+    attribute outside the method's own body, unless exempt names it as
+    Class.method."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     loads = Counter(name for tree in trees.values() for name in _loads(tree))
+    attributes = Counter(name for tree in trees.values() for name in _attribute_loads(tree))
     unread = []
     for module, tree in sorted(trees.items()):
-        exported = literal_all(tree)
-        unread += [f"{module} line {node.lineno}: {node.name}" for node in tree.body
-                   if isinstance(node, ast.FunctionDef) and node.name in exported
-                   and loads[node.name] == _loads(node).count(node.name)]
+        for owner, node in public_callables(tree):
+            if owner is None:
+                label, read = node.name, loads[node.name] - _loads(node).count(node.name)
+            else:
+                label = f"{owner}.{node.name}"
+                read = attributes[node.name] - _attribute_loads(node).count(node.name)
+            if not read and label not in exempt:
+                unread.append(f"{module} line {node.lineno}: {label}")
     return unread
 
 
@@ -109,11 +137,97 @@ def test_export_check_flags_a_function_read_only_by_itself():
     assert unread_exports(sources) == ["a.py line 2: f"]
 
 
+def test_export_check_flags_a_method_nothing_else_reads():
+    sources = {"a.py": "__all__ = ['C']\n"
+                       "class C:\n    def used(self):\n        return self.size\n"
+                       "    def recursive(self):\n        return self.recursive()\n"
+                       "    def shadowed(self):\n        return 0\n"
+                       "    def pinned(self):\n        return 0\n"
+                       "    def _private(self):\n        return 0\n"
+                       "    @property\n    def size(self):\n        return 1\n",
+               "b.py": "from a import C\nshadowed = C().used()\nprint(shadowed)\n"}
+    assert unread_exports(sources, {"C.pinned"}) == ["a.py line 5: C.recursive",
+                                                     "a.py line 7: C.shadowed"]
+
+
+def tracer_system_methods() -> list[str]:
+    """The keys of perfbench/tracing.py's _SYSTEM_METHODS, the FiniteMPSystem
+    methods the tracer wraps by name."""
+    tracing = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    tree = ast.parse(tracing.read_text(encoding="utf-8"))
+    [table] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+               and any(getattr(t, "id", None) == "_SYSTEM_METHODS" for t in node.targets)]
+    return list(ast.literal_eval(table))
+
+
 def test_every_exported_function_is_read_in_the_package():
-    # a public function that no module reads is reached only by tests and
-    # examples: delete it, or give it a reader in the program
+    # a public function or method that no module reads is reached only by
+    # tests and examples: delete it, or give it a reader in the program.
+    # The tracer wraps its FiniteMPSystem methods by name, so they stay
+    # while it does
     sources = {path.name: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
-    assert unread_exports(sources) == []
+    pinned = {f"FiniteMPSystem.{name}" for name in tracer_system_methods()}
+    assert unread_exports(sources, pinned) == []
+
+
+def _passes(call: ast.Call, name: str, position) -> bool:
+    """Whether call passes the parameter name, at position (None when it is
+    keyword-only); *args and **kwargs pass every parameter."""
+    return (any(kw.arg in (None, name) for kw in call.keywords)
+            or any(isinstance(arg, ast.Starred) for arg in call.args)
+            or position is not None and position < len(call.args))
+
+
+def unset_parameters(sources: dict[str, str]) -> list[str]:
+    """Each defaulted parameter of a function or method that public_callables
+    yields, that no call in the sources outside the function's own body
+    passes, as "module: function(parameter)".  A call is matched by the name
+    or attribute it calls; a method's self or cls takes no position, unless
+    it is a staticmethod."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    calls = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    unset = []
+    for module, tree in sorted(trees.items()):
+        for owner, func in public_callables(tree):
+            own = {id(node) for node in ast.walk(func)}
+            mine = [call for call in calls if id(call) not in own
+                    and func.name in (getattr(call.func, "id", None),
+                                      getattr(call.func, "attr", None))]
+            static = any(getattr(d, "id", None) == "staticmethod" for d in func.decorator_list)
+            bound = owner is not None and not static
+            positional = (func.args.posonlyargs + func.args.args)[int(bound):]
+            first = len(positional) - len(func.args.defaults)
+            defaulted = [(arg.arg, i) for i, arg in enumerate(positional) if i >= first]
+            defaulted += [(arg.arg, None) for arg, default
+                          in zip(func.args.kwonlyargs, func.args.kw_defaults) if default]
+            label = func.name if owner is None else f"{owner}.{func.name}"
+            unset += [f"{module}: {label}({name})" for name, i in defaulted
+                      if not any(_passes(call, name, i) for call in mine)]
+    return unset
+
+
+def test_parameter_check_flags_a_default_no_call_overrides():
+    sources = {"a.py": "__all__ = ['f', 'C']\n"
+                       "def f(x, y=1, *, z=2, w=3):\n    return f(x, 0, z=1, w=1)\n"
+                       "def g(v=0):\n    return v\n"
+                       "class C:\n    def m(self, p=0, q=1):\n        return p\n"
+                       "    @staticmethod\n    def s(p=0):\n        return p\n",
+               "b.py": "from a import f, C\nf(1, w=4)\nC().m(5)\nC.s(**{})\n"}
+    assert unset_parameters(sources) == ["a.py: f(y)", "a.py: f(z)", "a.py: C.m(q)"]
+
+
+#: Defaulted parameters that no call in the package sets, kept on purpose.
+#: decompose's schedule is a test seam: tests pass schedules whose marks
+#: grow by one, or jump to N, which the default schedule never reaches.
+TEST_SEAMS = ["recurrence.py: decompose(schedule)"]
+
+
+def test_every_exported_parameter_is_set_in_the_package():
+    # an option that no caller sets is one fixed value in disguise: fold the
+    # value in, or give the option a caller in the program
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    assert unset_parameters(sources) == TEST_SEAMS
 
 
 def _is_private(name: str) -> bool:
@@ -174,11 +288,7 @@ def test_private_names_are_read_in_the_package():
 def test_system_methods_the_tracer_patches_exist():
     # perfbench/tracing.py wraps FiniteMPSystem.__dict__[name] for each key
     # of _SYSTEM_METHODS; a missing method would break every traced run
-    tracing = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-    tree = ast.parse(tracing.read_text(encoding="utf-8"))
-    [table] = [node.value for node in tree.body if isinstance(node, ast.Assign)
-               and any(getattr(t, "id", None) == "_SYSTEM_METHODS" for t in node.targets)]
-    names = ast.literal_eval(table)
+    names = tracer_system_methods()
     assert names and [n for n in names if n not in polyrec.FiniteMPSystem.__dict__] == []
 
 
@@ -335,8 +445,8 @@ def test_one_lag_counter_serves_the_profiles_and_the_lift_check():
 
 def set_reads(source: str) -> list[str]:
     """Each read of an IntegerSet parameter's attribute other than mask and
-    n, and each read of .array, .elements or .residues on anything but np,
-    with its line and owner."""
+    n, and each read of .array or .elements on anything but np, with its
+    line and owner."""
     found = set()
     for func in ast.walk(ast.parse(source)):
         if not isinstance(func, ast.FunctionDef):
@@ -348,7 +458,7 @@ def set_reads(source: str) -> list[str]:
                 continue
             name = getattr(node.value, "id", None)
             if (name in sets and node.attr not in ("mask", "n")
-                    or name != "np" and node.attr in ("array", "elements", "residues")):
+                    or name != "np" and node.attr in ("array", "elements")):
                 found.add(f"line {node.lineno}: {name}.{node.attr} in {func.name}")
     return sorted(found)
 
@@ -369,14 +479,21 @@ def test_zn_fourier_reads_a_set_through_its_mask_alone():
         "balanced_function", "_intersection_counts"]
 
 
+def dual_bases(source: str) -> list[str]:
+    """The owner of each inverse-transpose basis, inv(...).T, formed in source."""
+    return [owner for owner, node in owned_nodes(source)
+            if isinstance(node, ast.Attribute) and node.attr == "T"
+            and isinstance(node.value, ast.Call)
+            and getattr(node.value.func, "attr", getattr(node.value.func, "id", None)) == "inv"]
+
+
 def test_gaussian_mass_reads_the_dual_side_of_theta():
     # both sides are theta at 0, once direct and once dual, so the dual
-    # side reads _dual_points and no dual lattice is enumerated directly
+    # side reads _dual_points and no dual lattice is enumerated directly:
+    # a dual basis is formed only there and in the Schmidt scan
     source = (SRC / "lattice_dioph.py").read_text(encoding="utf-8")
-    dual_calls = [owner for owner, node in owned_nodes(source)
-                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                  and node.func.attr == "dual"]
-    assert "gaussian_mass" not in dual_calls
+    assert dual_bases(source) == ["_dual_points", "schmidt_scan"]
+    assert dual_bases("def f(b):\n    return np.linalg.inv(b).T, inv(b), b.T\n") == ["f"]
     assert callers(source, ("theta",))["theta"].count("gaussian_mass") == 2
 
 

@@ -98,16 +98,17 @@ def test_shift_range_square_family():
     sr = shift_range(fam, 10000, 0.04)
     assert sr.m == 20
     assert not sr.adjusted
-    assert sr.max_abs_value == 400
+    # the last admitted value sits on eps * N = 400
+    assert max(abs(p.evaluate(j)) for p in fam for j in range(1, sr.m + 1)) == 400
 
 
 def test_shift_range_shrinks_for_larger_coefficients():
     fam = PolynomialFamily.parse(["0,10"])
     sr = shift_range(fam, 10000, 0.04)
     assert sr.m == 6
-    assert sr.adjusted
-    assert sr.m_nominal == 20
-    assert sr.max_abs_value == 360
+    assert sr.adjusted  # below the nominal floor((eps N)^(1/2)) = 20
+    # 10 * 6^2 = 360 stays within eps * N = 400, and 10 * 7^2 = 490 does not
+    assert [fam.members[0].evaluate(j) for j in (sr.m, sr.m + 1)] == [360, 490]
 
 
 def test_shift_range_scan_guarantee_holds_randomized():
@@ -215,8 +216,10 @@ def test_lift_full_set_is_maximal():
     fam = PolynomialFamily.parse(["1"])
     lift = lift_construction(a, fam, 10)
     assert lift.required_multiple == 1
-    assert lift.first_stage_count == 10
-    assert len(lift.points) == 10
+    # one independent row: stage one keeps every point, as many as the
+    # best offset of the box's values does
+    _, _, stage_one = naive_best_offset([(b,) for b in range(-10, 11)], a.elements, a.n)
+    assert len(lift.points) == stage_one == 10
     assert lift.density == Fraction(10, 21)
     # every lifted point lands in A after the offset, by construction
     for (b,) in lift.points:

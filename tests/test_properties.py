@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 from polyrec import weyl_tarry, zn_fourier
 from polyrec.cli import main
 from polyrec.intset import IntegerSet
-from polyrec.polyfam import IntPolynomial, PolynomialFamily, shift_range
-from polyrec.recurrence import CYCLIC, INTEGER, intersection_profile
+from polyrec.polyfam import IntPolynomial, PolynomialFamily
+from polyrec.recurrence import CYCLIC, INTEGER, find_good_shifts, intersection_profile
 from polyrec.weyl_tarry import SIGNATURE_BUDGET, _equal_sums, count_solutions_mod, tarry_count
 from polyrec.zn_fourier import ExactnessError, _intersection_counts, exact_correlation
 
@@ -132,17 +132,12 @@ def test_intersection_profile_matches_oracles(a, polys, m):
                                                                  poly.evaluate(x)), a.n)
                              for x in range(1, m + 1)]
     try:
-        sr = shift_range(family, a.n, 0.5)
-    except ValueError:
+        report = find_good_shifts(a, family, 0.5, mode=CYCLIC, permissive=True)
+    except ValueError:  # an empty shift range
         return
-    mc = min(m, sr.m)
-    if mc < 1:
-        return
-    table = intersection_profile(a, family, mc, mode=CYCLIC, validated=sr)
-    for row, poly in zip(table, family):
-        assert list(row) == [Fraction(naive_intersection_cyclic(a.elements, a.n,
-                                                                poly.evaluate(x)), a.n)
-                             for x in range(1, mc + 1)]
+    for row, poly in zip(report.counts.tolist(), family):
+        assert row == [naive_intersection_cyclic(a.elements, a.n, poly.evaluate(x))
+                       for x in range(1, report.m + 1)]
 
 
 @st.composite

@@ -49,38 +49,29 @@ def test_profile_matches_naive_both_modes():
             continue
         fam = _random_family(rng)
         m = rng.randint(1, 6)
-        table = intersection_profile(a, fam, m, mode="integer")
+        table = intersection_profile(a, fam, m)
         for i, poly in enumerate(fam):
             for idx in range(1, m + 1):
                 want = naive_intersection_integer(a.elements, n, poly.evaluate(idx))
                 assert table[i][idx - 1] == Fraction(want, n)
         try:
-            sr = shift_range(fam, n, 0.4)
-        except ValueError:
+            counts = find_good_shifts(a, fam, 0.4, mode="cyclic", permissive=True).counts
+        except ValueError:  # an empty shift range
             continue
-        mc = min(m, sr.m)
-        if mc < 1:
-            continue
-        table_c = intersection_profile(a, fam, mc, mode="cyclic", validated=sr)
         for i, poly in enumerate(fam):
-            for idx in range(1, mc + 1):
+            for idx in range(1, min(m, counts.shape[1]) + 1):
                 want = naive_intersection_cyclic(a.elements, n, poly.evaluate(idx))
-                assert table_c[i][idx - 1] == Fraction(want, n)
+                assert counts[i, idx - 1] == want
 
 
 def test_cyclic_mode_requires_matching_validation():
+    # shift_range alone decides how far a cyclic count may wrap: the search
+    # counts over exactly the range it validates for these inputs
     a = generate_set("evens", 100)
     fam = PolynomialFamily.parse(["0,1"])
-    sr = shift_range(fam, 100, 0.3)
-    with pytest.raises(ValueError):
-        intersection_profile(a, fam, 3, mode="cyclic")
-    with pytest.raises(ValueError):
-        intersection_profile(a, fam, sr.m + 1, mode="cyclic", validated=sr)
-    other = shift_range(fam, 200, 0.3)
-    with pytest.raises(ValueError):
-        intersection_profile(a, fam, 2, mode="cyclic", validated=other)
-    # matching validation passes
-    intersection_profile(a, fam, sr.m, mode="cyclic", validated=sr)
+    report = find_good_shifts(a, fam, 0.3, mode="cyclic")
+    assert report.shift_range == shift_range(fam, 100, 0.3)
+    assert report.counts.shape == (1, report.m) == (1, 5)
 
 
 def test_find_good_shifts_evens_square():
