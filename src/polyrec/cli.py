@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .config import (ConfigError, ExperimentConfig, load_config)
-from .intset import AMBIENT_BUDGET, IntegerSet, bernoulli_mask, generate_set
+from .intset import AMBIENT_BUDGET, IntegerSet, _Fresh, bernoulli_mask, generate_set
 from .zn_fourier import (ExactnessError, ZnFunction, balanced_function, dft,
                          ellp_norm, inverse_dft, lp_norm)
 from .polyfam import (IntPolynomial, PolynomialFamily, check_difference_identity,
@@ -241,8 +241,11 @@ def _cmd_decompose(args, config: ExperimentConfig):
     else:
         rng = np.random.default_rng(config.seed)
         vals = rng.standard_normal(args.N) + 1j * rng.standard_normal(args.N)
-        f = ZnFunction(args.N, vals / max(lp_norm(ZnFunction(args.N, vals), 2), 1e-30))
+        vals /= max(lp_norm(ZnFunction(args.N, vals), 2), 1e-30)
+        f = ZnFunction(args.N, _Fresh(vals))
+        del vals  # f holds the draw, and lets it go below
     out = decompose(f, args.eps, tol=config.tolerances)
+    del f  # the re-transforms below need room for their own arrays
     recon = out.reconstruction_error
     smallest = min(200, out.support.size)
     l2_f2 = lp_norm(out.f2, 2)

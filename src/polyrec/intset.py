@@ -11,9 +11,9 @@ import numpy as np
 
 __all__ = ["IntegerSet", "generate_set", "bernoulli_mask"]
 
-#: Largest ambient n of a set.  A `decompose` query takes about 160 bytes per
-#: point (260 at a prime n, whose transform pads): peak RSS 270-328 MiB at this
-#: budget (481-526 MiB at a prime n); a `search` takes 36-48 MiB, its set one
+#: Largest ambient n of a set.  A `decompose` query takes about 100 bytes per
+#: point (200 at a prime n, whose transform pads): peak RSS 187-223 MiB at this
+#: budget (373-435 MiB at a prime n); a `search` takes 36-48 MiB, its set one
 #: byte a point as a mask.
 AMBIENT_BUDGET = 2_000_000
 #: Draws per block in bernoulli_mask (64 KiB of float64 scratch).

@@ -20,8 +20,8 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .intset import IntegerSet, _Fresh
 from .polyfam import PolynomialFamily, ShiftRange, shift_range
-from .zn_fourier import (CYCLIC, INTEGER, Spectrum, ZnFunction, _intersection_counts, dft,
-                         inverse_dft, lp_norm)
+from .zn_fourier import (CYCLIC, INTEGER, ZnFunction, _intersection_counts, _inverse_in_place,
+                         dft, lp_norm)
 
 __all__ = [
     "INTEGER",
@@ -139,6 +139,28 @@ class DecompositionResult:
     reconstruction_error: float
 
 
+def _descending(values: np.ndarray) -> np.ndarray:
+    """np.argsort(-values, kind="stable"), from an unstable sort.
+
+    The unstable sort leaves each run of equal values in any order; one
+    int64 sort of the keys run * N + index puts every run back in
+    ascending index order and leaves the runs where they are.
+    """
+    n = values.size
+    neg = -values
+    order = np.argsort(neg)
+    ranked = neg[order]
+    del neg
+    keys = np.zeros(n, dtype=np.int64)
+    np.cumsum(ranked[1:] != ranked[:-1], out=keys[1:])  # run of each rank
+    del ranked
+    keys *= n
+    keys += order
+    keys.sort()
+    keys %= n
+    return keys
+
+
 def _head_order(mags: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest mags, largest first, ties to the smaller index.
 
@@ -149,12 +171,12 @@ def _head_order(mags: np.ndarray, k: int) -> np.ndarray:
     """
     n = mags.size
     if k >= n:
-        return np.argsort(-mags, kind="stable")
+        return _descending(mags)
     kth = np.partition(mags, n - k)[n - k]
     above = np.flatnonzero(mags > kth)
     tied = np.flatnonzero(mags == kth)[:k - above.size]
     head = np.concatenate([above, tied])
-    return head[np.argsort(-mags[head], kind="stable")]
+    return head[_descending(mags[head])]
 
 
 def _extend_head(mags: np.ndarray, head: np.ndarray, k: int) -> np.ndarray:
@@ -174,7 +196,8 @@ def _extend_head(mags: np.ndarray, head: np.ndarray, k: int) -> np.ndarray:
 def _block_mass(mags: np.ndarray, head: np.ndarray, lo: int, hi: int) -> float:
     """Sum of mags^2 over the frequencies of ranks lo..hi-1, in ascending order.
 
-    head holds the first ranks, as in _rank_part.  The sum reads the
+    head holds the first ranks: at least hi of them, or lo when hi = N
+    (the block is then every frequency off head[:lo]).  The sum reads the
     block alone: a difference of prefix sums or of a total would cancel,
     and could leave an empty block with a positive mass.
     """
@@ -186,24 +209,12 @@ def _block_mass(mags: np.ndarray, head: np.ndarray, lo: int, hi: int) -> float:
     return float(np.sum(mags[rest] ** 2))
 
 
-def _rank_part(coeffs: np.ndarray, head: np.ndarray, lo: int, hi: int) -> ZnFunction:
-    """Inverse transform of the coefficients of ranks lo..hi-1, zero elsewhere.
-
-    head holds the first ranks: at least hi of them, or lo when hi = N
-    (the part is then every frequency off head[:lo]).  An empty part is
-    the zero function and takes no transform.
-    """
-    n = coeffs.size
-    if lo == hi:
-        return ZnFunction(n, _Fresh(np.zeros(n, dtype=np.complex128)))
-    if hi == n:
-        masked = coeffs.copy()
-        masked[head[:lo]] = 0
-    else:
-        masked = np.zeros(n, dtype=np.complex128)
-        sel = head[lo:hi]
-        masked[sel] = coeffs[sel]
-    return inverse_dft(Spectrum(n, _Fresh(masked)))
+def _sparse_part(coeffs: np.ndarray, sel: np.ndarray) -> ZnFunction:
+    """Inverse transform of the coefficients at the frequencies sel, zero
+    elsewhere, built in a zeroed array."""
+    part = np.zeros(coeffs.size, dtype=np.complex128)
+    part[sel] = coeffs[sel]
+    return _inverse_in_place(part)
 
 
 def decompose(f: ZnFunction, eps: float,
@@ -223,6 +234,11 @@ def decompose(f: ZnFunction, eps: float,
     off the head), grown at least twofold when a round needs more, by
     ranking only the frequencies off it.  All N frequencies are ranked
     only when the last mark is N.
+
+    Besides f and the FFT's scratch, at most four N-point complex arrays
+    are live at once: the coefficients and the parts below the dense
+    one, each inverted in its own array; then the dense part, in place of
+    the coefficients; then the three parts and the residual.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError("need finite eps > 0")
@@ -256,15 +272,29 @@ def decompose(f: ZnFunction, eps: float,
         # L2 mass of ranks (m, next_mark] in probability normalization.
         block = math.sqrt(_block_mass(mags, head, m_mark, next_mark))
         if block <= eps:
-            f1 = _rank_part(coeffs, head, 0, m_mark)
-            f2 = _rank_part(coeffs, head, next_mark, n)
-            f3 = _rank_part(coeffs, head, m_mark, next_mark)
+            del mags
+            # Ranks [0, m), [m, next_mark) and [next_mark, N) make f1, f3
+            # and f2.  The last nonempty range reaches N: it is built last,
+            # in a copy that outlives the coefficients, as every frequency
+            # off the ranks before it.  Ranges past it are empty parts,
+            # which take no transform.
+            ranges = ((0, m_mark), (m_mark, next_mark), (next_mark, n))
+            last = max(i for i, (lo, hi) in enumerate(ranges) if lo < hi)
+            parts = [_sparse_part(coeffs, head[lo:hi]) for lo, hi in ranges[:last]]
+            dense = coeffs.copy()
+            del coeffs
+            dense[head[:ranges[last][0]]] = 0
+            parts.append(_inverse_in_place(dense))
+            parts += [ZnFunction(n, _Fresh(np.zeros(n, dtype=np.complex128)))
+                      for _ in ranges[last + 1:]]
+            f1, f3, f2 = parts
+            support = head[:m_mark].astype(np.int64)
+            support.setflags(write=False)
+            del head
             # f - (f1 + f2 + f3) in one scratch array, in the order of the plain sum
             resid = f1.values + f2.values
             resid += f3.values
             np.subtract(f.values, resid, out=resid)
-            support = head[:m_mark].astype(np.int64)
-            support.setflags(write=False)
             return DecompositionResult(
                 m=m_mark,
                 rounds=round_no,

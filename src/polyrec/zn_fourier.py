@@ -121,9 +121,16 @@ def dft(f: ZnFunction) -> Spectrum:
 def inverse_dft(spectrum: Spectrum) -> ZnFunction:
     """Inverse transform f(x) = sum_xi F(xi) e(x xi / N); one array per call,
     as in dft."""
-    vals = np.fft.ifft(spectrum.coefficients)
-    vals *= spectrum.modulus
-    return ZnFunction(spectrum.modulus, _Fresh(vals))
+    return _inverse_in_place(spectrum.coefficients.copy())
+
+
+def _inverse_in_place(coeffs: np.ndarray) -> ZnFunction:
+    """inverse_dft of a fresh, writable coefficient array, which it takes
+    over: the transform is written into that array's own buffer and
+    scaled there, bit for bit what a transform into a new array gives."""
+    np.fft.ifft(coeffs, out=coeffs)
+    coeffs *= coeffs.size
+    return ZnFunction(coeffs.size, _Fresh(coeffs))
 
 
 def _p_norm(arr: np.ndarray, p: float, weight: float) -> float:

@@ -12,8 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from polyrec.ergodic_lab import (FiniteMPSystem, griesmer_search,
-                                 khintchine_search, recurrence_measure)
+from polyrec.ergodic_lab import FiniteMPSystem, griesmer_search, khintchine_search
 from polyrec.intset import generate_set
 from polyrec.lattice_dioph import (BlockVector, ProductLattice,
                                    approx_good_set_power,
@@ -21,8 +20,7 @@ from polyrec.lattice_dioph import (BlockVector, ProductLattice,
 from polyrec.polyfam import (PolynomialFamily, check_difference_identity,
                              check_lift_implication, lift_construction,
                              shift_range)
-from polyrec.recurrence import (decompose, default_schedule, find_good_shifts,
-                                intersection_profile)
+from polyrec.recurrence import decompose, find_good_shifts, intersection_profile
 from polyrec.weyl_tarry import (count_solutions_mod, growth_probe, moment_2k,
                                 tarry_count, weyl_sum)
 from polyrec.zn_fourier import (ZnFunction, dft, ellp_norm, inverse_dft,

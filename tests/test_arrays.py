@@ -127,6 +127,24 @@ def _traced_peak(call, *args):
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("spec, eps, arrays", [
+    ("random:0.05:5", "0.25", 5.5),  # marks 1 -> 10107: f3 sparse, f2 dense
+    ("evens", "0.01", 5.5),  # marks 1 -> N: f3 dense, f2 empty
+    ("random:0.5:12", "0.1", 6),  # three rounds to m = N: f1 dense, support N ranks
+])
+def test_cli_decompose_holds_five_complex_arrays(spec, eps, arrays, capsys):
+    # f, the three parts and the residual, with |residual| in float64 (half
+    # an array) and, when m = N, the int64 support (half another); on top,
+    # the set's mask (one byte a point) and a few small objects
+    main(["decompose", "--N", "64", "--set", spec, "--eps", eps])  # a first call imports numpy.fft
+    capsys.readouterr()
+    n = 2 ** 17
+    argv = ["decompose", "--N", str(n), "--set", spec, "--eps", eps]
+    assert _traced_peak(main, argv) < arrays * 16 * n + 2 * n
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert (results["m"] == n) == (arrays == 6)
+
+
 def test_a_measure_gathers_its_mask_in_at_most_two_int64_arrays():
     # no power of T is built: the mask is gathered through squares of T,
     # which stream through two working arrays and are read from the

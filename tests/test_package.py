@@ -1,6 +1,6 @@
 """Package-level checks: the export list; exported functions, methods,
-imports and private names that nothing reads; and exported parameters that
-no caller sets."""
+imports (the tests' too) and private names that nothing reads; and exported
+parameters that no caller sets."""
 
 import ast
 from collections import Counter
@@ -11,6 +11,7 @@ import pytest
 import polyrec
 
 SRC = Path(polyrec.__file__).parent
+TESTS = Path(__file__).parent
 
 #: Every name the package exported when its export list was kept by hand,
 #: less the helpers deleted since because nothing read them.
@@ -76,7 +77,8 @@ def test_unused_import_check_flags_an_unread_name():
                           "__all__ = ['sep']\n") == ["line 1: math", "line 2: p"]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name)
 def test_modules_import_nothing_they_do_not_use(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

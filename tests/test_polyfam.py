@@ -1,5 +1,4 @@
 import dataclasses
-import math
 import random
 from fractions import Fraction
 from unittest import mock

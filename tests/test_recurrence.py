@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyrec import recurrence
-from polyrec.intset import IntegerSet, generate_set
+from polyrec.intset import generate_set
 from polyrec.polyfam import IntPolynomial, PolynomialFamily, shift_range
 from polyrec.recurrence import (decompose, default_schedule, find_good_shifts,
                                 intersection_profile)
@@ -214,6 +214,35 @@ def test_decompose_matches_the_full_argsort_oracle(vals, eps, schedule):
     assert _same_bits(out.f3.values, f3)
 
 
+@st.composite
+def spectra(draw):
+    """Magnitudes of a tied function's coefficients, or of spectra whose
+    ties are the rule: all zero, a few values tiled, one peak (evens)."""
+    kind = draw(st.sampled_from(["function", "zero", "tiled", "evens"]))
+    if kind == "function":
+        vals = draw(tied_functions())
+        return np.abs(dft(ZnFunction(vals.size, vals)).coefficients)
+    n = draw(st.integers(1, 64))
+    if kind == "zero":
+        return np.zeros(n)
+    if kind == "evens":
+        return np.abs(dft(balanced_function(generate_set("evens", n))).coefficients)
+    levels = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=4))
+    return np.resize(np.asarray(levels), n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mags=spectra(), head=st.integers(1, 65))
+@example(mags=np.zeros(1), head=1)
+@example(mags=np.array([0.5]), head=2)
+def test_head_order_is_the_stable_descending_argsort(mags, head):
+    # the unstable sort and its key sort give the stable order, ties to
+    # the smaller index, and the head ranking is its first entries
+    full = np.argsort(-mags, kind="stable")
+    assert np.array_equal(recurrence._descending(mags), full)
+    assert np.array_equal(recurrence._head_order(mags, head), full[:head])
+
+
 def _counting(monkeypatch, module, name):
     """Wrap module.name so that each call records its first argument."""
     calls = []
@@ -231,7 +260,7 @@ def test_decompose_ranks_only_the_head_and_skips_empty_parts(monkeypatch):
     a = generate_set("random", 4096, density=0.3, seed=5)
     f = balanced_function(a)
     sorts = _counting(monkeypatch, np, "argsort")
-    inverses = _counting(monkeypatch, recurrence, "inverse_dft")
+    inverses = _counting(monkeypatch, recurrence, "_inverse_in_place")
     out = decompose(f, 0.25, schedule=lambda t: 0.2)
     # marks 1 -> 25: the first block closes below N, and f2 is the rest
     assert (out.m, out.rounds) == (1, 1)

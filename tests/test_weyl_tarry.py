@@ -1,4 +1,3 @@
-import math
 import random
 from unittest import mock
 

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polyrec.intset import IntegerSet
-from polyrec.zn_fourier import (Spectrum, ZnFunction, _residue_mask, balanced_function, dft,
-                                ellp_norm, inverse_dft, lp_norm)
+from polyrec.zn_fourier import (Spectrum, ZnFunction, _inverse_in_place, _residue_mask,
+                                balanced_function, dft, ellp_norm, inverse_dft, lp_norm)
 
 from oracles import naive_dft, naive_inverse_dft
 
@@ -128,3 +130,29 @@ def test_transforms_hand_over_one_read_only_array():
         with pytest.raises(ValueError):
             arr[0] = 1.0
     assert np.allclose(back.values, f.values)
+
+
+#: N = 1, primes (past pocketfft's small radices they take its Bluestein
+#: path) and 5-smooth lengths (its mixed-radix passes)
+INVERSE_LENGTHS = [1, 2, 3, 5, 7, 11, 97, 1009, 4099, 4, 16, 30, 360, 1024, 4096]
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.sampled_from(INVERSE_LENGTHS), seed=st.integers(0, 2 ** 32 - 1),
+       zeros=st.sampled_from(["none", "some", "all"]),
+       scale=st.sampled_from([1.0, 2.0 ** -1000, 2.0 ** 1000]))
+@example(n=1, seed=0, zeros="all", scale=1.0)
+@example(n=4099, seed=1, zeros="some", scale=1.0)
+def test_the_in_place_inverse_is_bitwise_a_fresh_ifft(n, seed, zeros, scale):
+    rng = np.random.default_rng(seed)
+    c = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * scale
+    if zeros != "none":  # -0.0 in either half of some entries, or of all
+        hit = rng.random(n) < 0.3 if zeros == "some" else np.ones(n, dtype=bool)
+        c.real[hit & (rng.random(n) < 0.5)] = -0.0
+        c.imag[hit] = -0.0
+    want = (np.fft.ifft(c) * n).view(np.uint64)
+    arr = c.copy()
+    got = _inverse_in_place(arr)
+    assert got.values is arr  # written into the array it was handed
+    assert np.array_equal(got.values.view(np.uint64), want)
+    assert np.array_equal(inverse_dft(Spectrum(n, c)).values.view(np.uint64), want)
