@@ -488,7 +488,7 @@ def _cmd_selftest(args, config: ExperimentConfig):
     checks["tarry_2_1_3"] = tarry_count(2, 1, 3).count == 19
 
     checks["difference_identity"] = all(
-        check_difference_identity(j, 7, -3).equal for j in range(1, 7))
+        check_difference_identity(j, 7, -3) for j in range(1, 7))
 
     g = generate_set("random", 512, density=0.5, seed=config.seed)
     out = decompose(balanced_function(g), 0.2, tol=tol)

@@ -414,7 +414,6 @@ class GriesmerResult:
     n: Optional[int]
     measures: tuple[Fraction, ...]    # one per original constant, at n
     threshold: Fraction
-    constants: tuple[int, ...]
     levels: tuple[LevelInfo, ...]
     failure_reason: Optional[str] = None
 
@@ -515,8 +514,7 @@ def griesmer_search(system: FiniteMPSystem, subset, eps: float,
         active, verts = active[len(half):], [verts[i] for i in clique_idx]
     if n is None:
         return GriesmerResult(
-            found=False, n=None, measures=(), threshold=threshold,
-            constants=constants, levels=tuple(levels),
+            found=False, n=None, measures=(), threshold=threshold, levels=tuple(levels),
             failure_reason="clique exhausted; time list too short",
         )
     measures = tuple(recurrence_measure(system, mask, c * n) for c in constants)
@@ -525,6 +523,5 @@ def griesmer_search(system: FiniteMPSystem, subset, eps: float,
             f"re-verification failed for n={n}: search returned a bad shift"
         )
     return GriesmerResult(
-        found=True, n=n, measures=measures, threshold=threshold,
-        constants=constants, levels=tuple(levels),
+        found=True, n=n, measures=measures, threshold=threshold, levels=tuple(levels),
     )

@@ -183,10 +183,6 @@ class ProductLattice:
         return ProductLattice(tuple(factor * b for b in self.blocks))
 
 
-def _entry_is_rational(x) -> bool:
-    return isinstance(x, Rational)
-
-
 @dataclass(frozen=True)
 class BlockVector:
     """Per-block real vectors alpha_j; dilation by n multiplies block j by n^j."""
@@ -433,7 +429,6 @@ class GoodSet:
     as the read-only boolean table good of the N values (n at index n - 1)."""
 
     n_range: int
-    eps: float
     good: np.ndarray
     exact: bool
 
@@ -444,10 +439,6 @@ class GoodSet:
     @property
     def density(self) -> Fraction:
         return Fraction(self.count, self.n_range)
-
-    @property
-    def empty(self) -> bool:
-        return not self.good.any()
 
     @property
     def members(self) -> np.ndarray:
@@ -481,7 +472,7 @@ def _good_set(conditions: Sequence[tuple[IntPolynomial, tuple]], eps: float,
     """
     if not (math.isfinite(eps) and eps > 0) or n_range < 1:
         raise ValueError("need finite eps > 0 and N >= 1")
-    exact = all(_entry_is_rational(x) for _, block in conditions for x in block)
+    exact = all(isinstance(x, Rational) for _, block in conditions for x in block)
     if exact:
         a, b = Fraction(eps).as_integer_ratio()
         rules = []  # (P, [(p_i, q_i, Q/q_i)], dtype of the sum, ceil((aQ/b)^2))
@@ -512,7 +503,7 @@ def _good_set(conditions: Sequence[tuple[IntPolynomial, tuple]], eps: float,
                 d = _phases(tables[poly] * rule[0], nearest=True)
                 keep &= np.sqrt(np.sum(d * d, axis=1)) < eps
     good.setflags(write=False)
-    return GoodSet(n_range, eps, good, exact=exact)
+    return GoodSet(n_range, good, exact=exact)
 
 
 def approx_good_set_power(alpha: BlockVector, eps: float, n_range: int) -> GoodSet:

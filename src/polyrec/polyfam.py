@@ -23,7 +23,6 @@ __all__ = [
     "IntPolynomial",
     "PolynomialFamily",
     "ShiftRange",
-    "IdentityCheck",
     "CoefficientMatrix",
     "LiftResult",
     "ImplicationReport",
@@ -222,21 +221,13 @@ def shift_range(family: PolynomialFamily, n: int, eps: float, c: float = 1.0) ->
     return ShiftRange(m=m, adjusted=(m != m_nominal))
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    equal: bool
-    lhs: int
-    rhs: int
-
-
-def check_difference_identity(j: int, x: int, d: int) -> IdentityCheck:
+def check_difference_identity(j: int, x: int, d: int) -> bool:
     """Exact check of sum_{t=0}^{j} (x+td)^j C(j,t) (-1)^(j-t) = j! d^j."""
     if j < 0:
         raise ValueError("order j must be nonnegative")
     x, d = int(x), int(d)
     lhs = sum((x + t * d) ** j * math.comb(j, t) * (-1) ** (j - t) for t in range(j + 1))
-    rhs = math.factorial(j) * d ** j
-    return IdentityCheck(lhs == rhs, lhs, rhs)
+    return lhs == math.factorial(j) * d ** j
 
 
 @dataclass(frozen=True)
@@ -244,15 +235,13 @@ class CoefficientMatrix:
     """Exact rank data of a family's l x k coefficient matrix.
 
     independent_rows lists the greedy (lowest index first) maximal
-    independent subset; dependency has one row of rational coefficients
-    per dependent row, expressing it over the independent ones.
+    independent subset.
     """
 
     rows: tuple[tuple[int, ...], ...]
     rank: int
     independent_rows: tuple[int, ...]
     dependent_rows: tuple[int, ...]
-    dependency: tuple[tuple[Fraction, ...], ...]
 
 
 def coefficient_analysis(family: PolynomialFamily) -> CoefficientMatrix:
@@ -298,7 +287,6 @@ def coefficient_analysis(family: PolynomialFamily) -> CoefficientMatrix:
         rank=len(kept),
         independent_rows=tuple(kept),
         dependent_rows=tuple(dependent),
-        dependency=tuple(dependency),
     )
 
 

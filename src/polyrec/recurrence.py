@@ -60,8 +60,6 @@ class ShiftReport:
     """Outcome of the simultaneous good-shift search."""
 
     a: IntegerSet
-    family: PolynomialFamily
-    eps: float
     shift_range: ShiftRange
     counts: np.ndarray            # |A ∩ (A + P_i(n))|, read-only l x M int64
     good_shifts: np.ndarray       # read-only int64, ascending
@@ -106,8 +104,8 @@ def find_good_shifts(a: IntegerSet, family: PolynomialFamily, eps: float,
     good = np.flatnonzero((counts > math.floor(threshold * a.n)).all(axis=0)) + 1
     counts.setflags(write=False)
     good.setflags(write=False)
-    return ShiftReport(a=a, family=family, eps=eps, shift_range=sr, counts=counts,
-                       good_shifts=good, threshold=threshold, within_hypotheses=equal)
+    return ShiftReport(a=a, shift_range=sr, counts=counts, good_shifts=good,
+                       threshold=threshold, within_hypotheses=equal)
 
 
 def default_schedule(eps: float) -> Callable[[int], float]:

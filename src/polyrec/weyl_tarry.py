@@ -20,7 +20,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .intset import _Fresh
 from .polyfam import IntPolynomial
+from .zn_fourier import _frozen_complex, _inverse_in_place
 
 __all__ = [
     "WeylSum",
@@ -80,15 +82,10 @@ WEYL_M_BUDGET = 2_000_000
 class WeylSum:
     """S_w over the dual of Z_N for P on [1, M] with +-1 weights."""
 
-    poly: IntPolynomial
-    modulus: int         # N
-    weights: tuple[int, ...]
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.complex128).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _frozen_complex(self.values))
 
 
 def _check_weights(weights: Optional[Sequence[int]], m: int) -> tuple[int, ...]:
@@ -120,8 +117,9 @@ def weyl_sum(poly: IntPolynomial, m: int, n_modulus: int,
     mass = np.zeros(n_modulus, dtype=np.int64)
     residues = (poly.values(np.arange(1, m + 1)) % n_modulus).astype(np.int64)
     np.add.at(mass, residues, w)
-    values = np.fft.ifft(mass) * n_modulus  # sum_y mass[y] e(+y xi / N)
-    return WeylSum(poly=poly, modulus=n_modulus, weights=w, values=values)
+    # sum_y mass[y] e(+y xi / N), taken over without a copy
+    values = _inverse_in_place(mass.astype(np.complex128)).values
+    return WeylSum(_Fresh(values))
 
 
 def moment_2k(s: WeylSum, k_order: int) -> float:
@@ -368,7 +366,6 @@ class TarryCount:
     """An exact solution count with the method that produced it."""
 
     k_order: int
-    m: int
     count: int
     method: str
     degree: int
@@ -393,7 +390,7 @@ def tarry_count(k_order: int, degree: int, m: int, method: str = "auto") -> Tarr
     monomials = [IntPolynomial((0,) * (i - 1) + (1,)) for i in range(1, degree + 1)]
     count, method = _equal_sums(monomials, k_order, m, method=method,
                                 spans=[m ** i - 1 for i in range(1, degree + 1)])
-    return TarryCount(k_order=k_order, m=m, count=count, method=method, degree=degree)
+    return TarryCount(k_order=k_order, count=count, method=method, degree=degree)
 
 
 @dataclass(frozen=True)
@@ -407,8 +404,6 @@ class GrowthRow:
 
 @dataclass(frozen=True)
 class GrowthProbe:
-    k_order: int
-    degree: int
     rows: tuple[GrowthRow, ...]
 
     @property
@@ -449,4 +444,4 @@ def growth_probe(k_order: int, degree: int, m_values: Sequence[int]) -> GrowthPr
         rows.append(GrowthRow(m=m, count=res.count, log_count=logs_c[-1],
                               fitted_slope=slope,
                               theory_exponent=res.theory_exponent))
-    return GrowthProbe(k_order=k_order, degree=degree, rows=tuple(rows))
+    return GrowthProbe(tuple(rows))

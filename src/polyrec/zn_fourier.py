@@ -62,7 +62,7 @@ def _frozen_complex(values) -> np.ndarray:
 
     A caller's values are always copied, so no array or view the caller
     holds can change the result.  Only a _Fresh array (from dft,
-    inverse_dft, balanced_function or decompose's parts) is
+    inverse_dft, balanced_function, decompose's parts or weyl_sum) is
     taken over as it is.
     """
     if isinstance(values, _Fresh):
@@ -139,7 +139,8 @@ def _p_norm(arr: np.ndarray, p: float, weight: float) -> float:
     mags = np.abs(arr)
     if math.isinf(p):
         return float(mags.max())
-    return float((weight * np.sum(mags ** p)) ** (1.0 / p))
+    mags **= p
+    return float((weight * np.sum(mags)) ** (1.0 / p))
 
 
 def lp_norm(f: ZnFunction, p: float) -> float:

@@ -459,8 +459,8 @@ def naive_griesmer(mapping, subset, eps, constants, times):
     red clique greedily, recurse on it with the other half, and end with
     naive_khintchine on T^c for the last constant c.
 
-    Returns (found, n, measures, threshold, constants, levels,
-    failure_reason), each level as (half, vertices, red edges, edges,
+    Returns (found, n, measures, threshold, levels, failure_reason), each
+    level as (half, vertices, red edges, edges,
     clique size).
     """
     order = naive_order(mapping)
@@ -500,8 +500,8 @@ def naive_griesmer(mapping, subset, eps, constants, times):
 
     n = recurse(tuple(padded), list(times))
     if n is None:
-        return (False, None, (), threshold, tuple(constants), tuple(levels),
+        return (False, None, (), threshold, tuple(levels),
                 "clique exhausted; time list too short")
     measures = tuple(naive_recurrence_measure(mapping, subset, c * n % order)
                      for c in constants)
-    return True, n, measures, threshold, tuple(constants), tuple(levels), None
+    return True, n, measures, threshold, tuple(levels), None

@@ -25,8 +25,8 @@ from polyrec.cli import main
 from polyrec.ergodic_lab import (FiniteMPSystem, griesmer_search, khintchine_search,
                                  recurrence_measure)
 from polyrec.intset import IntegerSet, _Fresh, bernoulli_mask, generate_set
-from polyrec.zn_fourier import (CYCLIC, INTEGER, ExactnessError, _intersection_counts,
-                                _residue_mask, balanced_function)
+from polyrec.zn_fourier import (CYCLIC, INTEGER, ExactnessError, ZnFunction, _intersection_counts,
+                                _residue_mask, balanced_function, dft, ellp_norm, lp_norm)
 
 from oracles import (closed_form_power_map, naive_bernoulli, naive_cycles,
                      naive_intersection_cyclic, naive_order, naive_power_map,
@@ -143,6 +143,16 @@ def test_cli_decompose_holds_five_complex_arrays(spec, eps, arrays, capsys):
     assert _traced_peak(main, argv) < arrays * 16 * n + 2 * n
     results = json.loads(capsys.readouterr().out)["results"]
     assert (results["m"] == n) == (arrays == 6)
+
+
+def test_a_norm_holds_one_float64_array_of_magnitudes():
+    # |values| in float64, raised to the power p in place; on top, a few
+    # small objects
+    n = 2 ** 17
+    f = ZnFunction(n, np.random.default_rng(0).standard_normal(n))
+    spectrum = dft(f)
+    assert _traced_peak(ellp_norm, spectrum, 1) < 8 * n + 4096
+    assert _traced_peak(lp_norm, f, 2) < 8 * n + 4096
 
 
 def test_a_measure_gathers_its_mask_in_at_most_two_int64_arrays():

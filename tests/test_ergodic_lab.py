@@ -349,5 +349,5 @@ def test_griesmer_matches_the_oracle(case, constants, times):
     got = griesmer_search(FiniteMPSystem.from_permutation(perm), subset, eps, constants,
                           times)
     want = naive_griesmer(perm, subset, eps, constants, times)
-    assert (got.found, got.n, got.measures, got.threshold, got.constants,
+    assert (got.found, got.n, got.measures, got.threshold,
             tuple(dataclasses.astuple(lv) for lv in got.levels), got.failure_reason) == want

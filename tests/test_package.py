@@ -1,6 +1,6 @@
 """Package-level checks: the export list; exported functions, methods,
-imports (the tests' too) and private names that nothing reads; and exported
-parameters that no caller sets."""
+record fields, imports (the tests' too) and private names that nothing
+reads; and exported parameters that no caller sets."""
 
 import ast
 from collections import Counter
@@ -89,10 +89,24 @@ def _loads(node) -> list[str]:
             if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)]
 
 
+#: Receivers whose attributes are none of the package's: the CLI's
+#: argparse namespace and numpy.
+FOREIGN_ROOTS = {"args", "np"}
+
+
+def _root(node):
+    """The name an attribute chain, call or subscript hangs from, if any."""
+    while isinstance(node, (ast.Attribute, ast.Call, ast.Subscript)):
+        node = node.func if isinstance(node, ast.Call) else node.value
+    return getattr(node, "id", None)
+
+
 def _attribute_loads(node) -> list[str]:
-    """Each attribute loaded under node, once per load."""
+    """Each attribute loaded under node, once per load, but for those whose
+    receiver is rooted at a name in FOREIGN_ROOTS."""
     return [n.attr for n in ast.walk(node)
-            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)]
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+            and _root(n.value) not in FOREIGN_ROOTS]
 
 
 def public_callables(tree):
@@ -170,6 +184,56 @@ def test_every_exported_function_is_read_in_the_package():
     sources = {path.name: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
     pinned = {f"FiniteMPSystem.{name}" for name in tracer_system_methods()}
     assert unread_exports(sources, pinned) == []
+
+
+def record_fields(tree):
+    """Each annotated field of a class named in the module's literal __all__,
+    as (class name, node)."""
+    exported = literal_all(tree)
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name in exported:
+            yield from ((node.name, item) for item in node.body if isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name))
+
+
+def unread_fields(sources: dict[str, str], exempt=frozenset()) -> list[str]:
+    """Each field that record_fields yields and no source reads as an
+    attribute, unless exempt names its class, or the field as Class.field."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    attributes = {name for tree in trees.values() for name in _attribute_loads(tree)}
+    return [f"{module} line {node.lineno}: {owner}.{node.target.id}"
+            for module, tree in sorted(trees.items()) for owner, node in record_fields(tree)
+            if node.target.id not in attributes
+            and not {owner, f"{owner}.{node.target.id}"} & exempt]
+
+
+def test_field_check_flags_a_field_nothing_reads():
+    sources = {"a.py": "__all__ = ['R', 'S', 'T']\n"
+                       "class R:\n    read: int\n    unread: int\n    pinned: int\n"
+                       "class S:\n    whole: int\n"
+                       "class T:\n    eps: float\n    dtype: str\n    size: int = 0\n"
+                       "class _P:\n    hidden: int\n",
+               "b.py": "def f(r, args):\n    return r.read, args.eps, np.zeros(1).dtype, r.x.size\n"}
+    assert unread_fields(sources, {"R.pinned", "S"}) == ["a.py line 4: R.unread",
+                                                        "a.py line 9: T.eps",
+                                                        "a.py line 10: T.dtype"]
+
+
+#: Records the CLI serializes whole, through dataclasses.asdict or vars(),
+#: so that every field reaches a report.
+SERIALIZED_RECORDS = {"AverageBoundsReport", "SchmidtReport", "WeylDenominatorReport",
+                      "LevelInfo", "GrowthRow", "Constants", "Tolerances"}
+#: Fields that no module reads, kept on purpose.  ShiftReport.counts is the
+#: one public path to cyclic counts: intersection_profile counts inside
+#: [1, N] only.
+UNREAD_FIELDS = {"ShiftReport.counts"}
+
+
+def test_every_exported_record_field_is_read_in_the_package():
+    # a field that nothing reads is computed and stored for no one: delete
+    # it, or give it a reader in the program
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    assert unread_fields(sources, SERIALIZED_RECORDS | UNREAD_FIELDS) == []
 
 
 def _passes(call: ast.Call, name: str, position) -> bool:

@@ -151,10 +151,8 @@ def test_shift_range_error_names_minimal_ambient():
 
 def test_difference_identity_small_cases():
     # j=2, d=3: both sides are 2! * 3^2 = 18; j=5, d=2: 5! * 2^5 = 3840.
-    chk = check_difference_identity(2, 11, 3)
-    assert chk.equal and chk.rhs == 18
-    chk = check_difference_identity(5, -4, 2)
-    assert chk.equal and chk.rhs == 3840
+    assert check_difference_identity(2, 11, 3) is True
+    assert check_difference_identity(5, -4, 2) is True
 
 
 def test_difference_identity_randomized():
@@ -163,8 +161,7 @@ def test_difference_identity_randomized():
         j = rng.randint(0, 10)
         x = rng.randint(-10 ** 6, 10 ** 6)
         d = rng.randint(-10 ** 6, 10 ** 6)
-        chk = check_difference_identity(j, x, d)
-        assert chk.equal, (j, x, d, chk.lhs, chk.rhs)
+        assert check_difference_identity(j, x, d) is True, (j, x, d)
 
 
 def test_coefficient_analysis_dependent_family():
@@ -173,7 +170,6 @@ def test_coefficient_analysis_dependent_family():
     assert cm.rank == 2
     assert cm.independent_rows == (0, 1)
     assert cm.dependent_rows == (2,)
-    assert cm.dependency == ((Fraction(1), Fraction(1)),)
 
 
 def test_coefficient_analysis_full_rank():
@@ -198,16 +194,14 @@ def test_coefficient_analysis_rank_matches_float_rank():
             rows.append(IntPolynomial(tuple(row[:deg + 1])))
         fam = PolynomialFamily(tuple(rows))
         cm = coefficient_analysis(fam)
-        want = np.linalg.matrix_rank(np.array(fam.coefficient_rows(), dtype=float))
+        mat = np.array(fam.coefficient_rows(), dtype=float)
+        want = np.linalg.matrix_rank(mat)
         assert cm.rank == want
-        # certificates reconstruct each dependent row exactly
-        mat = fam.coefficient_rows()
-        for drow, cert in zip(cm.dependent_rows, cm.dependency):
-            rebuilt = [
-                sum(c * mat[i][col] for c, i in zip(cert, cm.independent_rows))
-                for col in range(len(mat[0]))
-            ]
-            assert tuple(rebuilt) == mat[drow]
+        # the independent rows span each dependent row
+        kept = list(cm.independent_rows)
+        assert np.linalg.matrix_rank(mat[kept]) == want
+        for drow in cm.dependent_rows:
+            assert np.linalg.matrix_rank(mat[kept + [drow]]) == want
 
 
 def test_lift_full_set_is_maximal():

@@ -139,18 +139,25 @@ INVERSE_LENGTHS = [1, 2, 3, 5, 7, 11, 97, 1009, 4099, 4, 16, 30, 360, 1024, 4096
 
 @settings(max_examples=120, deadline=None)
 @given(n=st.sampled_from(INVERSE_LENGTHS), seed=st.integers(0, 2 ** 32 - 1),
-       zeros=st.sampled_from(["none", "some", "all"]),
+       zeros=st.sampled_from(["none", "some", "all", "point masses"]),
        scale=st.sampled_from([1.0, 2.0 ** -1000, 2.0 ** 1000]))
 @example(n=1, seed=0, zeros="all", scale=1.0)
 @example(n=4099, seed=1, zeros="some", scale=1.0)
+@example(n=4099, seed=2, zeros="point masses", scale=1.0)
 def test_the_in_place_inverse_is_bitwise_a_fresh_ifft(n, seed, zeros, scale):
     rng = np.random.default_rng(seed)
-    c = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * scale
-    if zeros != "none":  # -0.0 in either half of some entries, or of all
-        hit = rng.random(n) < 0.3 if zeros == "some" else np.ones(n, dtype=bool)
-        c.real[hit & (rng.random(n) < 0.5)] = -0.0
-        c.imag[hit] = -0.0
-    want = (np.fft.ifft(c) * n).view(np.uint64)
+    if zeros == "point masses":  # weyl_sum's signed int64 masses (scale unused)
+        mass = np.zeros(n, dtype=np.int64)
+        np.add.at(mass, rng.integers(0, n, 2 * n), rng.choice([-1, 1], 2 * n))
+        c, want = mass.astype(np.complex128), np.fft.ifft(mass) * n
+    else:
+        c = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * scale
+        if zeros != "none":  # -0.0 in either half of some entries, or of all
+            hit = rng.random(n) < 0.3 if zeros == "some" else np.ones(n, dtype=bool)
+            c.real[hit & (rng.random(n) < 0.5)] = -0.0
+            c.imag[hit] = -0.0
+        want = np.fft.ifft(c) * n
+    want = want.view(np.uint64)
     arr = c.copy()
     got = _inverse_in_place(arr)
     assert got.values is arr  # written into the array it was handed
