@@ -219,15 +219,15 @@ def _cmd_search(args, config: ExperimentConfig):
                               permissive=args.permissive)
     results = {
         "N": args.N,
-        "density": report.a.density,
+        "density": a.density,
         "shift_bound": report.m,
         "shift_bound_adjusted": report.shift_range.adjusted,
         "threshold": report.threshold,
-        "good_shifts": report.good_shifts[:200].tolist(),
+        "good_shifts": report.good_shifts.array[:200].tolist(),
         "good_count": report.good_shifts.size,
-        "density_of_good": float(report.density_of_good) if report.m else None,
+        "density_of_good": float(report.good_shifts.density),
         "within_hypotheses": report.within_hypotheses,
-        "empty": report.empty,
+        "empty": not report.good_shifts.size,
     }
     return results, {}
 
@@ -313,13 +313,17 @@ def _cmd_tarry(args, config: ExperimentConfig):
     checks = {}
     if args.growth:
         ms = sorted(int(x) for x in args.growth.split(","))
-        probe = growth_probe(args.K, args.k, ms)
-        results["growth_rows"] = [dataclasses.asdict(r) for r in probe.rows]
-        results["fitted_slope"] = probe.slope
-        results["theory_exponent"] = probe.rows[-1].theory_exponent
+        rows = growth_probe(args.K, args.k, ms)
+        results["growth_rows"] = [dataclasses.asdict(r) for r in rows]
+        results["fitted_slope"] = rows[-1].fitted_slope
+        results["theory_exponent"] = rows[-1].theory_exponent
         if args.csv:
+            lines = ["M,count,log_count,fitted_slope,theory_exponent"]
+            for r in rows:
+                slope = "" if r.fitted_slope is None else f"{r.fitted_slope:.6f}"
+                lines.append(f"{r.m},{r.count},{r.log_count:.6f},{slope},{r.theory_exponent}")
             with open(args.csv, "w") as fh:
-                fh.write("\n".join(probe.csv_lines()) + "\n")
+                fh.write("\n".join(lines) + "\n")
             results["csv_path"] = args.csv
     else:
         _require(args, "tarry without --growth", "M")
@@ -375,8 +379,8 @@ def _cmd_dioph(args, config: ExperimentConfig):
             good = approx_good_set_power(alpha, args.eps, args.N)
         results = {
             "action": "goodset", "N": args.N, "eps": args.eps,
-            "exact_arithmetic": good.exact, "count": good.count,
-            "density": good.density, "members": good.members[:200].tolist(),
+            "exact_arithmetic": good.exact, "count": good.members.size,
+            "density": good.members.density, "members": good.members.array[:200].tolist(),
         }
     elif args.action == "denominator":
         thetas = [_parse_number(t) for t in args.theta.split(",")]
@@ -437,7 +441,7 @@ def _cmd_lift(args, config: ExperimentConfig):
     results = {
         "N": args.N,
         "half_width": lift.half_width,
-        "ambient": lift.ambient,
+        "ambient": a.n,
         "rank": analysis.rank,
         "independent_rows": list(analysis.independent_rows),
         "offset": list(lift.offset),

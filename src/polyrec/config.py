@@ -1,9 +1,11 @@
 """Central configuration records: tolerances and free constants.
 
-Every numeric tolerance used by the package lives in `Tolerances`, and every
-tunable constant of the underlying estimates lives in `Constants`.  Modules
-take these as optional arguments and fall back to the module-level defaults,
-so a single record swap reconfigures the whole toolkit.
+Every numeric tolerance used by the package lives in `Tolerances`:
+`decompose` and the lattice sums take the record as an optional `tol`,
+falling back to DEFAULT_TOLERANCES, and the CLI passes its config's record
+and reads the other fields itself.  Of `Constants`, only `B_quality` is read
+(the CLI hands it to `schmidt_scan`); its other fields, like
+`Tolerances.spectral_identity`, are validated and echoed, never computed with.
 """
 
 from __future__ import annotations

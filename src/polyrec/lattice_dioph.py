@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
+from .intset import IntegerSet, _Fresh
 from .polyfam import IntPolynomial
 
 __all__ = [
@@ -425,28 +426,11 @@ def gaussian_average(lattice: ProductLattice, alpha: BlockVector, n_range: int,
 
 @dataclass(frozen=True)
 class GoodSet:
-    """Solutions n <= N of a system of nearest-integer inequalities, held
-    as the read-only boolean table good of the N values (n at index n - 1)."""
+    """Solutions n <= N of a system of nearest-integer inequalities, and
+    whether they were decided in exact arithmetic."""
 
-    n_range: int
-    good: np.ndarray
+    members: IntegerSet
     exact: bool
-
-    @property
-    def count(self) -> int:
-        return int(np.count_nonzero(self.good))
-
-    @property
-    def density(self) -> Fraction:
-        return Fraction(self.count, self.n_range)
-
-    @property
-    def members(self) -> np.ndarray:
-        """The good n in ascending order, built in place as one read-only array."""
-        members = np.flatnonzero(self.good)
-        members += 1
-        members.setflags(write=False)
-        return members
 
 
 def _residues(values: np.ndarray, p: int, q: int) -> np.ndarray:
@@ -502,8 +486,7 @@ def _good_set(conditions: Sequence[tuple[IntPolynomial, tuple]], eps: float,
             else:
                 d = _phases(tables[poly] * rule[0], nearest=True)
                 keep &= np.sqrt(np.sum(d * d, axis=1)) < eps
-    good.setflags(write=False)
-    return GoodSet(n_range, good, exact=exact)
+    return GoodSet(IntegerSet(n_range, _Fresh(good)), exact=exact)
 
 
 def approx_good_set_power(alpha: BlockVector, eps: float, n_range: int) -> GoodSet:

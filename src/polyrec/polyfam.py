@@ -295,7 +295,6 @@ class LiftResult:
     """Outcome of the box lift: points b in [-m, m]^k with P(b) in A^l - offset."""
 
     half_width: int
-    ambient: int
     offset: tuple[int, ...]
     points: np.ndarray  # read-only (size, k) int64, in the box's C order
     density: Fraction
@@ -398,7 +397,6 @@ def lift_construction(a: IntegerSet, family: PolynomialFamily,
         offset[row] = off
     return LiftResult(
         half_width=half_width,
-        ambient=a.n,
         offset=tuple(offset),
         points=points,
         density=Fraction(len(points), axis.size ** k),

@@ -59,24 +59,15 @@ def intersection_profile(a: IntegerSet, family: PolynomialFamily, m: int
 class ShiftReport:
     """Outcome of the simultaneous good-shift search."""
 
-    a: IntegerSet
     shift_range: ShiftRange
     counts: np.ndarray            # |A ∩ (A + P_i(n))|, read-only l x M int64
-    good_shifts: np.ndarray       # read-only int64, ascending
+    good_shifts: IntegerSet       # the good n, inside [1, M]
     threshold: Fraction           # density^2 - eps, exact
     within_hypotheses: bool
 
     @property
     def m(self) -> int:
         return self.shift_range.m
-
-    @property
-    def density_of_good(self) -> Fraction:
-        return Fraction(self.good_shifts.size, self.m)
-
-    @property
-    def empty(self) -> bool:
-        return not self.good_shifts.size
 
 
 def find_good_shifts(a: IntegerSet, family: PolynomialFamily, eps: float,
@@ -101,10 +92,10 @@ def find_good_shifts(a: IntegerSet, family: PolynomialFamily, eps: float,
     sr = shift_range(family, a.n, eps, c)
     counts = _count_table(a, family, sr.m, mode)
     threshold = a.density ** 2 - Fraction(eps)
-    good = np.flatnonzero((counts > math.floor(threshold * a.n)).all(axis=0)) + 1
+    good = (counts > math.floor(threshold * a.n)).all(axis=0)
     counts.setflags(write=False)
-    good.setflags(write=False)
-    return ShiftReport(a=a, shift_range=sr, counts=counts, good_shifts=good,
+    return ShiftReport(shift_range=sr, counts=counts,
+                       good_shifts=IntegerSet(sr.m, _Fresh(good)),
                        threshold=threshold, within_hypotheses=equal)
 
 

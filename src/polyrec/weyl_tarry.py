@@ -20,15 +20,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .intset import _Fresh
 from .polyfam import IntPolynomial
-from .zn_fourier import _frozen_complex, _inverse_in_place
+from .zn_fourier import ZnFunction, _inverse_in_place
 
 __all__ = [
-    "WeylSum",
     "TarryCount",
     "GrowthRow",
-    "GrowthProbe",
     "weyl_sum",
     "moment_2k",
     "count_solutions_mod",
@@ -78,16 +75,6 @@ WEYL_N_BUDGET = 10_000_000
 WEYL_M_BUDGET = 2_000_000
 
 
-@dataclass(frozen=True)
-class WeylSum:
-    """S_w over the dual of Z_N for P on [1, M] with +-1 weights."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_complex(self.values))
-
-
 def _check_weights(weights: Optional[Sequence[int]], m: int) -> tuple[int, ...]:
     if weights is None:
         return (1,) * m
@@ -100,8 +87,9 @@ def _check_weights(weights: Optional[Sequence[int]], m: int) -> tuple[int, ...]:
 
 
 def weyl_sum(poly: IntPolynomial, m: int, n_modulus: int,
-             weights: Optional[Sequence[int]] = None) -> WeylSum:
-    """S_w(xi) = sum_{n=1}^{M} w(n) e(P(n) xi / N) for every frequency xi.
+             weights: Optional[Sequence[int]] = None) -> ZnFunction:
+    """S_w(xi) = sum_{n=1}^{M} w(n) e(P(n) xi / N) for every frequency xi,
+    as the function xi -> S_w(xi) on Z_N.
 
     Computed as the length-N transform of the signed point-mass array that
     drops w(n) on the residue P(n) mod N; direct evaluation agrees to
@@ -117,18 +105,21 @@ def weyl_sum(poly: IntPolynomial, m: int, n_modulus: int,
     mass = np.zeros(n_modulus, dtype=np.int64)
     residues = (poly.values(np.arange(1, m + 1)) % n_modulus).astype(np.int64)
     np.add.at(mass, residues, w)
-    # sum_y mass[y] e(+y xi / N), taken over without a copy
-    values = _inverse_in_place(mass.astype(np.complex128)).values
-    return WeylSum(_Fresh(values))
+    # sum_y mass[y] e(+y xi / N), written into the converted masses
+    return _inverse_in_place(mass.astype(np.complex128))
 
 
-def moment_2k(s: WeylSum, k_order: int) -> float:
-    """The even moment sum_xi |S(xi)|^(2K), refused past float range."""
+def moment_2k(s: ZnFunction, k_order: int) -> float:
+    """The even moment sum_xi |S(xi)|^(2K), refused past float range.
+
+    |S|^2 and its K-th power are taken in the one array of magnitudes."""
     if k_order < 1:
         raise ValueError("moment order K must be >= 1")
-    power = np.abs(s.values) ** 2
+    power = np.abs(s.values)
+    power **= 2
     with np.errstate(over="ignore"):
-        moment = float(np.sum(power ** k_order))
+        power **= k_order
+        moment = float(np.sum(power))
     if not math.isfinite(moment):
         raise ValueError(f"moment past float range: K = {k_order} is too large")
     return moment
@@ -402,31 +393,14 @@ class GrowthRow:
     theory_exponent: float
 
 
-@dataclass(frozen=True)
-class GrowthProbe:
-    rows: tuple[GrowthRow, ...]
-
-    @property
-    def slope(self) -> float:
-        """Least-squares slope of log count against log M over all rows."""
-        last = self.rows[-1].fitted_slope
-        if last is None:
-            raise ValueError("need at least two sample points for a slope")
-        return last
-
-    def csv_lines(self) -> list[str]:
-        lines = ["M,count,log_count,fitted_slope,theory_exponent"]
-        for r in self.rows:
-            slope = "" if r.fitted_slope is None else f"{r.fitted_slope:.6f}"
-            lines.append(f"{r.m},{r.count},{r.log_count:.6f},{slope},{r.theory_exponent}")
-        return lines
-
-
-def growth_probe(k_order: int, degree: int, m_values: Sequence[int]) -> GrowthProbe:
+def growth_probe(k_order: int, degree: int, m_values: Sequence[int]
+                 ) -> tuple[GrowthRow, ...]:
     """Sample J(K, k, M) on a grid and fit log-log growth cumulatively.
 
-    Row i's fitted_slope regresses rows 0..i; the final row is the overall
-    fit, to set against the theory exponent 2K - k(k+1)/2.
+    One row per distinct M, ascending.  Row i's fitted_slope is the
+    least-squares slope of log count against log M over rows 0..i; the
+    final row's is the overall fit, to set against the theory exponent
+    2K - k(k+1)/2.
     """
     ms = sorted(set(int(v) for v in m_values))
     if len(ms) < 2:
@@ -444,4 +418,4 @@ def growth_probe(k_order: int, degree: int, m_values: Sequence[int]) -> GrowthPr
         rows.append(GrowthRow(m=m, count=res.count, log_count=logs_c[-1],
                               fitted_slope=slope,
                               theory_exponent=res.theory_exponent))
-    return GrowthProbe(tuple(rows))
+    return tuple(rows)

@@ -151,8 +151,8 @@ def test_04_tarry_counters_and_growth():
         for m in (1, 5, 17, 100):
             assert tarry_count(1, 1, m).count == m
             assert tarry_count(1, 3, m).count == m
-        probe = growth_probe(2, 1, (50, 100, 200, 400))
-        assert abs(probe.slope - 3.0) <= 0.15
+        rows = growth_probe(2, 1, (50, 100, 200, 400))
+        assert abs(rows[-1].fitted_slope - 3.0) <= 0.15
 
 
 def test_05_decomposition_contracts_on_seeded_inputs():
@@ -245,8 +245,8 @@ def test_08_diophantine_good_sets():
             gs = approx_good_set_power(
                 BlockVector(((Fraction(1, q),),)), 1.0 / (2 * q), n)
             assert gs.exact
-            assert gs.members.tolist() == list(range(q, n + 1, q))
-            assert gs.density == Fraction(1, q)
+            assert gs.members.array.tolist() == list(range(q, n + 1, q))
+            assert gs.members.density == Fraction(1, q)
 
         rng = np.random.default_rng(8)
         for trial in range(50):
@@ -261,7 +261,7 @@ def test_08_diophantine_good_sets():
 
         gs = approx_good_set_power(
             BlockVector(((), (math.sqrt(2.0),))), 0.1, 10 ** 4)
-        assert gs.count > 0
+        assert gs.members.size > 0
         for member in gs.members:
             frac = (member ** 2 * math.sqrt(2.0)) % 1.0
             assert min(frac, 1.0 - frac) <= 0.1 + 1e-6
@@ -315,7 +315,7 @@ def test_10_desk_scale_recurrence_end_to_end():
         fam = PolynomialFamily.parse(["0,1"])
         report = find_good_shifts(a, fam, 0.1)
         assert report.shift_range.m == 31
-        assert report.good_shifts.tolist() == list(range(2, 32, 2))
+        assert report.good_shifts.array.tolist() == list(range(2, 32, 2))
         threshold = Fraction(1, 2) ** 2 - Fraction(0.1)
         for shift_n in range(1, 32):
             count = naive_intersection_integer(a.elements, n, shift_n ** 2)

@@ -25,6 +25,8 @@ from polyrec.cli import main
 from polyrec.ergodic_lab import (FiniteMPSystem, griesmer_search, khintchine_search,
                                  recurrence_measure)
 from polyrec.intset import IntegerSet, _Fresh, bernoulli_mask, generate_set
+from polyrec.polyfam import IntPolynomial
+from polyrec.weyl_tarry import moment_2k, weyl_sum
 from polyrec.zn_fourier import (CYCLIC, INTEGER, ExactnessError, ZnFunction, _intersection_counts,
                                 _residue_mask, balanced_function, dft, ellp_norm, lp_norm)
 
@@ -153,6 +155,15 @@ def test_a_norm_holds_one_float64_array_of_magnitudes():
     spectrum = dft(f)
     assert _traced_peak(ellp_norm, spectrum, 1) < 8 * n + 4096
     assert _traced_peak(lp_norm, f, 2) < 8 * n + 4096
+
+
+def test_a_moment_holds_one_float64_array_of_magnitudes():
+    # |S| in float64, squared and raised to the power K in place; on top, a
+    # few small objects
+    n = 2 ** 17
+    s = weyl_sum(IntPolynomial((0, 1)), 1000, n)
+    for k_order in (1, 3):
+        assert _traced_peak(moment_2k, s, k_order) < 8 * n + 4096, k_order
 
 
 def test_a_measure_gathers_its_mask_in_at_most_two_int64_arrays():

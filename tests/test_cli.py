@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -39,6 +40,32 @@ def test_tarry_small_case_reexposed(capsys):
     assert report["checks"]["diagonal_lower_bound"]
 
 
+def test_search_with_no_good_shift_reports_an_empty_set(capsys):
+    # A = 1, 51, 101, ...: every shift n <= M = 2 misses A, and count 0 is
+    # not above the limit, so the boolean table is all False
+    code, report = run_cli(capsys, "search", "--N", "10000", "--set", "ap:1:50",
+                           "--poly", "1", "--eps", "0.0003")
+    assert code == 0
+    results = report["results"]
+    assert results["shift_bound"] == 2
+    assert results["good_count"] == 0
+    assert results["density_of_good"] == 0.0
+    assert results["empty"] is True
+    assert results["good_shifts"] == []
+
+
+def test_goodset_with_no_member_reports_an_empty_set(capsys):
+    # |n/3| = 1/3 > 0.2 at n = 1 and 2
+    code, report = run_cli(capsys, "dioph", "--action", "goodset", "--alpha", "1/3",
+                           "--N", "2", "--eps", "0.2")
+    assert code == 0
+    results = report["results"]
+    assert results["exact_arithmetic"] is True
+    assert results["count"] == 0
+    assert results["density"] == "0"
+    assert results["members"] == []
+
+
 def test_tarry_growth_probe_writes_csv(tmp_path, capsys):
     path = tmp_path / "growth.csv"
     code, report = run_cli(capsys, "tarry", "--K", "2", "--k", "1",
@@ -48,6 +75,14 @@ def test_tarry_growth_probe_writes_csv(tmp_path, capsys):
     assert lines[0] == "M,count,log_count,fitted_slope,theory_exponent"
     assert len(lines) == 4
     assert abs(report["results"]["fitted_slope"] - 3.0) < 0.5
+    # one point fits no slope; each later row has the slope of the rows up
+    # to it, to six decimals, and the last is the reported one
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[0] for row in rows] == ["20", "40", "60"]
+    assert rows[0][3] == ""
+    for row in rows[1:]:
+        assert re.fullmatch(r"\d+\.\d{6}", row[3]), row
+    assert rows[-1][3] == f"{report['results']['fitted_slope']:.6f}"
 
 
 def test_reports_are_byte_identical_across_runs(tmp_path):

@@ -79,13 +79,13 @@ def test_count_on_the_threshold_is_not_good():
                               PolynomialFamily((LINEAR,)), 0.5)
     assert report.threshold * 8 == 4
     assert report.counts.tolist() == [[7, 6, 5, 4]]
-    assert report.good_shifts.tolist() == [1, 2, 3]
+    assert report.good_shifts.array.tolist() == [1, 2, 3]
     # a threshold below 0 keeps every shift, count 0 included
     report = find_good_shifts(IntegerSet(16, (1,)), PolynomialFamily((LINEAR,)), 0.5,
                               mode=CYCLIC)
     assert report.threshold < 0
     assert report.counts.tolist() == [[0] * 8]
-    assert report.good_shifts.tolist() == list(range(1, 9))
+    assert report.good_shifts.array.tolist() == list(range(1, 9))
 
 
 def test_uniform_window_excludes_both_ends():
@@ -95,7 +95,7 @@ def test_uniform_window_excludes_both_ends():
     report = find_good_shifts(WINDOW_SET, family, 0.125, mode=CYCLIC, permissive=True)
     assert report.threshold * 32 == 4
     assert report.counts.tolist() == [[6, 9, 4, 12]]
-    assert report.good_shifts.tolist() == [1, 2, 4]
+    assert report.good_shifts.array.tolist() == [1, 2, 4]
 
 
 @PROPERTY
@@ -215,7 +215,7 @@ def test_family_good_set_past_one_chunk():
     thetas = [Fraction(2, 7), Fraction(1, 2 ** 40 + 15)]
     good = approx_good_set_family(family, thetas, 0.25, n_range)
     assert list(good.members) == naive_good_set_family(family, thetas, 0.25, n_range)
-    assert good.members[-1] > lattice_dioph._DILATE_CHUNK
+    assert good.members.array[-1] > lattice_dioph._DILATE_CHUNK
 
 
 dyadics = st.builds(lambda p, e: Fraction(p, 2 ** e),
@@ -293,7 +293,8 @@ def test_float_family_good_set_past_the_phase_limit_is_refused(theta, coeffs, th
 def test_float_family_good_set_refuses_values_a_long_double_cannot_reduce():
     # (2^70 + 1) n / 2 keeps no fractional digit in a 64-bit mantissa
     family = PolynomialFamily((IntPolynomial((2 ** 70 + 1,)),))
-    assert approx_good_set_family(family, [Fraction(1, 2)], 0.25, 6).members.tolist() == [2, 4, 6]
+    good = approx_good_set_family(family, [Fraction(1, 2)], 0.25, 6)
+    assert good.members.array.tolist() == [2, 4, 6]
     with pytest.raises(ValueError, match="phase reduction"):
         approx_good_set_family(family, [0.5], 0.25, 6)
 
@@ -301,12 +302,14 @@ def test_float_family_good_set_refuses_values_a_long_double_cannot_reduce():
 def test_distance_on_eps_is_not_good():
     # |n/4| = 1/4 = eps at odd n: strict, so only multiples of 4 are good
     quarter = Fraction(1, 4)
-    assert approx_good_set_power(BlockVector(((quarter,),)), 0.25, 8).members.tolist() == [4, 8]
+    good = approx_good_set_power(BlockVector(((quarter,),)), 0.25, 8)
+    assert good.members.array.tolist() == [4, 8]
     assert approx_good_set_family(PolynomialFamily((LINEAR,)), [quarter], 0.25,
-                                  8).members.tolist() == [4, 8]
+                                  8).members.array.tolist() == [4, 8]
     # two entries at n = 1: (3/20)^2 + (4/20)^2 = eps^2
     alpha = BlockVector(((Fraction(3, 20), Fraction(1, 5)),))
     members = approx_good_set_power(alpha, 0.25, 20).members
     assert 1 not in members and 20 in members
     # an empty block has distance 0 and passes
-    assert approx_good_set_power(BlockVector(((),)), 0.125, 3).members.tolist() == [1, 2, 3]
+    good = approx_good_set_power(BlockVector(((),)), 0.125, 3)
+    assert good.members.array.tolist() == [1, 2, 3]

@@ -205,16 +205,16 @@ def test_rational_good_set_reproduces_exact_periodicity():
     alpha = BlockVector(((Fraction(1, 3),),))
     good = approx_good_set_power(alpha, 0.2, 300)
     assert good.exact
-    assert good.members.tolist() == list(range(3, 301, 3))
-    assert good.density == Fraction(1, 3)
+    assert good.members.array.tolist() == list(range(3, 301, 3))
+    assert good.members.density == Fraction(1, 3)
     # denominator 7 with eps wide enough for residues {0, 1, 6}/7
     alpha = BlockVector(((Fraction(1, 7),),))
     eps = 0.2
     residues = naive_good_residues(7, eps)
     good = approx_good_set_power(alpha, eps, 700)
     want = [n for n in range(1, 701) if n % 7 in residues]
-    assert good.members.tolist() == want
-    assert good.density == Fraction(len(residues), 7)
+    assert good.members.array.tolist() == want
+    assert good.members.density == Fraction(len(residues), 7)
 
 
 def test_family_good_set_square_times_quarter():
@@ -222,8 +222,8 @@ def test_family_good_set_square_times_quarter():
     fam = PolynomialFamily.parse(["0,1"])
     good = approx_good_set_family(fam, [Fraction(1, 4)], 0.2, 400)
     assert good.exact
-    assert good.members.tolist() == list(range(2, 401, 2))
-    assert good.density == Fraction(1, 2)
+    assert good.members.array.tolist() == list(range(2, 401, 2))
+    assert good.members.density == Fraction(1, 2)
 
 
 def test_good_set_monotone_in_eps():
@@ -243,9 +243,9 @@ def test_good_set_monotone_in_eps():
 def test_sqrt2_square_block_good_set_nonempty():
     alpha = BlockVector(((), (SQRT2,)))
     good = approx_good_set_power(alpha, 0.1, 10000)
-    assert good.count > 0
+    assert good.members.size > 0
     # spot check the first member against the definition
-    n = good.members[0]
+    n = good.members.array[0]
     assert naive_distance_to_integers([n * n * SQRT2]) < 0.1
 
 
@@ -288,13 +288,13 @@ def test_long_double_phase_paths_refuse_large_n_to_the_k():
             call()
     # exact rational scans have no phase limit
     exact = approx_good_set_power(BlockVector(((Fraction(1, 3),),) * 3), 0.1, n)
-    assert exact.members[:3].tolist() == [3, 6, 9]
+    assert exact.members.array[:3].tolist() == [3, 6, 9]
     # N^3 exactly at the limit (10^12 with an 80-bit long double) still runs
     n_at_limit = round(_PHASE_LIMIT ** (1 / 3))
     assert float(n_at_limit) ** 3 == _PHASE_LIMIT
     at_limit = approx_good_set_power(BlockVector(((0.5,), (0.25,), (0.125,))), 0.1,
                                      n_at_limit)
-    assert at_limit.members[:3].tolist() == [2, 4, 6]
+    assert at_limit.members.array[:3].tolist() == [2, 4, 6]
     # the limit comes from the platform's long double: below it, a phase
     # keeps a spacing finer than 1e-6
     assert np.spacing(np.longdouble(_PHASE_LIMIT)) < 1e-6

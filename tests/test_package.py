@@ -24,7 +24,7 @@ EXPORTED = [
     "CoefficientMatrix", "IntPolynomial", "LiftResult", "PolynomialFamily",
     "ShiftRange", "check_difference_identity", "check_lift_implication",
     "coefficient_analysis", "lift_construction", "shift_range",
-    "GrowthProbe", "TarryCount", "WeylSum", "count_solutions_mod",
+    "TarryCount", "count_solutions_mod",
     "growth_probe", "moment_2k", "tarry_count", "value_range", "weyl_sum", "wrap_free",
     "DecompositionResult", "ShiftReport", "decompose", "default_schedule",
     "find_good_shifts", "intersection_profile",
@@ -543,6 +543,50 @@ def test_zn_fourier_reads_a_set_through_its_mask_alone():
     assert set_reads(source) == []
     assert callers(source, ("_residue_mask",))["_residue_mask"] == [
         "balanced_function", "_intersection_counts"]
+
+
+def _flatnonzero(node) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "flatnonzero")
+
+
+def _one(node) -> bool:
+    return isinstance(node, ast.Constant) and node.value == 1
+
+
+def one_based_members(source: str) -> list[str]:
+    """The owner (as in owned_nodes) of each np.flatnonzero(...) + 1, and of
+    each += 1 on a name that its owner binds to an np.flatnonzero(...) call:
+    a boolean table turned into the 1-based members it marks."""
+    nodes = list(owned_nodes(source))
+    indices = {(owner, target.id) for owner, node in nodes
+               if isinstance(node, ast.Assign) and _flatnonzero(node.value)
+               for target in node.targets if isinstance(target, ast.Name)}
+    return [owner for owner, node in nodes
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+            and (_flatnonzero(node.left) and _one(node.right)
+                 or _one(node.left) and _flatnonzero(node.right))
+            or isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add)
+            and _one(node.value) and (owner, getattr(node.target, "id", None)) in indices]
+
+
+def test_member_check_flags_each_table_made_one_based():
+    source = ("def f(t):\n    return np.flatnonzero(t) + 1, 1 + np.flatnonzero(t)\n"
+              "class C:\n    def g(self, t):\n        m = np.flatnonzero(t)\n"
+              "        m += 1\n        return m\n"
+              "def h(t):\n    i = np.flatnonzero(t)\n    j = i.size\n    j += 1\n"
+              "    return i[0] + 1, np.flatnonzero(t) + 2\n"
+              "def k(m):\n    m += 1\n    return m\n")
+    assert one_based_members(source) == ["f", "f", "g"]
+
+
+def test_only_an_integer_set_turns_a_boolean_table_into_members():
+    # a search or scan hands its boolean table to IntegerSet, whose array
+    # is the one place the marked entries become the 1-based members
+    found = {path.name: one_based_members(path.read_text(encoding="utf-8"))
+             for path in SRC.glob("*.py")}
+    assert {name: owners for name, owners in found.items() if owners} == {
+        "intset.py": ["array"]}
 
 
 def dual_bases(source: str) -> list[str]:

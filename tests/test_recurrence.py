@@ -79,11 +79,11 @@ def test_find_good_shifts_evens_square():
     fam = PolynomialFamily.parse(["0,1"])
     report = find_good_shifts(a, fam, 0.1)
     assert report.m == 31
-    assert report.good_shifts.tolist() == list(range(2, 32, 2))
-    assert report.density_of_good == Fraction(15, 31)
+    assert report.good_shifts.array.tolist() == list(range(2, 32, 2))
+    assert report.good_shifts.density == Fraction(15, 31)
     assert report.threshold == Fraction(1, 4) - Fraction(0.1)
     assert report.within_hypotheses
-    assert not report.empty
+    assert report.good_shifts.size
 
 
 def test_find_good_shifts_threshold_is_strict():
@@ -94,10 +94,10 @@ def test_find_good_shifts_threshold_is_strict():
     report = find_good_shifts(a, fam, 0.25)
     assert report.threshold == 0
     assert report.m == 5
-    assert report.good_shifts.tolist() == [2, 4]
+    assert report.good_shifts.array.tolist() == [2, 4]
     # nudging eps past the tie flips every shift to good
     report = find_good_shifts(a, fam, 0.26)
-    assert report.good_shifts.tolist() == [1, 2, 3, 4, 5]
+    assert report.good_shifts.array.tolist() == [1, 2, 3, 4, 5]
 
 
 def test_find_good_shifts_rejects_mixed_degrees():
