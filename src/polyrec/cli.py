@@ -220,7 +220,7 @@ def _cmd_search(args, config: ExperimentConfig):
     results = {
         "N": args.N,
         "density": a.density,
-        "shift_bound": report.m,
+        "shift_bound": report.shift_range.m,
         "shift_bound_adjusted": report.shift_range.adjusted,
         "threshold": report.threshold,
         "good_shifts": report.good_shifts.array[:200].tolist(),

@@ -65,10 +65,6 @@ class ShiftReport:
     threshold: Fraction           # density^2 - eps, exact
     within_hypotheses: bool
 
-    @property
-    def m(self) -> int:
-        return self.shift_range.m
-
 
 def find_good_shifts(a: IntegerSet, family: PolynomialFamily, eps: float,
                      c: float = 1.0, mode: str = INTEGER,

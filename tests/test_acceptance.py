@@ -84,9 +84,9 @@ def test_02_intersection_profile_matches_naive_exhaustively():
                     assert table[i][shift_n - 1] == Fraction(want, n)
                     checked += 1
             report = find_good_shifts(a, fam, 0.4, mode="cyclic", permissive=True)
-            assert report.m == shift_range(fam, n, 0.4).m
+            assert report.shift_range.m == shift_range(fam, n, 0.4).m
             for i, poly in enumerate(fam):
-                for shift_n in range(1, report.m + 1):
+                for shift_n in range(1, report.shift_range.m + 1):
                     want = naive_intersection_cyclic(
                         a.elements, n, poly.evaluate(shift_n))
                     assert report.counts[i, shift_n - 1] == want

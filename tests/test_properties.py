@@ -137,7 +137,7 @@ def test_intersection_profile_matches_oracles(a, polys, m):
         return
     for row, poly in zip(report.counts.tolist(), family):
         assert row == [naive_intersection_cyclic(a.elements, a.n, poly.evaluate(x))
-                       for x in range(1, report.m + 1)]
+                       for x in range(1, report.shift_range.m + 1)]
 
 
 @st.composite

@@ -71,14 +71,14 @@ def test_cyclic_mode_requires_matching_validation():
     fam = PolynomialFamily.parse(["0,1"])
     report = find_good_shifts(a, fam, 0.3, mode="cyclic")
     assert report.shift_range == shift_range(fam, 100, 0.3)
-    assert report.counts.shape == (1, report.m) == (1, 5)
+    assert report.counts.shape == (1, report.shift_range.m) == (1, 5)
 
 
 def test_find_good_shifts_evens_square():
     a = generate_set("evens", 10000)
     fam = PolynomialFamily.parse(["0,1"])
     report = find_good_shifts(a, fam, 0.1)
-    assert report.m == 31
+    assert report.shift_range.m == 31
     assert report.good_shifts.array.tolist() == list(range(2, 32, 2))
     assert report.good_shifts.density == Fraction(15, 31)
     assert report.threshold == Fraction(1, 4) - Fraction(0.1)
@@ -93,7 +93,7 @@ def test_find_good_shifts_threshold_is_strict():
     fam = PolynomialFamily.parse(["0,1"])
     report = find_good_shifts(a, fam, 0.25)
     assert report.threshold == 0
-    assert report.m == 5
+    assert report.shift_range.m == 5
     assert report.good_shifts.array.tolist() == [2, 4]
     # nudging eps past the tie flips every shift to good
     report = find_good_shifts(a, fam, 0.26)

@@ -2,18 +2,15 @@
 revision does: the same exit code, stdout and stderr.
 
     python3 tools/same_answers.py --parent-rev HEAD --seeds 0-5 \
-        [--workloads kernels,desk-mix] [--mask config,schema_version]
+        [--workloads kernels,desk-mix]
 
 The parent side is `git archive` of --parent-rev, unpacked into a
 temporary directory; the change side is this checkout as it is on disk.
 The queries are those of perfbench/workloads.py in this checkout, for
 every workload and seed.  Each side answers all of them in one child
 process that imports polyrec from that side's src/ and calls
-polyrec.cli.main in process, as the benchmark worker does.  --mask drops
-the named top-level keys of each JSON report on stdout before the two
-sides are compared, for a change that alters them in every report (such
-as the config echo).  Exit 0 when every answer matches, 1 (listing each
-query that differs) otherwise.
+polyrec.cli.main in process, as the benchmark worker does.  Exit 0 when
+every answer matches, 1 (listing each query that differs) otherwise.
 Only the standard library is used.
 """
 
@@ -66,25 +63,12 @@ def _answers(tree: Path, batches: list) -> list:
     return json.loads(proc.stdout)
 
 
-def _masked(stdout: str, keys: set) -> str:
-    """stdout with the top-level keys dropped when it is a JSON report, as
-    it is otherwise (a refusal prints none)."""
-    try:
-        report = json.loads(stdout)
-    except ValueError:
-        return stdout
-    return json.dumps({k: v for k, v in report.items() if k not in keys}, sort_keys=True)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent-rev", default="HEAD")
     parser.add_argument("--seeds", required=True, type=_seeds)
     parser.add_argument("--workloads", default="kernels,desk-mix")
-    parser.add_argument("--mask", default="", help="comma-separated top-level "
-                        "report keys left out of the stdout comparison")
     args = parser.parse_args(argv)
-    mask = {key for key in args.mask.split(",") if key}
 
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
@@ -97,8 +81,6 @@ def main(argv=None) -> int:
     change = _answers(ROOT, batches)
     differ = 0
     for (workload, seed, argv), old, new in zip(queries, parent, change):
-        if mask:
-            old[1], new[1] = _masked(old[1], mask), _masked(new[1], mask)
         fields = [name for name, a, b in zip(("exit code", "stdout", "stderr"), old, new)
                   if a != b]
         if fields:
