@@ -47,6 +47,8 @@ def _parse_set(spec: str, n: int, default_seed: int) -> IntegerSet:
     """Set literals: full | evens | ap:start:step | random:density[:seed]."""
     parts = spec.split(":")
     kind = parts[0].lower()
+    if kind in ("full", "all", "even", "evens") and len(parts) != 1:
+        raise ValueError(f"{kind} literal is {kind}")
     if kind in ("full", "all"):
         return generate_set("full", n)
     if kind in ("even", "evens"):
@@ -72,6 +74,8 @@ def _parse_subset(spec: str, m: int, default_seed: int):
     parts = spec.split(":")
     kind = parts[0].lower()
     if kind == "all":
+        if len(parts) != 1:
+            raise ValueError("all literal is all")
         return np.ones(m, dtype=bool)
     if kind == "range":
         if len(parts) != 3:
@@ -340,16 +344,16 @@ def _cmd_dioph(args, config: ExperimentConfig):
              "bounds": ("lattice", "alpha"), "schmidt": ("lattice", "alpha"),
              "goodset": ("theta",) if args.poly else ("alpha",),
              "denominator": ("theta",)}
-    _require(args, f"dioph --action {args.action}", *needs[args.action])
+    need = needs[args.action]
+    _require(args, f"dioph --action {args.action}", *need)
+    lattice = _parse_lattice(args.lattice) if "lattice" in need else None
+    alpha = _parse_blockvector(args.alpha) if "alpha" in need else None
     if args.action == "mass":
-        lattice = _parse_lattice(args.lattice)
         value = gaussian_mass(lattice, tol)  # two-sided agreement asserted
         results = {"action": "mass", "determinant": lattice.determinant,
                    "gaussian_mass": value}
         checks["two_sided_agreement"] = True
     elif args.action == "average":
-        lattice = _parse_lattice(args.lattice)
-        alpha = _parse_blockvector(args.alpha)
         value = gaussian_average(lattice, alpha, args.N,
                                  check_dual=args.check_dual, tol=tol)
         results = {"action": "average", "N": args.N, "average": value,
@@ -357,15 +361,11 @@ def _cmd_dioph(args, config: ExperimentConfig):
         if args.check_dual:
             checks["dual_agreement"] = True
     elif args.action == "bounds":
-        lattice = _parse_lattice(args.lattice)
-        alpha = _parse_blockvector(args.alpha)
         rep = check_average_bounds(lattice, alpha, args.N, args.c, args.q, tol=tol)
         results = {"action": "bounds", **dataclasses.asdict(rep)}
         checks["scaling_bound"] = rep.holds_scaling
         checks["subsampling_bound"] = rep.holds_subsampling
     elif args.action == "schmidt":
-        lattice = _parse_lattice(args.lattice)
-        alpha = _parse_blockvector(args.alpha)
         rep = schmidt_scan(lattice, alpha, args.N, args.q_max, args.radius,
                            config.constants.B_quality, tol=tol)
         results = {"action": "schmidt", **dataclasses.asdict(rep)}
@@ -375,7 +375,6 @@ def _cmd_dioph(args, config: ExperimentConfig):
             thetas = [_parse_number(t) for t in args.theta.split(",")]
             good = approx_good_set_family(family, thetas, args.eps, args.N)
         else:
-            alpha = _parse_blockvector(args.alpha)
             good = approx_good_set_power(alpha, args.eps, args.N)
         results = {
             "action": "goodset", "N": args.N, "eps": args.eps,
@@ -400,12 +399,12 @@ def _cmd_ergodic(args, config: ExperimentConfig):
     mu = Fraction(int(np.count_nonzero(subset)), system.size)
     results: dict = {"system_size": system.size, "mu_A": mu}
     checks: dict = {}
+    times = None if args.action == "measure" else _parse_times(args.times)
     if args.action == "measure":
         value = recurrence_measure(system, subset, args.shift)
         results.update({"action": "measure", "shift": args.shift,
                         "measure": value})
     elif args.action == "khintchine":
-        times = _parse_times(args.times)
         out = khintchine_search(system, subset, args.eps, times,
                                 permissive=args.permissive)
         results.update({
@@ -416,7 +415,6 @@ def _cmd_ergodic(args, config: ExperimentConfig):
         })
         checks["khintchine_found"] = out.found
     elif args.action == "griesmer":
-        times = _parse_times(args.times)
         constants = [int(c) for c in args.constants.split(",")]
         out = griesmer_search(system, subset, args.eps, constants, times)
         results.update({

@@ -21,7 +21,6 @@ __all__ = [
     "ExperimentConfig",
     "ConfigError",
     "DEFAULT_TOLERANCES",
-    "DEFAULT_CONSTANTS",
     "validate_config",
     "config_from_dict",
     "load_config",
@@ -74,7 +73,6 @@ class ExperimentConfig:
 
 
 DEFAULT_TOLERANCES = Tolerances()
-DEFAULT_CONSTANTS = Constants()
 
 #: Environment variable consulted for a config-file path when the CLI is
 #: invoked without --config.

@@ -342,6 +342,28 @@ def _level(system: FiniteMPSystem, mask: np.ndarray, eps: float):
     return threshold, math.ceil(threshold * system.size), lambda shift: count(abs(shift))
 
 
+def _pair_needs(eps: float) -> int:
+    """The fewest times, max(2, ceil(1/eps)), among which a pair is guaranteed."""
+    return max(2, math.ceil(1 / Fraction(eps)))
+
+
+def _first_pair(times: list[int], c: int, least: int, hits, eps: float):
+    """The first pair (j, k), j < k, 0-based in row-major order, whose
+    difference d = v_k - v_j has hits(c * d) >= least, or None, and the
+    number of pairs scanned.  hits is read only for the pairs scanned.
+    Exhausting a list of at least _pair_needs(eps) times raises
+    AssertionError: the averaging argument guarantees a pair there."""
+    scanned = 0
+    for j in range(len(times)):
+        for k in range(j + 1, len(times)):
+            scanned += 1
+            if hits(c * (times[k] - times[j])) >= least:
+                return (j, k), scanned
+    if len(times) >= _pair_needs(eps):
+        raise AssertionError("guaranteed pair not found; search is buggy")
+    return None, scanned
+
+
 @dataclass(frozen=True)
 class KhintchineResult:
     found: bool
@@ -369,31 +391,23 @@ def khintchine_search(system: FiniteMPSystem, subset, eps: float,
     reported failure; lists past TIMES_BUDGET are refused.
     """
     times = _times(times, eps)
-    needed = max(2, math.ceil(1 / Fraction(eps)))
-    guaranteed = len(times) >= needed
-    if not guaranteed and not permissive:
+    needed = _pair_needs(eps)
+    if len(times) < needed and not permissive:
         raise ValueError(
             f"need at least {needed} times for the guarantee "
             f"(got {len(times)}); pass permissive=True to search anyway"
         )
     mask = system.validate_subset(subset)
     threshold, least, hits = _level(system, mask, eps)
-    scanned = 0
-    for j in range(len(times)):
-        for k in range(j + 1, len(times)):
-            scanned += 1
-            d = times[k] - times[j]
-            if hits(d) >= least:
-                measure = Fraction(hits(d), system.size)
-                return KhintchineResult(
-                    found=True, pair=(j + 1, k + 1), n=d,
-                    measure=measure, threshold=threshold,
-                    strict=measure > threshold, pairs_scanned=scanned,
-                )
-    if guaranteed:
-        raise AssertionError("guaranteed pair not found; search is buggy")
-    return KhintchineResult(found=False, pair=None, n=None, measure=None,
-                            threshold=threshold, strict=None,
+    pair, scanned = _first_pair(times, 1, least, hits, eps)
+    if pair is None:
+        return KhintchineResult(found=False, pair=None, n=None, measure=None,
+                                threshold=threshold, strict=None, pairs_scanned=scanned)
+    j, k = pair
+    d = times[k] - times[j]
+    measure = Fraction(hits(d), system.size)
+    return KhintchineResult(found=True, pair=(j + 1, k + 1), n=d, measure=measure,
+                            threshold=threshold, strict=measure > threshold,
                             pairs_scanned=scanned)
 
 
@@ -477,7 +491,7 @@ def griesmer_search(system: FiniteMPSystem, subset, eps: float,
     the complete graph on the current times red where the first half of
     the constants all satisfy the inequality for that difference, peels
     off a red clique greedily, and recurses on the clique with the
-    remaining constants; the base case is the first red pair for T^c.
+    remaining constants; the base case is Khintchine's pair scan for T^c.
     Any returned n is re-verified against all original constants from
     scratch, and a verification failure raises ExactnessError.  At desk
     scale the time list can be too short for the tower-size hypothesis
@@ -493,18 +507,14 @@ def griesmer_search(system: FiniteMPSystem, subset, eps: float,
     levels: list[LevelInfo] = []
     active, verts, n = _pad_to_power_of_two(constants), times, None
     while len(verts) >= 2:
-        half = active[:max(1, len(active) // 2)]
+        if len(active) == 1:
+            pair, _ = _first_pair(verts, active[0], least, hits, eps)
+            if pair is not None:
+                n = verts[pair[1]] - verts[pair[0]]
+            break
+        half = active[:len(active) // 2]
         red = _red_matrix(verts, half, least, hits)
         num = len(verts)
-        if len(active) == 1:
-            upper = np.triu(red, 1).ravel()
-            first = int(np.argmax(upper))
-            if upper[first]:
-                j, k = divmod(first, num)
-                n = verts[k] - verts[j]
-            elif num >= math.ceil(1 / Fraction(eps)):
-                raise AssertionError("guaranteed pair not found; search is buggy")
-            break
         clique_idx = _greedy_red_clique(red)
         levels.append(LevelInfo(
             constants=half, num_vertices=num,

@@ -384,7 +384,10 @@ def _orbit_theta(lattice: ProductLattice, alpha: BlockVector, n_range: int,
     """Theta(1, n*alpha) for n = 1..N on one side: each block's terms are
     enumerated once, and the dilates (n a_1, n^2 a_2, ..., n^k a_k) are
     formed in long double a block of the scan at a time, as many n as keep
-    the terms of a block within _PHASE_BLOCK."""
+    the terms of a block within _PHASE_BLOCK.  An alpha whose blocks do not
+    match the lattice's is refused first."""
+    if alpha.dims != lattice.dims:
+        raise ValueError("alpha blocks do not match lattice blocks")
     terms = [_block_terms(basis, 1.0, side, tail) for basis in lattice.blocks]
     arrays = alpha.block_arrays()
     blocks = _orbit(n_range, width=sum(len(pts) for pts, _ in terms))
@@ -407,8 +410,6 @@ def gaussian_average(lattice: ProductLattice, alpha: BlockVector, n_range: int,
     """
     if n_range < 1:
         raise ValueError("need N >= 1")
-    if alpha.dims != lattice.dims:
-        raise ValueError("alpha blocks do not match lattice blocks")
     def average(side: str) -> float:
         return lattice.determinant * float(
             np.mean(_orbit_theta(lattice, alpha, n_range, tol.theta_tail, side)))
@@ -529,16 +530,14 @@ class AverageBoundsReport:
 
 
 def _perturbed_vector(alpha: BlockVector, n: int, eps: float) -> BlockVector:
-    """beta with |beta_j - alpha_j| = eps * N^-j, pushed along the first axis."""
+    """(1 + eps) * beta, where beta has |beta_j - alpha_j| = eps * N^-j,
+    pushed along the first axis."""
     out = []
     for j, block in enumerate(alpha.entries, start=1):
-        if not block:
-            out.append(())
-            continue
-        delta = eps * float(n) ** (-j)
         vals = [float(x) for x in block]
-        vals[0] += delta
-        out.append(tuple(vals))
+        if vals:
+            vals[0] += eps * float(n) ** (-j)
+        out.append(tuple((1.0 + eps) * v for v in vals))
     return BlockVector(tuple(out))
 
 
@@ -552,8 +551,8 @@ def check_average_bounds(lattice: ProductLattice, alpha: BlockVector, n: int,
     (ii) F(N) >= (1/2q) F(floor(N/q)) for integers q <= N/2;
     (iii) the reported ratio min_n Theta(1, n*alpha) / Theta_scaled(1,
           n*(1+eps)beta) over the (1+eps)-dilated lattice, not asserted,
-          with eps = min(1/d, 1/2) for a lattice of dimension d and beta
-          from _perturbed_vector.
+          with eps = min(1/d, 1/2) for a lattice of dimension d and
+          (1+eps)beta from _perturbed_vector.
     """
     if n <= 20:
         raise ValueError("need N > 20")
@@ -561,8 +560,6 @@ def check_average_bounds(lattice: ProductLattice, alpha: BlockVector, n: int,
         raise ValueError("need 1/10 < c < 1")
     if q < 1 or q > n // 2:
         raise ValueError("need integer 1 <= q <= N/2")
-    if alpha.dims != lattice.dims:
-        raise ValueError("alpha blocks do not match lattice blocks")
     perturbation_eps = min(1.0 / max(lattice.dimension, 1), 0.5)
     # Theta(1, n*alpha) for n <= N: F(N), F(floor(cN)) and F(floor(N/q)) are
     # det times means of its leading entries, and it is the ratio's numerator
@@ -570,13 +567,8 @@ def check_average_bounds(lattice: ProductLattice, alpha: BlockVector, n: int,
     f_n, f_scaled, f_sub = (lattice.determinant * float(np.mean(top[:m]))
                             for m in (n, int(c * n), n // q))
 
-    beta = _perturbed_vector(alpha, n, perturbation_eps)
-    scaled_lattice = lattice.scale(1.0 + perturbation_eps)
-    stretched = BlockVector(tuple(
-        tuple((1.0 + perturbation_eps) * float(x) for x in block)
-        for block in beta.entries
-    ))
-    bot = _orbit_theta(scaled_lattice, stretched, n, tol.theta_tail)
+    bot = _orbit_theta(lattice.scale(1.0 + perturbation_eps),
+                       _perturbed_vector(alpha, n, perturbation_eps), n, tol.theta_tail)
     ratio = float(np.min(np.divide(top, bot, out=bot)))
 
     return AverageBoundsReport(
@@ -617,8 +609,6 @@ def schmidt_scan(lattice: ProductLattice, alpha: BlockVector, n: int,
     """
     if q_max < 1 or not (math.isfinite(radius_max) and radius_max > 0) or not quality > 0:
         raise ValueError("need q_max >= 1, finite radius_max > 0, quality > 0")
-    if alpha.dims != lattice.dims:
-        raise ValueError("alpha blocks do not match lattice blocks")
     f_value = gaussian_average(lattice, alpha, n, tol=tol)
     if f_value >= 0.5:
         return SchmidtReport(alternative=1, f_value=f_value)

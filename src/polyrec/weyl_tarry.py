@@ -356,14 +356,8 @@ def count_solutions_mod(poly: IntPolynomial, m: int, n_modulus: int,
 class TarryCount:
     """An exact solution count with the method that produced it."""
 
-    k_order: int
     count: int
     method: str
-    degree: int
-
-    @property
-    def theory_exponent(self) -> float:
-        return 2 * self.k_order - self.degree * (self.degree + 1) / 2
 
 
 def tarry_count(k_order: int, degree: int, m: int, method: str = "auto") -> TarryCount:
@@ -381,7 +375,7 @@ def tarry_count(k_order: int, degree: int, m: int, method: str = "auto") -> Tarr
     monomials = [IntPolynomial((0,) * (i - 1) + (1,)) for i in range(1, degree + 1)]
     count, method = _equal_sums(monomials, k_order, m, method=method,
                                 spans=[m ** i - 1 for i in range(1, degree + 1)])
-    return TarryCount(k_order=k_order, count=count, method=method, degree=degree)
+    return TarryCount(count=count, method=method)
 
 
 @dataclass(frozen=True)
@@ -405,17 +399,13 @@ def growth_probe(k_order: int, degree: int, m_values: Sequence[int]
     ms = sorted(set(int(v) for v in m_values))
     if len(ms) < 2:
         raise ValueError("growth probe needs at least two M values")
-    rows: list[GrowthRow] = []
-    logs_m, logs_c = [], []
-    for m in ms:
-        res = tarry_count(k_order, degree, m)
-        logs_m.append(math.log(m))
-        logs_c.append(math.log(res.count))
-        if len(logs_m) >= 2:
-            slope = float(np.polyfit(logs_m, logs_c, 1)[0])
-        else:
-            slope = None
-        rows.append(GrowthRow(m=m, count=res.count, log_count=logs_c[-1],
-                              fitted_slope=slope,
-                              theory_exponent=res.theory_exponent))
+    counts = [tarry_count(k_order, degree, m).count for m in ms]
+    # taken once tarry_count has admitted K and k, so it is a finite float
+    theory_exponent = 2 * k_order - degree * (degree + 1) / 2
+    logs_m, logs_c = [math.log(m) for m in ms], [math.log(c) for c in counts]
+    rows = []
+    for i, m in enumerate(ms):
+        slope = float(np.polyfit(logs_m[:i + 1], logs_c[:i + 1], 1)[0]) if i else None
+        rows.append(GrowthRow(m=m, count=counts[i], log_count=logs_c[i],
+                              fitted_slope=slope, theory_exponent=theory_exponent))
     return tuple(rows)

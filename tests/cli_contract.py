@@ -1,7 +1,8 @@
-"""The contract every CLI invocation keeps, checked in process.
+"""The contract every CLI invocation keeps, checked in process, and the
+source of a child process whose address space is capped.
 
-The fuzz properties of tests/test_properties.py call it directly, and the
-kernel fuzz calls it in a child under RLIMIT_AS, which imports this module
+The fuzz properties of tests/test_properties.py call the contract directly,
+and the kernel fuzz calls it in a capped child, which imports this module
 alone so that it starts fast.
 """
 
@@ -33,3 +34,15 @@ def assert_cli_contract(argv):
         assert stderr.count("\n") == 1 and out.getvalue() == ""
     if out.getvalue():
         json.loads(out.getvalue(), parse_constant=lambda c: pytest.fail(f"non-strict {c}"))
+
+
+def capped_child(mib: int, imports: str, body: str) -> str:
+    """Source for `python -c` that runs `imports`, caps the process's
+    address space (RLIMIT_AS) mib MiB above its size after them, and runs
+    `body`.  The size is read from /proc/self/statm, so Linux only."""
+    return (f"import resource\n{imports}"
+            "with open('/proc/self/statm') as fh:\n"
+            "    size = int(fh.read().split()[0]) * resource.getpagesize()\n"
+            f"cap = size + ({mib} << 20)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+            f"{body}")

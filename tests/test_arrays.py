@@ -109,12 +109,7 @@ def test_power_working_memory_does_not_depend_on_the_shift():
     system = FiniteMPSystem.skew_product(100)
     size = system.permutation.nbytes
     for shift in (0, 1, -1, 2, 10, 12345, 10 ** 30, -10 ** 30 - 3):
-        tracemalloc.start()
-        try:
-            system._power(shift)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _traced_peak(system._power, shift)
         # three arrays of the system's size, give or take a few small objects
         assert 3 * size <= peak < 3 * size + size // 8, shift
 
@@ -204,12 +199,7 @@ def test_building_a_system_holds_one_array_of_its_size():
                              (FiniteMPSystem.rotation, 10 ** 5, 10 ** 5)]:
         size = 8 * points
         for a in (1, -7, 10 ** 30):
-            tracemalloc.start()
-            try:
-                build(m, a)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peak = _traced_peak(build, m, a)
             assert size <= peak < size + size // 8, (build, a)
 
 

@@ -7,6 +7,8 @@ import pytest
 
 from polyrec.cli import main
 
+from cli_contract import capped_child
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -231,6 +233,10 @@ def test_invalid_literals_exit_2(capsys):
     ["dioph", "--action", "mass", "--lattice", "int"],
     ["dioph", "--action", "mass", "--lattice", "scaled:1.5"],
     ["dioph", "--action", "mass", "--lattice", "file"],
+    # a literal without fields refuses an extra one
+    ["search", "--N", "10", "--set", "full:3", "--poly", "1", "--eps", "0.1"],
+    ["search", "--N", "10", "--set", "evens:x", "--poly", "1", "--eps", "0.1"],
+    ["ergodic", "--action", "measure", "--system", "rotation:5", "--subset", "all:9"],
 ])
 def test_truncated_literals_exit_2_with_one_line(capsys, argv):
     code = main(argv)
@@ -239,6 +245,15 @@ def test_truncated_literals_exit_2_with_one_line(capsys, argv):
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
     assert " literal is " in captured.err
+
+
+@pytest.mark.parametrize("action", ["average", "bounds", "schmidt"])
+def test_dioph_refuses_an_alpha_of_other_blocks_with_one_line(capsys, action):
+    code = main(["dioph", "--action", action, "--lattice", "int:1", "--alpha", "0.3;0.5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: alpha blocks do not match lattice blocks\n"
 
 
 @pytest.mark.parametrize("argv, flag, literal, content, same_as", [
@@ -319,17 +334,15 @@ def test_tarry_past_its_budget_is_refused_before_the_work(m, message):
     assert grown_kb < 20_000  # ru_maxrss is in KiB; a 10^7 table takes 80 MB or more
 
 
-#: Runs main on argv in a child whose address space is capped {mib} MiB above
-#: its size after import.
-_CAPPED_AT = ("import resource, sys\n"
-              "from polyrec.cli import main\n"
-              "with open('/proc/self/statm') as fh:\n"
-              "    size = int(fh.read().split()[0]) * resource.getpagesize()\n"
-              "cap = size + ({mib} << 20)\n"
-              "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
-              "sys.exit(main(sys.argv[1:]))\n")
+def _capped_at(mib: int) -> str:
+    """Source that runs main on argv in a child whose address space is
+    capped mib MiB above its size after import."""
+    return capped_child(mib, "import sys\nfrom polyrec.cli import main\n",
+                        "sys.exit(main(sys.argv[1:]))\n")
+
+
 #: 256 MiB: far below the 640 MB a Weyl sum at N = 10^7 takes.
-_CAPPED = _CAPPED_AT.format(mib=256)
+_CAPPED = _capped_at(256)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
@@ -449,7 +462,7 @@ def test_an_average_over_a_fine_lattice_answers_in_a_capped_child():
       "--half-width", "135"], 1024, "size", 440646),
 ])
 def test_large_results_answer_in_a_capped_child(argv, mib, field, value):
-    out = subprocess.run([sys.executable, "-c", _CAPPED_AT.format(mib=mib), *argv],
+    out = subprocess.run([sys.executable, "-c", _capped_at(mib), *argv],
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["results"][field] == value

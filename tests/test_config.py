@@ -3,14 +3,14 @@ import json
 import pytest
 
 from polyrec.cli import main
-from polyrec.config import (ConfigError, DEFAULT_CONSTANTS, DEFAULT_TOLERANCES,
+from polyrec.config import (ConfigError, Constants, DEFAULT_TOLERANCES,
                             config_from_dict, load_config, validate_config)
 
 
 def test_defaults_load_without_a_file():
     cfg = load_config(None)
     assert cfg.seed == 0
-    assert cfg.constants == DEFAULT_CONSTANTS
+    assert cfg.constants == Constants()
     assert cfg.tolerances == DEFAULT_TOLERANCES
     validate_config(cfg)
 
@@ -27,7 +27,7 @@ def test_round_trip_through_json(tmp_path):
     assert cfg.seed == 99
     assert cfg.constants.C1 == 2.0
     assert cfg.constants.K == 4
-    assert cfg.constants.C_k == DEFAULT_CONSTANTS.C_k  # untouched field
+    assert cfg.constants.C_k == Constants().C_k  # untouched field
     assert cfg.tolerances.poisson_rel == 1e-6
     assert cfg.threads == 2
 

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -179,6 +180,26 @@ def test_griesmer_single_constant_reduces_to_khintchine():
     assert gri.measures == (khi.measure,)
 
 
+def test_griesmer_base_case_counts_only_the_differences_it_scans(monkeypatch):
+    # the first pair (1, 2) is good, so its difference is the one shift
+    # counted; a red matrix over the times counted all 15 differences
+    counted = set()
+    level = ergodic_lab._level
+
+    def spied(*args):
+        threshold, least, hits = level(*args)
+
+        def spied_hits(shift):
+            counted.add(abs(shift))
+            return hits(shift)
+        return threshold, least, spied_hits
+
+    monkeypatch.setattr(ergodic_lab, "_level", spied)
+    out = griesmer_search(FiniteMPSystem.rotation(60), range(0, 30), 0.1, [1], range(1, 17))
+    assert out.found and out.n == 1
+    assert counted == {1}
+
+
 def test_griesmer_rotation_with_two_constants():
     # the periodicity example: c = (1, 5) on Z_12 with A = {0,1,2,3}.
     # mu(A)^2 - 0.2 is negative, so the very first difference qualifies;
@@ -351,3 +372,52 @@ def test_griesmer_matches_the_oracle(case, constants, times):
     want = naive_griesmer(perm, subset, eps, constants, times)
     assert (got.found, got.n, got.measures, got.threshold,
             tuple(dataclasses.astuple(lv) for lv in got.levels), got.failure_reason) == want
+
+
+def _red_matrix_rule(times, c, least, hits, eps):
+    """Griesmer's one-constant base case as it read a red matrix: the first
+    True of its upper triangle in row-major order, with that pair's
+    row-major rank among all pairs plus 1 as the pairs scanned."""
+    upper = np.triu(ergodic_lab._red_matrix(times, (c,), least, hits), 1).ravel()
+    first = int(np.argmax(upper))
+    pairs = np.triu(np.ones((len(times), len(times)), dtype=bool), 1).ravel()
+    if upper[first]:
+        return divmod(first, len(times)), int(np.count_nonzero(pairs[:first])) + 1
+    if len(times) >= math.ceil(1 / Fraction(eps)):
+        raise AssertionError("guaranteed pair not found; search is buggy")
+    return None, int(np.count_nonzero(pairs))
+
+
+def _pair_outcome(rule, *args):
+    """The rule's (pair, scanned), or AssertionError if it raised that."""
+    try:
+        return rule(*args)
+    except AssertionError:
+        return AssertionError
+
+
+@settings(max_examples=150, deadline=None)
+@given(times=st.lists(st.integers(-12, 12) | st.integers(-10 ** 20, 10 ** 20) | HUGE,
+                      unique=True, min_size=2, max_size=9),
+       c=st.integers(-5, 5).filter(bool) | HUGE, salt=st.integers(1, 10 ** 6),
+       least=st.integers(0, 9), eps=st.floats(0, 1, exclude_min=True))
+@example(times=[3, 1, 2], c=1, salt=1, least=9, eps=1.0)   # exhausted, guaranteed
+@example(times=[3, 1, 2], c=1, salt=1, least=9, eps=0.1)   # exhausted, not guaranteed
+@example(times=[5, -2 ** 63, 2 ** 63], c=-5, salt=7, least=0, eps=0.5)  # the first pair
+def test_first_pair_picks_the_red_matrix_rules_pair(times, c, salt, least, eps):
+    # hits stands for any count of |shift|; the scan reads it for the pairs
+    # it scans and no others
+    def hits(shift):
+        return abs(shift) * salt % 97 % 9
+
+    read = []
+
+    def reading(shift):
+        read.append(abs(shift))
+        return hits(shift)
+
+    got = _pair_outcome(ergodic_lab._first_pair, times, c, least, reading, eps)
+    assert got == _pair_outcome(_red_matrix_rule, times, c, least, hits, eps)
+    pairs = [abs(c * (times[k] - times[j]))
+             for j in range(len(times)) for k in range(j + 1, len(times))]
+    assert read == (pairs if got is AssertionError else pairs[:got[1]])

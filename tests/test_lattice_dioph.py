@@ -336,6 +336,26 @@ def test_check_average_bounds_validates_inputs():
         check_average_bounds(lat, alpha, 100, 0.5, 80)  # q > N/2
 
 
+@pytest.mark.parametrize("call", [
+    lambda lat, alpha: gaussian_average(lat, alpha, 50),
+    lambda lat, alpha: gaussian_average(lat, alpha, 50, check_dual=True),
+    lambda lat, alpha: check_average_bounds(lat, alpha, 100, 0.5, 2),
+    lambda lat, alpha: schmidt_scan(lat, alpha, 100, 100, 2.5, 1.0),
+], ids=["average", "average-dual", "bounds", "schmidt"])
+@pytest.mark.parametrize("alpha", [((0.3,), (0.5,)), ((0.3, 0.5),), ((),)],
+                         ids=["two-blocks", "two-entries", "empty-block"])
+def test_an_alpha_of_other_blocks_is_refused(call, alpha):
+    with pytest.raises(ValueError, match="^alpha blocks do not match lattice blocks$"):
+        call(ProductLattice.integers([1]), BlockVector(alpha))
+
+
+def test_schmidt_scan_refuses_n_before_the_shape_of_alpha():
+    # the shape is checked where the average's scan starts, after N
+    with pytest.raises(ValueError, match="need N >= 1"):
+        schmidt_scan(ProductLattice.integers([1]), BlockVector(((0.3,), (0.5,))), 0,
+                     100, 2.5, 1.0)
+
+
 def test_schmidt_scan_fine_lattice_reports_large_average():
     # Theta over Z never drops below ~0.91, so F >= 1/2 always holds here
     lat = ProductLattice.integers([1])

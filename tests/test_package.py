@@ -17,7 +17,7 @@ TESTS = Path(__file__).parent
 #: less the helpers deleted since because nothing read them.
 EXPORTED = [
     "Constants", "ExperimentConfig", "Tolerances", "ConfigError",
-    "DEFAULT_CONSTANTS", "DEFAULT_TOLERANCES", "load_config",
+    "DEFAULT_TOLERANCES", "load_config",
     "IntegerSet", "bernoulli_mask", "generate_set",
     "ExactnessError", "Spectrum", "ZnFunction", "balanced_function",
     "dft", "ellp_norm", "exact_correlation", "inverse_dft", "lp_norm",
@@ -439,10 +439,15 @@ def test_polyfam_finds_every_lift_offset_in_one_place():
 
 
 def test_ergodic_searches_share_one_counter():
-    # Griesmer's base case reads its own red matrix: it neither re-enters
-    # khintchine_search nor builds the system T^c
+    # Griesmer's base case runs Khintchine's pair scan (_first_pair), not a
+    # red matrix: it neither re-enters khintchine_search nor builds the
+    # system T^c, and no function takes the upper triangle of a red matrix
     source = (SRC / "ergodic_lab.py").read_text(encoding="utf-8")
     assert callers(source, ("khintchine_search",)) == {"khintchine_search": []}
+    assert callers(source, ("_first_pair",)) == {"_first_pair": ["khintchine_search",
+                                                                 "griesmer_search"]}
+    assert [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "triu"] == []
     assert [node.lineno for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
             and node.func.attr == "power_system"] == []
@@ -595,6 +600,16 @@ def dual_bases(source: str) -> list[str]:
             if isinstance(node, ast.Attribute) and node.attr == "T"
             and isinstance(node.value, ast.Call)
             and getattr(node.value.func, "attr", getattr(node.value.func, "id", None)) == "inv"]
+
+
+def test_lattice_dioph_refuses_a_mismatched_alpha_in_one_place():
+    # gaussian_average, check_average_bounds and schmidt_scan all reach
+    # _orbit_theta, whose first check is the refusal
+    source = (SRC / "lattice_dioph.py").read_text(encoding="utf-8")
+    assert source.count("alpha blocks do not match lattice blocks") == 1
+    first = next(node for node in ast.parse(source).body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_orbit_theta").body[1]
+    assert "alpha blocks do not match" in ast.unparse(first)
 
 
 def test_gaussian_mass_reads_the_dual_side_of_theta():

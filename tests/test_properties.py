@@ -27,7 +27,7 @@ from polyrec.recurrence import CYCLIC, INTEGER, find_good_shifts, intersection_p
 from polyrec.weyl_tarry import SIGNATURE_BUDGET, _equal_sums, count_solutions_mod, tarry_count
 from polyrec.zn_fourier import ExactnessError, _intersection_counts, exact_correlation
 
-from cli_contract import assert_cli_contract
+from cli_contract import assert_cli_contract, capped_child
 from oracles import (grouped_tarry, naive_count_solutions, naive_count_solutions_mod,
                      naive_cross_correlation, naive_intersection_cyclic,
                      naive_intersection_integer, naive_tarry, naive_value_span)
@@ -809,16 +809,12 @@ def kernel_argv(draw):
 #: every answer the fuzz admits, and far below what a size past a budget
 #: would allocate (10^12 int64 points take 8 TB).  Each argv is printed
 #: before it runs, so the last line of stdout names a failing one.
-_CAPPED_BATCH = ("import json, resource, sys\n"
-                 "sys.path.insert(0, sys.argv[1])\n"
-                 "from cli_contract import assert_cli_contract\n"
-                 "with open('/proc/self/statm') as fh:\n"
-                 "    size = int(fh.read().split()[0]) * resource.getpagesize()\n"
-                 "cap = size + (1 << 30)\n"
-                 "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
-                 "for argv in json.loads(sys.argv[2]):\n"
-                 "    print(json.dumps(argv), flush=True)\n"
-                 "    assert_cli_contract(argv)\n")
+_CAPPED_BATCH = capped_child(1024, "import json, sys\n"
+                                   "sys.path.insert(0, sys.argv[1])\n"
+                                   "from cli_contract import assert_cli_contract\n",
+                             "for argv in json.loads(sys.argv[2]):\n"
+                             "    print(json.dumps(argv), flush=True)\n"
+                             "    assert_cli_contract(argv)\n")
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
